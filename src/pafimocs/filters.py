@@ -91,6 +91,7 @@ class StepStats:
     motion_mean: np.ndarray
     coeff_mean: np.ndarray
     support_sizes: np.ndarray
+    unconverged_solves: int = 0
 
 
 @dataclass(eq=False)
@@ -197,7 +198,9 @@ def posterior_estimate(pset: ParticleSet) -> tuple[np.ndarray, np.ndarray]:
     return motion, coeffs
 
 
-def _finish_step(pset: ParticleSet, proposed: list, cfg: FilterConfig) -> ParticleSet:
+def _finish_step(
+    pset: ParticleSet, proposed: list, cfg: FilterConfig, unconverged_solves: int = 0
+) -> ParticleSet:
     """Normalize, record diagnostics, resample per the configured rule."""
     log_ws = _normalize_log_weights(np.array([p.log_weight for p in proposed]))
     w = np.exp(log_ws)
@@ -213,6 +216,7 @@ def _finish_step(pset: ParticleSet, proposed: list, cfg: FilterConfig) -> Partic
         motion_mean=motion,
         coeff_mean=coeffs,
         support_sizes=np.array([len(p.state.support) for p in proposed]),
+        unconverged_solves=unconverged_solves,
     )
     if cfg.resample == "every-step" or stats.ess < cfg.ess_fraction * n:
         order = systematic_resample(w, pset.resample_rng)
@@ -257,13 +261,19 @@ def _mode_track(
     cfg: FilterConfig,
     lmax: float,
 ):
-    """Solve the mode-tracking problem for one particle; None when off-frame."""
+    """Solve the mode-tracking problem for one particle; None when off-frame.
+
+    Returns ``(lambda, mapped, converged)``: the solution, the ROI pixels
+    minus the template (for :func:`log_likelihood`) and whether the solve
+    certified.
+    """
     roi = compute_roi(motion, template, (frame.height, frame.width))
     if not roi.valid:
         return None
+    mapped = frame.pixels[roi.indices] - template.pixels
     sig_o, sig_l = _solver_sigmas(params)
     problem = ModeTrackingProblem(
-        y_residual_base=frame.pixels[roi.indices] - template.pixels,
+        y_residual_base=mapped,
         dictionary=dictionary,
         lambda_prev=prev_coeffs,
         cond_support=cond_support,
@@ -274,7 +284,7 @@ def _mode_track(
         gram_lmax=lmax,
     )
     result = solve(problem, replace(cfg.solver, warm_start=prev_coeffs, record_trace=False))
-    return result.lambda_opt
+    return result.lambda_opt, mapped, result.converged
 
 
 def pafimocs_step(
@@ -289,25 +299,28 @@ def pafimocs_step(
     noise = _noise_model(params)
     lmax = power_iteration_lmax(dictionary.gram)
     proposed = []
+    unconverged = 0
     for particle, rng in zip(pset.particles, pset.streams):
         prev = particle.state
         motion = sample_motion_transition(prev.motion, params, rng)
         support = sample_support_transition(prev.support, params, rng)
-        lam = _mode_track(
+        solved = _mode_track(
             frame, motion, support, prev.coeffs, template, dictionary, params, cfg, lmax
         )
-        if lam is None:
+        if solved is None:
             proposed.append(Particle(FullState(motion, support, prev.coeffs), NEG_INF))
             continue
+        lam, mapped, converged = solved
+        unconverged += not converged
         new_support = threshold_support(lam, cfg.support_threshold, cfg.alpha)
         lam = lam * new_support.mask()
         log_w = (
             particle.log_weight
-            + log_likelihood(frame, motion, lam, template, dictionary, noise)
+            + log_likelihood(frame, motion, lam, template, dictionary, noise, mapped)
             + stp_coeffs_log(lam, prev.coeffs, new_support, params)
         )
         proposed.append(Particle(FullState(motion, new_support, lam), log_w))
-    return _finish_step(pset, proposed, cfg)
+    return _finish_step(pset, proposed, cfg, unconverged)
 
 
 def pafimocs_ssc_step(
@@ -324,25 +337,28 @@ def pafimocs_ssc_step(
     noise = _noise_model(params)
     lmax = power_iteration_lmax(dictionary.gram)
     proposed = []
+    unconverged = 0
     for particle, rng in zip(pset.particles, pset.streams):
         prev = particle.state
         motion = sample_motion_transition(prev.motion, params, rng)
-        lam = _mode_track(
+        solved = _mode_track(
             frame, motion, prev.support, prev.coeffs, template, dictionary, params, cfg, lmax
         )
-        if lam is None:
+        if solved is None:
             proposed.append(Particle(FullState(motion, prev.support, prev.coeffs), NEG_INF))
             continue
+        lam, mapped, converged = solved
+        unconverged += not converged
         new_support = threshold_support(lam, cfg.support_threshold, cfg.alpha)
         lam = lam * new_support.mask()
         log_w = (
             particle.log_weight
-            + log_likelihood(frame, motion, lam, template, dictionary, noise)
+            + log_likelihood(frame, motion, lam, template, dictionary, noise, mapped)
             + stp_coeffs_log(lam, prev.coeffs, new_support, params)
             + stp_support_log(new_support, prev.support, params)
         )
         proposed.append(Particle(FullState(motion, new_support, lam), log_w))
-    return _finish_step(pset, proposed, cfg)
+    return _finish_step(pset, proposed, cfg, unconverged)
 
 
 def pf_mt_step(
@@ -358,22 +374,25 @@ def pf_mt_step(
     lmax = power_iteration_lmax(dictionary.gram)
     full = _full_support(dictionary.n_lambda)
     proposed = []
+    unconverged = 0
     for particle, rng in zip(pset.particles, pset.streams):
         prev = particle.state
         motion = sample_motion_transition(prev.motion, params, rng)
-        lam = _mode_track(
+        solved = _mode_track(
             frame, motion, full, prev.coeffs, template, dictionary, params, cfg, lmax
         )
-        if lam is None:
+        if solved is None:
             proposed.append(Particle(FullState(motion, full, prev.coeffs), NEG_INF))
             continue
+        lam, mapped, converged = solved
+        unconverged += not converged
         log_w = (
             particle.log_weight
-            + log_likelihood(frame, motion, lam, template, dictionary, noise)
+            + log_likelihood(frame, motion, lam, template, dictionary, noise, mapped)
             + stp_coeffs_log(lam, prev.coeffs, full, params)
         )
         proposed.append(Particle(FullState(motion, full, lam), log_w))
-    return _finish_step(pset, proposed, cfg)
+    return _finish_step(pset, proposed, cfg, unconverged)
 
 
 def pf_gordon_step(
@@ -462,6 +481,7 @@ class TrackResult:
     max_log_weight: np.ndarray
     support_sizes: np.ndarray  # (n_steps + 1, n_pf)
     lost_at: int | None
+    unconverged_solves: int = 0  # mode-tracking solves used without a KKT certificate
 
 
 def _coerce_state(state: FullState, n_lambda: int) -> FullState:
@@ -511,6 +531,7 @@ def run_tracker(
     ess[0] = cfg.n_pf
     sizes[0] = len(init.support)
     lost_at = None
+    unconverged = 0
     for t in range(1, n_steps + 1):
         try:
             pset = step(pset, frames[t], template, dictionary, tracker_params, cfg)
@@ -528,7 +549,8 @@ def run_tracker(
         ess[t] = stats.ess
         max_lw[t] = stats.max_log_weight
         sizes[t] = stats.support_sizes
-    return TrackResult(motion, coeffs, ess, max_lw, sizes, lost_at)
+        unconverged += stats.unconverged_solves
+    return TrackResult(motion, coeffs, ess, max_lw, sizes, lost_at, unconverged)
 
 
 def replace_params_ambient(params: ModelParams, n_lambda: int) -> ModelParams:

@@ -189,21 +189,23 @@ def log_likelihood(
     template: TemplatePatch,
     dictionary: Dictionary,
     noise: NoiseModel,
+    mapped: np.ndarray | None = None,
 ) -> float:
     """Log-likelihood of the frame under one (motion, coefficients) hypothesis.
 
     The clutter block contributes ``(m - n_l) * log(1 / pixel_max)``; invalid
     placements return ``-inf``. The ``gaussian-mixture`` kind inflates a
     ``p_out`` fraction of the residuals to variance ``sigma_out_sq``.
+    ``mapped`` is the frame's ROI pixels under ``motion`` minus the template,
+    for a caller that has already gathered them from a valid placement; the
+    ROI is then not computed again.
     """
-    roi = compute_roi(motion, template, (frame.height, frame.width))
-    if not roi.valid:
-        return NEG_INF
-    r = (
-        frame.pixels[roi.indices]
-        - template.pixels
-        - dictionary.matrix @ np.asarray(coeffs, dtype=float)
-    )
+    if mapped is None:
+        roi = compute_roi(motion, template, (frame.height, frame.width))
+        if not roi.valid:
+            return NEG_INF
+        mapped = frame.pixels[roi.indices] - template.pixels
+    r = mapped - dictionary.matrix @ np.asarray(coeffs, dtype=float)
     clutter = -(frame.n_pixels - template.n_pixels) * math.log(noise.pixel_max)
     if noise.kind == "pure-gaussian" or noise.p_out == 0.0:
         return diag_gaussian_log_density(r, noise.sigma_sq) + clutter

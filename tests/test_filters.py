@@ -32,6 +32,7 @@ from pafimocs.models import (
     SupportSet,
 )
 from pafimocs.observation import NoiseModel, render_frame
+from pafimocs.solver import SolverConfig
 
 FRAME_DIMS = (20, 20)
 
@@ -225,22 +226,26 @@ class TestWeightBookkeeping:
             assert np.all(p.state.coeffs[mask] != 0.0)
 
 
-class TestDeterminism:
-    def _track(self, seed, variant="pafimocs", frame_seed=100):
-        params = make_params()
-        template, dictionary, _, truth = make_scene(
-            params, support=(0, 2), coeff_values=(20.0, -12.0)
+def track_six_frames(cfg, seed):
+    """``run_tracker`` over six frames of a static two-coefficient scene."""
+    params = make_params()
+    template, dictionary, _, truth = make_scene(
+        params, support=(0, 2), coeff_values=(20.0, -12.0)
+    )
+    noise = NoiseModel(kind="pure-gaussian", sigma_sq=1.0, pixel_max=255.0)
+    frames = [
+        render_frame(
+            truth.motion, truth.coeffs, template, dictionary, FRAME_DIMS,
+            noise, np.random.default_rng(100 + t),
         )
-        noise = NoiseModel(kind="pure-gaussian", sigma_sq=1.0, pixel_max=255.0)
-        frames = [
-            render_frame(
-                truth.motion, truth.coeffs, template, dictionary, FRAME_DIMS,
-                noise, np.random.default_rng(frame_seed + t),
-            )
-            for t in range(6)
-        ]
-        cfg = FilterConfig(variant=variant, n_pf=6, d=1)
-        return run_tracker(frames, template, params, cfg, truth, seed)
+        for t in range(6)
+    ]
+    return run_tracker(frames, template, params, cfg, truth, seed)
+
+
+class TestDeterminism:
+    def _track(self, seed, variant="pafimocs"):
+        return track_six_frames(FilterConfig(variant=variant, n_pf=6, d=1), seed)
 
     def test_identical_seeds_bit_identical(self):
         a = self._track(seed=4)
@@ -309,6 +314,20 @@ class TestDegenerateExactness:
         assert np.array_equal(result.motion, np.tile(truth.motion.as_array(), (11, 1)))
         assert np.array_equal(result.coeffs, np.tile(truth.coeffs, (11, 1)))
         assert np.array_equal(result.ess, np.ones(11))
+
+
+class TestUnconvergedSolves:
+    @pytest.mark.parametrize("variant", ["pafimocs", "pafimocs-ssc", "pf-mt"])
+    def test_capped_solves_are_counted(self, variant):
+        capped = SolverConfig(max_iterations=1, polish=False, kkt_tolerance=1e-14)
+        cfg = FilterConfig(variant=variant, n_pf=6, d=1, solver=capped)
+        result = track_six_frames(cfg, seed=4)
+        assert 0 < result.unconverged_solves <= 5 * 6
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_default_solver_leaves_none(self, variant):
+        result = track_six_frames(FilterConfig(variant=variant, n_pf=6, d=1), seed=4)
+        assert result.unconverged_solves == 0
 
 
 class TestSscCoincidence:

@@ -165,6 +165,28 @@ def test_log_likelihood_zero_residual_value():
     assert value == pytest.approx(expected, abs=1e-10)
 
 
+def test_log_likelihood_from_gathered_pixels_is_bit_identical():
+    template = small_template()
+    dictionary = build_dictionary(template, 1)
+    motion = MotionState(1.4, -0.6, 1.1)
+    lam = np.array([3.0, -1.5, 0.25])
+    frame = render_frame(
+        motion, lam, template, dictionary, FRAME_DIMS, pure_noise(1.0),
+        np.random.default_rng(5),
+    )
+    roi = compute_roi(motion, template, FRAME_DIMS)
+    mapped = frame.pixels[roi.indices] - template.pixels
+    for noise in (
+        pure_noise(1.5),
+        NoiseModel(kind="gaussian-mixture", sigma_sq=1.0, sigma_out_sq=40.0, p_out=0.1),
+    ):
+        direct = log_likelihood(frame, motion, 0.9 * lam, template, dictionary, noise)
+        gathered = log_likelihood(
+            frame, motion, 0.9 * lam, template, dictionary, noise, mapped=mapped
+        )
+        assert gathered == direct
+
+
 def test_log_likelihood_clutter_term_cancels_in_differences():
     template = small_template()
     dictionary = build_dictionary(template, 1)

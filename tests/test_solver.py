@@ -1,12 +1,16 @@
 """Mode-tracking solver: cost values, optimality certificates, oracle
 agreement, the joint outlier variant, and the brute-force support search."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import cost_direct, ridge_closed_form, sign_pattern_minimum
+from pafimocs import filters, harness, solver
 from pafimocs.dictionary import Dictionary
 from pafimocs.models import SupportSet
 from pafimocs.solver import (
@@ -227,6 +231,90 @@ def test_solver_matches_sign_pattern_enumeration():
         assert result.objective >= best - 1e-9
 
 
+@st.composite
+def small_problems(draw):
+    """Random instances with n_lambda <= 6, some of them rank-deficient."""
+    n_lambda = draw(st.integers(1, 6))
+    n_pixels = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = rng.standard_normal((n_pixels, n_lambda))
+    deficiency = draw(st.sampled_from(["none", "zero-column", "repeated-column"]))
+    if deficiency == "zero-column":
+        phi[:, rng.integers(n_lambda)] = 0.0
+    elif deficiency == "repeated-column" and n_lambda > 1:
+        i, j = rng.choice(n_lambda, size=2, replace=False)
+        phi[:, j] = phi[:, i]
+    support_size = draw(st.integers(0, n_lambda))
+    return ModeTrackingProblem(
+        y_residual_base=phi @ rng.standard_normal(n_lambda)
+        + 0.1 * rng.standard_normal(n_pixels),
+        dictionary=custom_dictionary(phi),
+        lambda_prev=rng.standard_normal(n_lambda),
+        cond_support=SupportSet.from_indices(
+            rng.choice(n_lambda, size=support_size, replace=False), n_lambda
+        ),
+        sigma_o_sq=draw(st.sampled_from([0.5, 1.0, 4.0])),
+        sigma_l_sq=draw(st.sampled_from([0.1, 1.0, 10.0])),
+        beta=draw(st.sampled_from([0.5, 1.0])),
+        # up to 100: large enough to pin some off-support coordinates at zero
+        gamma=draw(st.floats(-2.0, 2.0).map(lambda e: 10.0**e)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_problems(), st.booleans())
+def test_solve_certifies_the_enumerated_minimum(problem, warm):
+    config = SolverConfig(warm_start=problem.lambda_prev if warm else None)
+    result = solve(problem, config)
+    _, best = sign_pattern_minimum(
+        problem.dictionary.matrix,
+        problem.y_residual_base,
+        problem.lambda_prev,
+        problem.cond_support.mask(),
+        problem.sigma_o_sq,
+        problem.sigma_l_sq,
+        problem.beta,
+        problem.gamma,
+    )
+    assert result.converged
+    assert result.kkt_residual <= config.kkt_tolerance
+    assert best - 1e-9 <= result.objective <= best + 1e-6
+
+
+def test_uncertified_exact_phase_falls_back_to_apg():
+    # no candidate meets a tolerance below rounding error, so APG runs to its
+    # cap from the warm start and the result is flagged, not raised
+    rng = np.random.default_rng(12)
+    problem = random_problem(rng, n_lambda=8, n_pixels=60, support_size=3)
+    config = SolverConfig(max_iterations=40, kkt_tolerance=1e-300, record_trace=True)
+    result = solve(problem, config)
+    assert not result.converged
+    assert result.iterations == 40
+    assert len(result.trace) == 41 and result.trace[0][0] == 0
+
+
+def test_tracker_solves_certify_in_the_exact_phase(monkeypatch):
+    """Guard on the fast path: every solve the mode-tracking trackers make on
+    the default 96x96 scene with the d = 20 Legendre dictionary certifies
+    within three rounds of the exact phase, without falling back to APG."""
+    cfg = harness.SimConfig(n_frames=3)
+    truth = harness.generate_sequence(cfg, np.random.default_rng(0))
+    results = []
+
+    def recording_solve(problem, config=None):
+        result = solver.solve(problem, config)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(filters, "solve", recording_solve)
+    for label in ("pafimocs", "pafimocs-ssc", "pf-mt-20"):
+        spec = harness.parse_filter_label(label, cfg.d)
+        fcfg = dataclasses.replace(harness.resolve_filter_config(spec, cfg), n_pf=20)
+        filters.run_tracker(truth.frames, truth.template, cfg.params, fcfg, truth.states[0], 1)
+    assert len(results) == 3 * 3 * 20
+    assert all(r.converged and r.iterations <= 3 for r in results)
+
+
 def test_kkt_residual_behaviour():
     rng = np.random.default_rng(8)
     problem = random_problem(rng, n_lambda=4, support_size=2)
@@ -311,6 +399,8 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,objective,kkt_residual"
     assert len(lines) == len(result.trace) + 1
+    # one row for the warm start, then one per round or iteration
+    assert len(result.trace) == result.iterations + 1
 
 
 # ------------------------------------------------------------- outlier solve
