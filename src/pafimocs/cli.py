@@ -27,9 +27,10 @@ import sys
 import numpy as np
 
 from . import fileio
-from .dictionary import TemplatePatch, build_dictionary
+from .dictionary import TemplatePatch, build_dictionary, load_dictionary
 from .filters import run_tracker
 from .harness import (
+    GroundTruth,
     SimConfig,
     analyze_support,
     generate_sequence,
@@ -41,10 +42,9 @@ from .harness import (
     sim_config_from_kv,
     sim_config_to_kv,
     write_membership_csv,
-    _anchored_template,
     _pad_coeffs,
 )
-from .models import FullState, ModelParams, MotionState, SupportSet
+from .models import FullState, MotionState, SupportSet
 from .observation import Frame
 from .solver import (
     ModeTrackingProblem,
@@ -53,7 +53,6 @@ from .solver import (
     solve_with_outliers,
     write_trace_csv,
 )
-from .dictionary import Dictionary
 
 
 def _load_sim_config(args) -> SimConfig:
@@ -171,9 +170,11 @@ def cmd_track(args) -> int:
     for t in range(len(t_motion)):
         image, _ = fileio.load_matrix(os.path.join(sim_dir, f"frame_{t:04d}.mat"))
         frames.append(Frame.from_image(image))
-    init_state = FullState(
-        MotionState.from_array(t_motion[0]), t_supports[0], t_coeffs[0]
-    )
+    states = [
+        FullState(MotionState.from_array(m), supp, c)
+        for m, supp, c in zip(t_motion, t_supports, t_coeffs)
+    ]
+    truth = GroundTruth(states=states, frames=frames, template=template)
 
     os.makedirs(args.out, exist_ok=True)
     seed = cfg.seed if args.seed is None else args.seed
@@ -193,13 +194,10 @@ def cmd_track(args) -> int:
         for k, spec in enumerate(cfg.filters):
             fcfg = resolve_filter_config(spec, cfg)
             result = run_tracker(
-                frames, template, cfg.params, fcfg, init_state, children[k]
+                frames, template, cfg.params, fcfg, states[0], children[k]
             )
             est_coeffs = _pad_coeffs(result.coeffs, n_lambda)
-            ref = np.sum(t_motion**2, axis=1) + np.sum(t_coeffs**2, axis=1)
-            err = np.sum((t_motion - result.motion) ** 2, axis=1) + np.sum(
-                (t_coeffs - est_coeffs) ** 2, axis=1
-            )
+            err, ref = nmse_components(truth, result.motion, est_coeffs)
             le = np.asarray(location_error(t_motion, result.motion)).reshape(-1)
             for t in range(len(frames)):
                 lam = ",".join(fileio.fmt_float(v) for v in est_coeffs[t])
@@ -262,13 +260,8 @@ def _load_problem_dir(problem_dir):
     kv = fileio.read_kv(os.path.join(problem_dir, "problem.cfg"))
     y, _ = fileio.load_matrix(os.path.join(problem_dir, "y.mat"))
     lam_prev, _ = fileio.load_matrix(os.path.join(problem_dir, "lambda_prev.mat"))
-    phi, header = fileio.load_matrix(os.path.join(problem_dir, "phi.mat"))
-    n_pixels, n_lambda, order = header
-    if phi.shape != (n_pixels, n_lambda):
-        raise ValueError("phi.mat header does not match its data")
-    kind = "legendre" if n_lambda == 2 * order + 1 else "custom"
-    dictionary = Dictionary(matrix=phi, order=order, kind=kind)
-    support = _parse_support_field(kv.get("cond_support", ""), n_lambda)
+    dictionary = load_dictionary(os.path.join(problem_dir, "phi.mat"))
+    support = _parse_support_field(kv.get("cond_support", ""), dictionary.n_lambda)
     problem = ModeTrackingProblem(
         y_residual_base=y.ravel(),
         dictionary=dictionary,

@@ -1,23 +1,23 @@
 """Particle filter variants over the motion + support + coefficients state.
 
-All five trackers importance-sample the motion block from its random walk.
-They differ in how the coefficient block moves:
+Every tracker runs one skeleton (:func:`filter_step`): each particle slot
+importance-samples its motion from the random walk, moves its coefficient
+block, and is weighted; :func:`_finish_step` then normalizes, records the
+step's diagnostics and resamples. The variants need only two moves:
 
-* ``pf-gordon``: bootstrap; coefficients sampled from their dense random
-  walk, weights are plain observation likelihoods.
-* ``aux-pf``: two-stage auxiliary selection; ancestors are chosen by the
-  likelihood of their zero-noise propagation, then the bootstrap move runs
-  and weights carry the likelihood ratio.
-* ``pf-mt``: coefficients replaced by the full-support ridge mode of the
-  observation-plus-walk cost; weights are likelihood times coefficient
-  transition density.
-* ``pafimocs``: support sampled from the add/remove kernel, coefficients
-  replaced by the sparse mode-tracking solve conditioned on it, support then
-  re-thresholded from the solution (coefficients off the new support are
-  zeroed so states stay exactly sparse).
-* ``pafimocs-ssc``: no support sampling; the solve conditions on the
-  previous support, thresholding proposes the new one, and weights pick up
-  the support transition probability.
+* prior move (``pf-gordon``, ``aux-pf``): coefficients sampled from their
+  dense random walk, weight is the observation likelihood. ``aux-pf`` first
+  selects ancestors by the likelihood of their zero-noise propagation (the
+  previous states), so its weights carry the likelihood ratio.
+* mode-tracking move (``pafimocs``, ``pafimocs-ssc``, ``pf-mt``): the
+  coefficients are replaced by the mode of the observation-plus-walk cost,
+  solved conditioned on a support: one sampled from the add/remove kernel
+  (``pafimocs``), the previous one (``pafimocs-ssc``) or the full one
+  (``pf-mt``, whose mode is the dense ridge solution). Except for ``pf-mt``
+  the support is then re-thresholded from the solution and coefficients off
+  it are zeroed, so states stay exactly sparse. Weights are likelihood times
+  coefficient transition density, and for ``pafimocs-ssc`` also the support
+  transition probability.
 
 RNG stream rule: ``ParticleSet.initialize`` spawns ``n_pf + 1`` child
 streams from one seed; child ``i`` is pinned to particle slot ``i`` for the
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .models import (
     NEG_INF,
     FullState,
     ModelParams,
-    MotionState,
     SupportSet,
     sample_coeff_transition,
     sample_motion_transition,
@@ -57,19 +57,15 @@ __all__ = [
     "ParticleSet",
     "FilterConfig",
     "TrackResult",
+    "RunConstants",
     "threshold_support",
     "systematic_resample",
-    "posterior_estimate",
-    "pafimocs_step",
-    "pafimocs_ssc_step",
-    "pf_mt_step",
-    "pf_gordon_step",
-    "aux_pf_step",
-    "step_function",
+    "filter_step",
     "run_tracker",
 ]
 
 VARIANTS = ("pf-gordon", "aux-pf", "pf-mt", "pafimocs", "pafimocs-ssc")
+_PRIOR_MOVE = ("pf-gordon", "aux-pf")  # the rest run the mode-tracking move
 
 
 class TrackerLostError(RuntimeError):
@@ -186,18 +182,6 @@ def _normalize_log_weights(log_ws: np.ndarray) -> np.ndarray:
     return log_ws - lse
 
 
-def posterior_estimate(pset: ParticleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted posterior means of the motion block and coefficient vector."""
-    log_ws = np.array([p.log_weight for p in pset.particles])
-    w = np.exp(_normalize_log_weights(log_ws))
-    motion = np.zeros(3)
-    coeffs = np.zeros_like(pset.particles[0].state.coeffs)
-    for weight, particle in zip(w, pset.particles):
-        motion += weight * particle.state.motion.as_array()
-        coeffs += weight * particle.state.coeffs
-    return motion, coeffs
-
-
 def _finish_step(
     pset: ParticleSet, proposed: list, cfg: FilterConfig, unconverged_solves: int = 0
 ) -> ParticleSet:
@@ -233,10 +217,25 @@ def _finish_step(
     )
 
 
-def _noise_model(params: ModelParams) -> NoiseModel:
-    return NoiseModel(
-        kind="pure-gaussian", sigma_sq=params.sigma_o_sq, pixel_max=params.pixel_max
-    )
+class RunConstants(NamedTuple):
+    """What every step of one tracker run shares."""
+
+    noise: NoiseModel
+    full: SupportSet
+    lmax: float | None  # spectral bound of the Gram matrix; mode-tracking variants only
+
+    @classmethod
+    def for_run(
+        cls, dictionary: Dictionary, params: ModelParams, cfg: FilterConfig
+    ) -> "RunConstants":
+        n_lambda = dictionary.n_lambda
+        return cls(
+            noise=NoiseModel(
+                kind="pure-gaussian", sigma_sq=params.sigma_o_sq, pixel_max=params.pixel_max
+            ),
+            full=SupportSet(tuple(range(n_lambda)), n_lambda),
+            lmax=None if cfg.variant in _PRIOR_MOVE else power_iteration_lmax(dictionary.gram),
+        )
 
 
 def _solver_sigmas(params: ModelParams) -> tuple[float, float]:
@@ -246,229 +245,89 @@ def _solver_sigmas(params: ModelParams) -> tuple[float, float]:
     return sig_o, sig_l
 
 
-def _full_support(n_lambda: int) -> SupportSet:
-    return SupportSet(tuple(range(n_lambda)), n_lambda)
-
-
-def _mode_track(
+def filter_step(
+    pset: ParticleSet,
     frame: Frame,
-    motion: MotionState,
-    cond_support: SupportSet,
-    prev_coeffs: np.ndarray,
     template: TemplatePatch,
     dictionary: Dictionary,
     params: ModelParams,
     cfg: FilterConfig,
-    lmax: float,
-):
-    """Solve the mode-tracking problem for one particle; None when off-frame.
+    run: RunConstants,
+) -> ParticleSet:
+    """One propose, weight, resample step of the variant ``cfg.variant``.
 
-    Returns ``(lambda, mapped, converged)``: the solution, the ROI pixels
-    minus the template (for :func:`log_likelihood`) and whether the solve
-    certified.
+    ``aux-pf`` first picks each slot's ancestor by the likelihood of its
+    zero-noise propagation and starts the slot's log weight at minus that
+    likelihood; the other variants start from the particle's own log weight.
+    Each slot then draws its motion and runs the variant's move on its own
+    stream (see the module docstring). ``run`` holds the per-run constants
+    from :meth:`RunConstants.for_run`.
     """
-    roi = compute_roi(motion, template, (frame.height, frame.width))
-    if not roi.valid:
-        return None
-    mapped = frame.pixels[roi.indices] - template.pixels
+    parents = pset.particles
+    bases = [p.log_weight for p in parents]
+    if cfg.variant == "aux-pf":
+        mean_ll = np.array(
+            [
+                log_likelihood(
+                    frame, p.state.motion, p.state.coeffs, template, dictionary, run.noise
+                )
+                for p in parents
+            ]
+        )
+        stage_one = _normalize_log_weights(np.array(bases) + mean_ll)
+        ancestors = systematic_resample(np.exp(stage_one), pset.resample_rng)
+        parents = [parents[a] for a in ancestors]
+        bases = [-mean_ll[a] for a in ancestors]
     sig_o, sig_l = _solver_sigmas(params)
-    problem = ModeTrackingProblem(
-        y_residual_base=mapped,
-        dictionary=dictionary,
-        lambda_prev=prev_coeffs,
-        cond_support=cond_support,
-        sigma_o_sq=sig_o,
-        sigma_l_sq=sig_l,
-        beta=cfg.beta,
-        gamma=cfg.gamma,
-        gram_lmax=lmax,
-    )
-    result = solve(problem, replace(cfg.solver, warm_start=prev_coeffs, record_trace=False))
-    return result.lambda_opt, mapped, result.converged
 
+    def prior_move(prev, motion, log_w, rng):
+        coeffs = sample_coeff_transition(prev.coeffs, run.full, params, rng)
+        log_w = log_w + log_likelihood(frame, motion, coeffs, template, dictionary, run.noise)
+        return FullState(motion, run.full, coeffs), log_w, True
 
-def pafimocs_step(
-    pset: ParticleSet,
-    frame: Frame,
-    template: TemplatePatch,
-    dictionary: Dictionary,
-    params: ModelParams,
-    cfg: FilterConfig,
-) -> ParticleSet:
-    """One step of the sparse mode-tracking filter with sampled supports."""
-    noise = _noise_model(params)
-    lmax = power_iteration_lmax(dictionary.gram)
+    def mode_tracking_move(prev, motion, log_w, rng):
+        if cfg.variant == "pafimocs":
+            cond = sample_support_transition(prev.support, params, rng)
+        else:
+            cond = prev.support if cfg.variant == "pafimocs-ssc" else run.full
+        roi = compute_roi(motion, template, (frame.height, frame.width))
+        if not roi.valid:
+            return FullState(motion, cond, prev.coeffs), NEG_INF, True
+        mapped = frame.pixels[roi.indices] - template.pixels
+        problem = ModeTrackingProblem(
+            y_residual_base=mapped,
+            dictionary=dictionary,
+            lambda_prev=prev.coeffs,
+            cond_support=cond,
+            sigma_o_sq=sig_o,
+            sigma_l_sq=sig_l,
+            beta=cfg.beta,
+            gamma=cfg.gamma,
+            gram_lmax=run.lmax,
+        )
+        result = solve(problem, replace(cfg.solver, warm_start=prev.coeffs, record_trace=False))
+        lam, support = result.lambda_opt, run.full
+        if cfg.variant != "pf-mt":
+            support = threshold_support(lam, cfg.support_threshold, cfg.alpha)
+            lam = lam * support.mask()  # states stay exactly sparse
+        log_w = (
+            log_w
+            + log_likelihood(frame, motion, lam, template, dictionary, run.noise, mapped)
+            + stp_coeffs_log(lam, prev.coeffs, support, params)
+        )
+        if cfg.variant == "pafimocs-ssc":
+            log_w = log_w + stp_support_log(support, prev.support, params)
+        return FullState(motion, support, lam), log_w, result.converged
+
+    move = prior_move if cfg.variant in _PRIOR_MOVE else mode_tracking_move
     proposed = []
     unconverged = 0
-    for particle, rng in zip(pset.particles, pset.streams):
-        prev = particle.state
-        motion = sample_motion_transition(prev.motion, params, rng)
-        support = sample_support_transition(prev.support, params, rng)
-        solved = _mode_track(
-            frame, motion, support, prev.coeffs, template, dictionary, params, cfg, lmax
-        )
-        if solved is None:
-            proposed.append(Particle(FullState(motion, support, prev.coeffs), NEG_INF))
-            continue
-        lam, mapped, converged = solved
+    for parent, base, rng in zip(parents, bases, pset.streams):
+        motion = sample_motion_transition(parent.state.motion, params, rng)
+        state, log_w, converged = move(parent.state, motion, base, rng)
+        proposed.append(Particle(state, log_w))
         unconverged += not converged
-        new_support = threshold_support(lam, cfg.support_threshold, cfg.alpha)
-        lam = lam * new_support.mask()
-        log_w = (
-            particle.log_weight
-            + log_likelihood(frame, motion, lam, template, dictionary, noise, mapped)
-            + stp_coeffs_log(lam, prev.coeffs, new_support, params)
-        )
-        proposed.append(Particle(FullState(motion, new_support, lam), log_w))
     return _finish_step(pset, proposed, cfg, unconverged)
-
-
-def pafimocs_ssc_step(
-    pset: ParticleSet,
-    frame: Frame,
-    template: TemplatePatch,
-    dictionary: Dictionary,
-    params: ModelParams,
-    cfg: FilterConfig,
-) -> ParticleSet:
-    """Slow-support-change variant: condition the solve on the previous
-    support, let thresholding propose the new one, and weight by the support
-    transition probability."""
-    noise = _noise_model(params)
-    lmax = power_iteration_lmax(dictionary.gram)
-    proposed = []
-    unconverged = 0
-    for particle, rng in zip(pset.particles, pset.streams):
-        prev = particle.state
-        motion = sample_motion_transition(prev.motion, params, rng)
-        solved = _mode_track(
-            frame, motion, prev.support, prev.coeffs, template, dictionary, params, cfg, lmax
-        )
-        if solved is None:
-            proposed.append(Particle(FullState(motion, prev.support, prev.coeffs), NEG_INF))
-            continue
-        lam, mapped, converged = solved
-        unconverged += not converged
-        new_support = threshold_support(lam, cfg.support_threshold, cfg.alpha)
-        lam = lam * new_support.mask()
-        log_w = (
-            particle.log_weight
-            + log_likelihood(frame, motion, lam, template, dictionary, noise, mapped)
-            + stp_coeffs_log(lam, prev.coeffs, new_support, params)
-            + stp_support_log(new_support, prev.support, params)
-        )
-        proposed.append(Particle(FullState(motion, new_support, lam), log_w))
-    return _finish_step(pset, proposed, cfg, unconverged)
-
-
-def pf_mt_step(
-    pset: ParticleSet,
-    frame: Frame,
-    template: TemplatePatch,
-    dictionary: Dictionary,
-    params: ModelParams,
-    cfg: FilterConfig,
-) -> ParticleSet:
-    """Mode tracking over the full (dense) coefficient support."""
-    noise = _noise_model(params)
-    lmax = power_iteration_lmax(dictionary.gram)
-    full = _full_support(dictionary.n_lambda)
-    proposed = []
-    unconverged = 0
-    for particle, rng in zip(pset.particles, pset.streams):
-        prev = particle.state
-        motion = sample_motion_transition(prev.motion, params, rng)
-        solved = _mode_track(
-            frame, motion, full, prev.coeffs, template, dictionary, params, cfg, lmax
-        )
-        if solved is None:
-            proposed.append(Particle(FullState(motion, full, prev.coeffs), NEG_INF))
-            continue
-        lam, mapped, converged = solved
-        unconverged += not converged
-        log_w = (
-            particle.log_weight
-            + log_likelihood(frame, motion, lam, template, dictionary, noise, mapped)
-            + stp_coeffs_log(lam, prev.coeffs, full, params)
-        )
-        proposed.append(Particle(FullState(motion, full, lam), log_w))
-    return _finish_step(pset, proposed, cfg, unconverged)
-
-
-def pf_gordon_step(
-    pset: ParticleSet,
-    frame: Frame,
-    template: TemplatePatch,
-    dictionary: Dictionary,
-    params: ModelParams,
-    cfg: FilterConfig,
-) -> ParticleSet:
-    """Bootstrap filter: everything sampled from the prior, weight is the
-    observation likelihood."""
-    noise = _noise_model(params)
-    full = _full_support(dictionary.n_lambda)
-    proposed = []
-    for particle, rng in zip(pset.particles, pset.streams):
-        prev = particle.state
-        motion = sample_motion_transition(prev.motion, params, rng)
-        coeffs = sample_coeff_transition(prev.coeffs, full, params, rng)
-        log_w = particle.log_weight + log_likelihood(
-            frame, motion, coeffs, template, dictionary, noise
-        )
-        proposed.append(Particle(FullState(motion, full, coeffs), log_w))
-    return _finish_step(pset, proposed, cfg)
-
-
-def aux_pf_step(
-    pset: ParticleSet,
-    frame: Frame,
-    template: TemplatePatch,
-    dictionary: Dictionary,
-    params: ModelParams,
-    cfg: FilterConfig,
-) -> ParticleSet:
-    """Auxiliary bootstrap: ancestors picked by the likelihood of their
-    zero-noise propagation (the walk means, i.e. the previous states), then
-    the prior move runs and weights carry the likelihood ratio."""
-    noise = _noise_model(params)
-    full = _full_support(dictionary.n_lambda)
-    mean_ll = np.array(
-        [
-            log_likelihood(frame, p.state.motion, p.state.coeffs, template, dictionary, noise)
-            for p in pset.particles
-        ]
-    )
-    stage_one = _normalize_log_weights(
-        np.array([p.log_weight for p in pset.particles]) + mean_ll
-    )
-    ancestors = systematic_resample(np.exp(stage_one), pset.resample_rng)
-    proposed = []
-    for slot, rng in enumerate(pset.streams):
-        a = int(ancestors[slot])
-        prev = pset.particles[a].state
-        motion = sample_motion_transition(prev.motion, params, rng)
-        coeffs = sample_coeff_transition(prev.coeffs, full, params, rng)
-        log_w = (
-            log_likelihood(frame, motion, coeffs, template, dictionary, noise) - mean_ll[a]
-        )
-        proposed.append(Particle(FullState(motion, full, coeffs), log_w))
-    return _finish_step(pset, proposed, cfg)
-
-
-_STEP_FUNCTIONS = {
-    "pafimocs": pafimocs_step,
-    "pafimocs-ssc": pafimocs_ssc_step,
-    "pf-mt": pf_mt_step,
-    "pf-gordon": pf_gordon_step,
-    "aux-pf": aux_pf_step,
-}
-
-
-def step_function(variant: str):
-    try:
-        return _STEP_FUNCTIONS[variant]
-    except KeyError:
-        raise ValueError(f"unknown filter variant {variant!r}") from None
 
 
 @dataclass
@@ -513,12 +372,12 @@ def run_tracker(
     dictionary = build_dictionary(template, cfg.d)
     init = _coerce_state(init_state, dictionary.n_lambda)
     pset = ParticleSet.initialize(init, cfg.n_pf, seed)
-    step = step_function(cfg.variant)
     tracker_params = (
         params
         if params.n_lambda == dictionary.n_lambda
         else replace_params_ambient(params, dictionary.n_lambda)
     )
+    run = RunConstants.for_run(dictionary, tracker_params, cfg)
 
     n_steps = len(frames) - 1
     motion = np.zeros((n_steps + 1, 3))
@@ -534,7 +393,7 @@ def run_tracker(
     unconverged = 0
     for t in range(1, n_steps + 1):
         try:
-            pset = step(pset, frames[t], template, dictionary, tracker_params, cfg)
+            pset = filter_step(pset, frames[t], template, dictionary, tracker_params, cfg, run)
         except TrackerLostError:
             lost_at = t
             motion[t:] = motion[t - 1]

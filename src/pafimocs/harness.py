@@ -34,9 +34,9 @@ from .dictionary import (
     ml_coeff_fit,
     support_trace,
 )
-from .filters import FilterConfig, TrackResult, run_tracker
+from .filters import FilterConfig, run_tracker
 from .models import FullState, ModelParams, MotionState, SupportSet, sample_coeff_transition, sample_motion_transition, sample_support_transition
-from .observation import Frame, NoiseModel, render_frame
+from .observation import NoiseModel, render_frame
 
 __all__ = [
     "FilterSpec",

@@ -60,6 +60,8 @@ __all__ = [
 _ORACLE_MAX_AMBIENT = 12
 # eigenvalue ratio below which a Gram system counts as singular
 _SINGULAR_RATIO = 1e-12
+# APG iterations between polish steps
+_POLISH_EVERY = 10
 
 
 @dataclass(eq=False)
@@ -102,19 +104,15 @@ class ModeTrackingProblem:
 class SolverConfig:
     max_iterations: int = 2000
     kkt_tolerance: float = 1e-6
-    step_rule: str = "fixed-from-spectral-bound"  # or "backtracking"
     warm_start: np.ndarray | None = None
     record_trace: bool = False
     polish: bool = True
-    polish_every: int = 10
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.kkt_tolerance <= 0.0:
             raise ValueError("kkt_tolerance must be positive")
-        if self.step_rule not in ("fixed-from-spectral-bound", "backtracking"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
 
 @dataclass
@@ -358,10 +356,9 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
     is the number of rounds and the trace holds the warm start (row 0) and
     each round's candidate. Otherwise accelerated proximal gradient runs
     from the warm start in the Gram domain (all per-iteration work is
-    n_lambda sized), with the step 1/L from a power-iteration spectral bound
-    or backtracking; ``iterations`` and trace rows then count its iterations
-    only. Every result is certified with :func:`kkt_residual` on the full
-    dictionary.
+    n_lambda sized), with the step 1/L from a power-iteration spectral bound;
+    ``iterations`` and trace rows then count its iterations only. Every
+    result is certified with :func:`kkt_residual` on the full dictionary.
     """
     if config is None:
         config = SolverConfig()
@@ -393,7 +390,6 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
         return kkt_residual(problem, point)
 
     trace = [] if config.record_trace else None
-    backtracking = config.step_rule == "backtracking"
 
     def objective(point):
         return _gram_objective(point, gram0 @ point, phity, ynorm, problem, mask, off)
@@ -428,56 +424,24 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
 
     z = x.copy()
     t_momentum = 1.0
-    obj_x = objective(x) if (backtracking or trace is not None) else None
     if trace is not None:
-        trace.append((0, obj_x, certify(x)))
+        trace.append((0, objective(x), certify(x)))
     tol = config.kkt_tolerance
     iterations = 0
-
-    def smooth_value(point, g0p):
-        quad = ynorm - 2.0 * float(point @ phity) + float(point @ g0p)
-        d_on = point[mask] - problem.lambda_prev[mask]
-        return quad * 0.5 * c_data + 0.5 * c_prior * float(d_on @ d_on)
 
     for it in range(1, config.max_iterations + 1):
         iterations = it
         grad_z = gram_big @ z - rhs
-        if backtracking:
-            g0z = gram0 @ z
-            f_z = smooth_value(z, g0z)
-            step = step_l
-            while True:
-                cand = z - grad_z / step
-                cand[off] = soft_threshold(cand[off], problem.gamma / step)
-                diff = cand - z
-                f_cand = smooth_value(cand, gram0 @ cand)
-                bound = f_z + float(grad_z @ diff) + 0.5 * step * float(diff @ diff)
-                if f_cand <= bound + 1e-12 * max(1.0, abs(bound)):
-                    break
-                step *= 2.0
-            x_new = cand
-        else:
-            x_new = z - grad_z / step_l
-            x_new[off] = soft_threshold(x_new[off], problem.gamma / step_l)
-
-        if backtracking:
-            # monotone safeguard: never accept an objective increase
-            obj_new = objective(x_new)
-            if obj_new > obj_x:
-                x_new = x
-                obj_new = obj_x
-                z = x.copy()
-                t_momentum = 1.0
-        else:
-            obj_new = None
+        x_new = z - grad_z / step_l
+        x_new[off] = soft_threshold(x_new[off], problem.gamma / step_l)
+        obj_new = None
 
         grad_new = gram_big @ x_new - rhs
         kkt_now = gram_kkt(x_new, grad_new)
         polished = False
-        if kkt_now > tol and config.polish and it % config.polish_every == 0:
+        if kkt_now > tol and config.polish and it % _POLISH_EVERY == 0:
             cand = _polish_candidate(x_new, problem, gram_big, rhs, mask, off)
-            if obj_new is None:
-                obj_new = objective(x_new)
+            obj_new = objective(x_new)
             obj_cand = objective(cand)
             if obj_cand <= obj_new:
                 x_new = cand
@@ -512,8 +476,6 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
                 t_next = 1.0
             t_momentum = t_next
         x = x_new
-        if backtracking:
-            obj_x = obj_new
 
     direct = certify(x)
     return SolverResult(

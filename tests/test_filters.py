@@ -7,20 +7,19 @@ import numpy as np
 import pytest
 
 from helpers import weighted_mean_reference
+from pafimocs import filters, solver
 from pafimocs.dictionary import TemplatePatch, build_dictionary
 from pafimocs.filters import (
     VARIANTS,
     FilterConfig,
     Particle,
     ParticleSet,
+    RunConstants,
     TrackerLostError,
-    pafimocs_ssc_step,
-    pafimocs_step,
-    pf_mt_step,
-    posterior_estimate,
+    _finish_step,
+    filter_step,
     replace_params_ambient,
     run_tracker,
-    step_function,
     systematic_resample,
     threshold_support,
 )
@@ -128,10 +127,14 @@ class TestSystematicResample:
 
 
 class TestPosteriorEstimate:
-    def _pset_from(self, states, log_weights):
+    """The weighted posterior means a step records in its stats."""
+
+    def _means(self, states, log_weights):
         pset = ParticleSet.initialize(states[0], len(states), seed=0)
-        pset.particles = [Particle(s, lw) for s, lw in zip(states, log_weights)]
-        return pset
+        proposed = [Particle(s, lw) for s, lw in zip(states, log_weights)]
+        cfg = FilterConfig(variant="pafimocs", n_pf=len(states), d=1)
+        stats = _finish_step(pset, proposed, cfg).last_stats
+        return stats.motion_mean, stats.coeff_mean
 
     def test_single_particle_returns_own_state(self):
         state = FullState(
@@ -139,7 +142,7 @@ class TestPosteriorEstimate:
             SupportSet.from_indices([1], 3),
             np.array([0.0, 4.0, 0.0]),
         )
-        motion, coeffs = posterior_estimate(self._pset_from([state], [0.0]))
+        motion, coeffs = self._means([state], [0.0])
         assert np.allclose(motion, [1.5, -2.0, 0.9])
         assert np.array_equal(coeffs, state.coeffs)
 
@@ -149,7 +152,7 @@ class TestPosteriorEstimate:
             FullState(MotionState(0.0, 0.0, 1.0), supp, np.array([2.0, 0.0, 0.0])),
             FullState(MotionState(2.0, 0.0, 1.0), supp, np.array([4.0, 0.0, 0.0])),
         ]
-        motion, coeffs = posterior_estimate(self._pset_from(states, [-5.0, -5.0]))
+        motion, coeffs = self._means(states, [-5.0, -5.0])
         assert np.allclose(motion, [1.0, 0.0, 1.0])
         assert np.allclose(coeffs, [3.0, 0.0, 0.0])
 
@@ -171,10 +174,16 @@ class TestPosteriorEstimate:
         log_ws = rng.normal(size=n)
         norm = np.exp(log_ws - np.max(log_ws))
         norm /= norm.sum()
-        motion, coeffs = posterior_estimate(self._pset_from(states, log_ws))
+        motion, coeffs = self._means(states, log_ws)
         ref_motion, ref_coeffs = weighted_mean_reference(states, norm)
         assert np.allclose(motion, ref_motion, atol=1e-12)
         assert np.allclose(coeffs, ref_coeffs, atol=1e-12)
+
+
+def take_step(pset, frame, template, dictionary, params, cfg):
+    """One ``filter_step`` with the run constants built for it."""
+    run = RunConstants.for_run(dictionary, params, cfg)
+    return filter_step(pset, frame, template, dictionary, params, cfg, run)
 
 
 def run_one_step(variant, resample, n_pf=8, seed=17):
@@ -190,8 +199,7 @@ def run_one_step(variant, resample, n_pf=8, seed=17):
         ess_fraction=1e-9 if resample == "ess-below" else 0.5,
     )
     pset = ParticleSet.initialize(truth, n_pf, seed)
-    step = step_function(variant)
-    return step(pset, frame, template, dictionary, params, cfg)
+    return take_step(pset, frame, template, dictionary, params, cfg)
 
 
 class TestWeightBookkeeping:
@@ -330,6 +338,21 @@ class TestUnconvergedSolves:
         assert result.unconverged_solves == 0
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_spectral_bound_computed_once_per_run(monkeypatch, variant):
+    # the Gram spectral bound is a per-run constant of the solver variants;
+    # the bootstrap variants never solve
+    calls = []
+
+    def counting_lmax(mat, iters=20):
+        calls.append(mat.shape)
+        return solver.power_iteration_lmax(mat, iters)
+
+    monkeypatch.setattr(filters, "power_iteration_lmax", counting_lmax)
+    track_six_frames(FilterConfig(variant=variant, n_pf=4, d=1), seed=4)
+    assert len(calls) == (0 if variant in ("pf-gordon", "aux-pf") else 1)
+
+
 class TestSscCoincidence:
     def test_matches_pafimocs_when_sampled_support_is_previous(self):
         # p_a = p_r = 0 forces the sampled support to equal the previous one,
@@ -346,8 +369,8 @@ class TestSscCoincidence:
         cfg_b = FilterConfig(variant="pafimocs-ssc", **kw)
         set_a = ParticleSet.initialize(truth, 6, 21)
         set_b = ParticleSet.initialize(truth, 6, 21)
-        out_a = pafimocs_step(set_a, frame, template, dictionary, params, cfg_a)
-        out_b = pafimocs_ssc_step(set_b, frame, template, dictionary, params, cfg_b)
+        out_a = take_step(set_a, frame, template, dictionary, params, cfg_a)
+        out_b = take_step(set_b, frame, template, dictionary, params, cfg_b)
         for pa, pb in zip(out_a.particles, out_b.particles):
             assert pa.state.support == truth.support  # scene precondition
             assert np.array_equal(
@@ -371,7 +394,7 @@ class TestPfMtDenseSolutions:
             variant="pf-mt", n_pf=8, d=3, resample="ess-below", ess_fraction=1e-9
         )
         pset = ParticleSet.initialize(truth, 8, 33)
-        out = pf_mt_step(pset, frame, template, dictionary, params, cfg)
+        out = take_step(pset, frame, template, dictionary, params, cfg)
         for p in out.particles:
             assert p.state.support.indices == tuple(range(7))
             assert np.all(p.state.coeffs != 0.0)
@@ -393,7 +416,7 @@ class TestInvalidRoiHandling:
         pset.particles[1] = Particle(far, log_w)
         pset.particles[3] = Particle(far, log_w)
         cfg = FilterConfig(variant="pafimocs", n_pf=4, d=1)
-        out = pafimocs_step(pset, frame, template, dictionary, params, cfg)
+        out = take_step(pset, frame, template, dictionary, params, cfg)
         for p in out.particles:
             assert abs(p.state.motion.u_x) < 100.0
 
@@ -403,7 +426,7 @@ class TestInvalidRoiHandling:
         pset = ParticleSet.initialize(far, 3, 7)
         cfg = FilterConfig(variant="pafimocs", n_pf=3, d=1)
         with pytest.raises(TrackerLostError):
-            pafimocs_step(pset, frame, template, dictionary, params, cfg)
+            take_step(pset, frame, template, dictionary, params, cfg)
 
     def test_run_tracker_freezes_after_loss(self):
         params, template, dictionary, frame, truth = self._setup()
@@ -456,7 +479,3 @@ class TestConfigValidation:
         base.update(kw)
         with pytest.raises(ValueError, match=message):
             FilterConfig(**base)
-
-    def test_unknown_variant_in_step_lookup(self):
-        with pytest.raises(ValueError, match="variant"):
-            step_function("pf-fancy")

@@ -352,17 +352,6 @@ def test_warm_start_equivalence_and_short_circuit():
     assert np.array_equal(again.lambda_opt, cold.lambda_opt)
 
 
-def test_backtracking_descent_trace():
-    rng = np.random.default_rng(10)
-    problem = random_problem(rng, n_lambda=8, n_pixels=60, support_size=3)
-    config = SolverConfig(step_rule="backtracking", record_trace=True)
-    result = solve(problem, config)
-    assert result.converged
-    objectives = [row[1] for row in result.trace]
-    diffs = np.diff(objectives)
-    assert np.all(diffs <= 1e-12)
-
-
 def test_scaling_consistency():
     rng = np.random.default_rng(11)
     base = random_problem(rng, n_lambda=5, support_size=2, gamma=0.6)
