@@ -134,13 +134,18 @@ class TemplatePatch:
     def n_pixels(self) -> int:
         return self.height * self.width
 
-    @property
+    @cached_property
     def centroid_i(self) -> float:
         return float(np.mean(self.coord_i))
 
-    @property
+    @cached_property
     def centroid_j(self) -> float:
         return float(np.mean(self.coord_j))
+
+    @cached_property
+    def distinct_coords(self) -> tuple:
+        """``np.unique(..., return_inverse=True)`` of ``coord_i`` and of ``coord_j``."""
+        return tuple(np.unique(c, return_inverse=True) for c in (self.coord_i, self.coord_j))
 
 
 @dataclass(frozen=True, eq=False)

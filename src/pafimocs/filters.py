@@ -1,9 +1,11 @@
 """Particle filter variants over the motion + support + coefficients state.
 
-Every tracker runs one skeleton (:func:`filter_step`): each particle slot
-importance-samples its motion from the random walk, moves its coefficient
-block, and is weighted; :func:`_finish_step` then normalizes, records the
-step's diagnostics and resamples. The variants need only two moves:
+A :class:`ParticleSet` holds arrays with one row per slot (motions,
+coefficients, log weights) and one ``SupportSet`` per slot. Every tracker
+runs one skeleton (:func:`filter_step`): each slot importance-samples its
+motion from the random walk, moves its coefficient block, and is weighted,
+with the observation model run once over all slots; :func:`_finish_step`
+then normalizes, records diagnostics and resamples. The moves are:
 
 * prior move (``pf-gordon``, ``aux-pf``): coefficients sampled from their
   dense random walk, weight is the observation likelihood. ``aux-pf`` first
@@ -22,9 +24,12 @@ step's diagnostics and resamples. The variants need only two moves:
 RNG stream rule: ``ParticleSet.initialize`` spawns ``n_pf + 1`` child
 streams from one seed; child ``i`` is pinned to particle slot ``i`` for the
 whole run (streams follow slots, not ancestry) and the last child drives
-resampling. Zero-variance model parameters are replaced by 1.0 inside the
-mode-tracking cost only; with exact observations the minimizer is unchanged,
-which keeps noise-free configurations exact.
+resampling. Each slot's stream draws its motion, then its move, so
+batching slots changes no draw; weighted means add rows left to right from
+zeros, so estimates match a slot-by-slot step bit for bit. Zero-variance
+model parameters are replaced by 1.0 inside the mode-tracking cost only;
+with exact observations the minimizer is unchanged, which keeps noise-free
+configurations exact.
 """
 
 from __future__ import annotations
@@ -41,18 +46,16 @@ from .models import (
     FullState,
     ModelParams,
     SupportSet,
-    sample_coeff_transition,
-    sample_motion_transition,
     sample_support_transition,
+    sample_walk_rows,
     stp_coeffs_log,
     stp_support_log,
 )
-from .observation import Frame, NoiseModel, compute_roi, log_likelihood
+from .observation import Frame, NoiseModel, log_likelihood, mapped_rows
 from .solver import ModeTrackingProblem, SolverConfig, power_iteration_lmax, solve
 
 __all__ = [
     "TrackerLostError",
-    "Particle",
     "StepStats",
     "ParticleSet",
     "FilterConfig",
@@ -73,12 +76,6 @@ class TrackerLostError(RuntimeError):
 
 
 @dataclass
-class Particle:
-    state: FullState
-    log_weight: float
-
-
-@dataclass
 class StepStats:
     """Pre-resampling diagnostics of one filter step."""
 
@@ -92,7 +89,12 @@ class StepStats:
 
 @dataclass(eq=False)
 class ParticleSet:
-    particles: list
+    """Particle slots as arrays: row ``i`` of each array belongs to slot ``i``."""
+
+    motion: np.ndarray  # (n_pf, 3): u_x, u_y, s
+    coeffs: np.ndarray  # (n_pf, n_lambda)
+    supports: tuple  # one SupportSet per slot
+    log_weights: np.ndarray  # (n_pf,)
     streams: list
     resample_rng: np.random.Generator
     step: int = 0
@@ -109,16 +111,23 @@ class ParticleSet:
             raise ValueError("n_pf must be >= 1")
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         children = ss.spawn(n_pf + 1)
-        log_w = -math.log(n_pf)
         return cls(
-            particles=[Particle(state, log_w) for _ in range(n_pf)],
+            motion=np.tile(state.motion.as_array(), (n_pf, 1)),
+            coeffs=np.tile(state.coeffs, (n_pf, 1)),
+            supports=(state.support,) * n_pf,
+            log_weights=np.full(n_pf, -math.log(n_pf)),
             streams=[np.random.default_rng(c) for c in children[:n_pf]],
             resample_rng=np.random.default_rng(children[n_pf]),
         )
 
     @property
     def n_pf(self) -> int:
-        return len(self.particles)
+        return self.log_weights.size
+
+    def select(self, slots) -> "ParticleSet":
+        """The particles of ``slots``, in that order, over the same streams."""
+        rows = {name: getattr(self, name)[slots] for name in ("motion", "coeffs", "log_weights")}
+        return replace(self, supports=tuple(self.supports[i] for i in slots), **rows)
 
 
 @dataclass
@@ -182,39 +191,31 @@ def _normalize_log_weights(log_ws: np.ndarray) -> np.ndarray:
     return log_ws - lse
 
 
-def _finish_step(
-    pset: ParticleSet, proposed: list, cfg: FilterConfig, unconverged_solves: int = 0
-) -> ParticleSet:
-    """Normalize, record diagnostics, resample per the configured rule."""
-    log_ws = _normalize_log_weights(np.array([p.log_weight for p in proposed]))
+def _weighted_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    terms = w[:, None] * rows
+    terms[0] += 0.0  # the sum starts from zeros, so a leading -0.0 becomes 0.0
+    return np.add.accumulate(terms)[-1]  # rows added left to right
+
+
+def _finish_step(proposed: ParticleSet, cfg: FilterConfig, unconverged: int = 0) -> ParticleSet:
+    """Normalize ``proposed``'s log weights, record diagnostics, resample per the rule."""
+    log_ws = _normalize_log_weights(proposed.log_weights)
     w = np.exp(log_ws)
-    n = len(proposed)
-    motion = np.zeros(3)
-    coeffs = np.zeros_like(proposed[0].state.coeffs)
-    for weight, particle in zip(w, proposed):
-        motion += weight * particle.state.motion.as_array()
-        coeffs += weight * particle.state.coeffs
+    n = w.size
     stats = StepStats(
         ess=float(1.0 / np.sum(w * w)),
         max_log_weight=float(np.max(log_ws)),
-        motion_mean=motion,
-        coeff_mean=coeffs,
-        support_sizes=np.array([len(p.state.support) for p in proposed]),
-        unconverged_solves=unconverged_solves,
+        motion_mean=_weighted_sum(w, proposed.motion),
+        coeff_mean=_weighted_sum(w, proposed.coeffs),
+        support_sizes=np.array([len(s) for s in proposed.supports]),
+        unconverged_solves=unconverged,
     )
     if cfg.resample == "every-step" or stats.ess < cfg.ess_fraction * n:
-        order = systematic_resample(w, pset.resample_rng)
-        log_uniform = -math.log(n)
-        particles = [Particle(proposed[i].state, log_uniform) for i in order]
+        order = systematic_resample(w, proposed.resample_rng)
+        kept = replace(proposed.select(order), log_weights=np.full(n, -math.log(n)))
     else:
-        particles = [Particle(p.state, lw) for p, lw in zip(proposed, log_ws)]
-    return ParticleSet(
-        particles=particles,
-        streams=pset.streams,
-        resample_rng=pset.resample_rng,
-        step=pset.step + 1,
-        last_stats=stats,
-    )
+        kept = replace(proposed, log_weights=log_ws)
+    return replace(kept, step=proposed.step + 1, last_stats=stats)
 
 
 class RunConstants(NamedTuple):
@@ -223,6 +224,8 @@ class RunConstants(NamedTuple):
     noise: NoiseModel
     full: SupportSet
     lmax: float | None  # spectral bound of the Gram matrix; mode-tracking variants only
+    sigma_o_sq: float  # mode-tracking cost variances; 1.0 stands in for a zero,
+    sigma_l_sq: float  # whose cost weight degenerates
 
     @classmethod
     def for_run(
@@ -235,14 +238,9 @@ class RunConstants(NamedTuple):
             ),
             full=SupportSet(tuple(range(n_lambda)), n_lambda),
             lmax=None if cfg.variant in _PRIOR_MOVE else power_iteration_lmax(dictionary.gram),
+            sigma_o_sq=params.sigma_o_sq if params.sigma_o_sq > 0.0 else 1.0,
+            sigma_l_sq=params.sigma_l_sq if params.sigma_l_sq > 0.0 else 1.0,
         )
-
-
-def _solver_sigmas(params: ModelParams) -> tuple[float, float]:
-    # zero-variance parameters degenerate the cost weights; substitute 1.0
-    sig_o = params.sigma_o_sq if params.sigma_o_sq > 0.0 else 1.0
-    sig_l = params.sigma_l_sq if params.sigma_l_sq > 0.0 else 1.0
-    return sig_o, sig_l
 
 
 def filter_step(
@@ -263,71 +261,64 @@ def filter_step(
     stream (see the module docstring). ``run`` holds the per-run constants
     from :meth:`RunConstants.for_run`.
     """
-    parents = pset.particles
-    bases = [p.log_weight for p in parents]
+    parents = pset
     if cfg.variant == "aux-pf":
-        mean_ll = np.array(
-            [
-                log_likelihood(
-                    frame, p.state.motion, p.state.coeffs, template, dictionary, run.noise
-                )
-                for p in parents
-            ]
-        )
-        stage_one = _normalize_log_weights(np.array(bases) + mean_ll)
+        mean_ll = log_likelihood(frame, pset.motion, pset.coeffs, template, dictionary, run.noise)
+        stage_one = _normalize_log_weights(pset.log_weights + mean_ll)
         ancestors = systematic_resample(np.exp(stage_one), pset.resample_rng)
-        parents = [parents[a] for a in ancestors]
-        bases = [-mean_ll[a] for a in ancestors]
-    sig_o, sig_l = _solver_sigmas(params)
+        parents = replace(pset.select(ancestors), log_weights=-mean_ll[ancestors])
+    moved = replace(parents, motion=sample_walk_rows(parents.motion, params.sigma_u, pset.streams))
+    if cfg.variant not in _PRIOR_MOVE:
+        proposed, unconverged = _mode_track(moved, frame, template, dictionary, params, cfg, run)
+        return _finish_step(proposed, cfg, unconverged)
+    coeffs = sample_walk_rows(moved.coeffs, params.sigma_l_sq, pset.streams)  # the prior move
+    ll = log_likelihood(frame, moved.motion, coeffs, template, dictionary, run.noise)
+    supports = (run.full,) * pset.n_pf
+    proposed = replace(moved, coeffs=coeffs, supports=supports, log_weights=moved.log_weights + ll)
+    return _finish_step(proposed, cfg)
 
-    def prior_move(prev, motion, log_w, rng):
-        coeffs = sample_coeff_transition(prev.coeffs, run.full, params, rng)
-        log_w = log_w + log_likelihood(frame, motion, coeffs, template, dictionary, run.noise)
-        return FullState(motion, run.full, coeffs), log_w, True
 
-    def mode_tracking_move(prev, motion, log_w, rng):
-        if cfg.variant == "pafimocs":
-            cond = sample_support_transition(prev.support, params, rng)
-        else:
-            cond = prev.support if cfg.variant == "pafimocs-ssc" else run.full
-        roi = compute_roi(motion, template, (frame.height, frame.width))
-        if not roi.valid:
-            return FullState(motion, cond, prev.coeffs), NEG_INF, True
-        mapped = frame.pixels[roi.indices] - template.pixels
+def _mode_track(moved, frame, template, dictionary, params, cfg, run):
+    """Mode-tracking move of ``moved`` (new motions, parents' states and base weights).
+
+    Returns the proposed set and the uncertified-solve count; off-frame slots get weight 0.
+    """
+    if cfg.variant == "pafimocs":
+        pairs = zip(moved.supports, moved.streams)
+        conds = tuple(sample_support_transition(s, params, rng) for s, rng in pairs)
+    else:
+        conds = moved.supports if cfg.variant == "pafimocs-ssc" else (run.full,) * moved.n_pf
+    mapped, valid = mapped_rows(frame, moved.motion, template)
+    coeffs, supports = moved.coeffs.copy(), list(conds)
+    unconverged = 0
+    for i in np.flatnonzero(valid):
         problem = ModeTrackingProblem(
-            y_residual_base=mapped,
+            y_residual_base=mapped[i],
             dictionary=dictionary,
-            lambda_prev=prev.coeffs,
-            cond_support=cond,
-            sigma_o_sq=sig_o,
-            sigma_l_sq=sig_l,
+            lambda_prev=moved.coeffs[i],
+            cond_support=conds[i],
+            sigma_o_sq=run.sigma_o_sq,
+            sigma_l_sq=run.sigma_l_sq,
             beta=cfg.beta,
             gamma=cfg.gamma,
             gram_lmax=run.lmax,
         )
-        result = solve(problem, replace(cfg.solver, warm_start=prev.coeffs, record_trace=False))
-        lam, support = result.lambda_opt, run.full
+        result = solve(problem, replace(cfg.solver, warm_start=moved.coeffs[i], record_trace=False))
+        lam, supports[i] = result.lambda_opt, run.full
         if cfg.variant != "pf-mt":
-            support = threshold_support(lam, cfg.support_threshold, cfg.alpha)
-            lam = lam * support.mask()  # states stay exactly sparse
-        log_w = (
-            log_w
-            + log_likelihood(frame, motion, lam, template, dictionary, run.noise, mapped)
-            + stp_coeffs_log(lam, prev.coeffs, support, params)
-        )
+            supports[i] = threshold_support(lam, cfg.support_threshold, cfg.alpha)
+            lam = lam * supports[i].mask()  # states stay exactly sparse
+        coeffs[i] = lam
+        unconverged += not result.converged
+    log_w = moved.log_weights + log_likelihood(
+        frame, moved.motion, coeffs, template, dictionary, run.noise, (mapped, valid)
+    )
+    for i in np.flatnonzero(valid):
+        log_w[i] += stp_coeffs_log(coeffs[i], moved.coeffs[i], supports[i], params)
         if cfg.variant == "pafimocs-ssc":
-            log_w = log_w + stp_support_log(support, prev.support, params)
-        return FullState(motion, support, lam), log_w, result.converged
-
-    move = prior_move if cfg.variant in _PRIOR_MOVE else mode_tracking_move
-    proposed = []
-    unconverged = 0
-    for parent, base, rng in zip(parents, bases, pset.streams):
-        motion = sample_motion_transition(parent.state.motion, params, rng)
-        state, log_w, converged = move(parent.state, motion, base, rng)
-        proposed.append(Particle(state, log_w))
-        unconverged += not converged
-    return _finish_step(pset, proposed, cfg, unconverged)
+            log_w[i] += stp_support_log(supports[i], moved.supports[i], params)
+    proposed = replace(moved, coeffs=coeffs, supports=tuple(supports), log_weights=log_w)
+    return proposed, unconverged
 
 
 @dataclass
@@ -372,56 +363,32 @@ def run_tracker(
     dictionary = build_dictionary(template, cfg.d)
     init = _coerce_state(init_state, dictionary.n_lambda)
     pset = ParticleSet.initialize(init, cfg.n_pf, seed)
-    tracker_params = (
-        params
-        if params.n_lambda == dictionary.n_lambda
-        else replace_params_ambient(params, dictionary.n_lambda)
-    )
+    tracker_params = replace_params_ambient(params, dictionary.n_lambda)
     run = RunConstants.for_run(dictionary, tracker_params, cfg)
 
-    n_steps = len(frames) - 1
-    motion = np.zeros((n_steps + 1, 3))
-    coeffs = np.zeros((n_steps + 1, dictionary.n_lambda))
-    ess = np.zeros(n_steps + 1)
-    max_lw = np.zeros(n_steps + 1)
-    sizes = np.zeros((n_steps + 1, cfg.n_pf), dtype=int)
-    motion[0] = init.motion.as_array()
-    coeffs[0] = init.coeffs
-    ess[0] = cfg.n_pf
-    sizes[0] = len(init.support)
+    sizes = np.full(cfg.n_pf, len(init.support))
+    steps = [StepStats(float(cfg.n_pf), 0.0, init.motion.as_array(), init.coeffs, sizes)]  # row 0
     lost_at = None
-    unconverged = 0
-    for t in range(1, n_steps + 1):
+    for t in range(1, len(frames)):
         try:
             pset = filter_step(pset, frames[t], template, dictionary, tracker_params, cfg, run)
         except TrackerLostError:
             lost_at = t
-            motion[t:] = motion[t - 1]
-            coeffs[t:] = coeffs[t - 1]
-            ess[t:] = 0.0
-            max_lw[t:] = NEG_INF
-            sizes[t:] = sizes[t - 1]
+            frozen = replace(steps[-1], ess=0.0, max_log_weight=NEG_INF, unconverged_solves=0)
+            steps += [frozen] * (len(frames) - t)
             break
-        stats = pset.last_stats
-        motion[t] = stats.motion_mean
-        coeffs[t] = stats.coeff_mean
-        ess[t] = stats.ess
-        max_lw[t] = stats.max_log_weight
-        sizes[t] = stats.support_sizes
-        unconverged += stats.unconverged_solves
-    return TrackResult(motion, coeffs, ess, max_lw, sizes, lost_at, unconverged)
+        steps.append(pset.last_stats)
+    return TrackResult(
+        motion=np.array([s.motion_mean for s in steps]),
+        coeffs=np.array([s.coeff_mean for s in steps]),
+        ess=np.array([s.ess for s in steps]),
+        max_log_weight=np.array([s.max_log_weight for s in steps]),
+        support_sizes=np.array([s.support_sizes for s in steps]),
+        lost_at=lost_at,
+        unconverged_solves=sum(s.unconverged_solves for s in steps),
+    )
 
 
 def replace_params_ambient(params: ModelParams, n_lambda: int) -> ModelParams:
     """Same model constants over a different coefficient axis length."""
-    s = min(params.s_expected, n_lambda)
-    return ModelParams(
-        n_lambda=n_lambda,
-        s_expected=s,
-        p_a=params.p_a,
-        p_r=params.p_r,
-        sigma_l_sq=params.sigma_l_sq,
-        sigma_u=params.sigma_u,
-        sigma_o_sq=params.sigma_o_sq,
-        pixel_max=params.pixel_max,
-    )
+    return replace(params, n_lambda=n_lambda, s_expected=min(params.s_expected, n_lambda))

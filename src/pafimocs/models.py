@@ -40,7 +40,7 @@ __all__ = [
     "sample_coeff_transition",
     "stp_coeffs_log",
     "sample_motion_transition",
-    "stp_motion_log",
+    "sample_walk_rows",
     "diag_gaussian_log_density",
 ]
 
@@ -96,10 +96,6 @@ class SupportSet:
             tuple(i for i in range(self.ambient_size) if i not in inside),
             self.ambient_size,
         )
-
-    def union(self, other: "SupportSet") -> "SupportSet":
-        self._check_ambient(other)
-        return SupportSet.from_indices(set(self.indices) | set(other.indices), self.ambient_size)
 
     def difference(self, other: "SupportSet") -> "SupportSet":
         self._check_ambient(other)
@@ -329,8 +325,7 @@ def sample_coeff_transition(
         raise ValueError("support ambient size does not match params.n_lambda")
     new = np.zeros(params.n_lambda)
     idx = new_support.as_array()
-    noise = rng.normal(0.0, math.sqrt(params.sigma_l_sq), idx.size)
-    new[idx] = prev[idx] + noise
+    new[idx] = sample_walk_rows(prev[idx][None], params.sigma_l_sq, [rng])[0]
     return new
 
 
@@ -360,12 +355,14 @@ def stp_coeffs_log(
 
 def sample_motion_transition(prev: MotionState, params: ModelParams, rng) -> MotionState:
     """Random-walk the motion block with the diagonal covariance ``sigma_u``."""
-    scale = np.sqrt(np.array(params.sigma_u, dtype=float))
-    return MotionState.from_array(prev.as_array() + rng.normal(0.0, scale))
+    new = sample_walk_rows(prev.as_array()[None], params.sigma_u, [rng])[0]
+    return MotionState.from_array(new)
 
 
-def stp_motion_log(new: MotionState, prev: MotionState, params: ModelParams) -> float:
-    """Log transition density of the motion random walk."""
-    return diag_gaussian_log_density(
-        new.as_array() - prev.as_array(), np.array(params.sigma_u, dtype=float)
-    )
+def sample_walk_rows(prev: np.ndarray, variance, rngs) -> np.ndarray:
+    """Random walk of each row of ``prev``, with ``variance`` shared or per column.
+
+    Row ``i`` draws from ``rngs[i]``, one Gaussian draw call per row.
+    """
+    scale = np.sqrt(np.asarray(variance, dtype=float))
+    return prev + np.array([rng.normal(0.0, scale, prev.shape[1]) for rng in rngs])

@@ -7,6 +7,10 @@ noise, and every other pixel is independent uniform clutter. Mapped
 coordinates are rounded half away from zero; the mapping is a pixel-wise
 lookup (duplicate targets are kept), and placements that leave the frame are
 marked invalid rather than clamped.
+
+Hypotheses are evaluated in stacks, one per row (:func:`roi_rows`,
+:func:`log_likelihood`); :func:`compute_roi` and :func:`residual_g` are the
+one-row case. Each row is computed exactly as a lone hypothesis would be.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary, TemplatePatch
-from .models import NEG_INF, MotionState, diag_gaussian_log_density
+from .models import NEG_INF, ZERO_VAR_ATOL, MotionState
 
 __all__ = [
     "InvalidRoiError",
@@ -25,6 +29,8 @@ __all__ = [
     "RoiIndexSet",
     "NoiseModel",
     "round_half_away",
+    "roi_rows",
+    "mapped_rows",
     "compute_roi",
     "render_frame",
     "residual_g",
@@ -109,30 +115,50 @@ class NoiseModel:
             raise ValueError("pixel_max must be positive")
 
 
+_ROW_BLOCK = 16
+
+
 def round_half_away(x):
     """Round to nearest integer with halves going away from zero."""
     arr = np.asarray(x, dtype=float)
     return np.sign(arr) * np.floor(np.abs(arr) + 0.5)
 
 
+def roi_rows(
+    motion: np.ndarray, template: TemplatePatch, frame_dims: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frame pixel indices ``(n, n_l)`` and validity ``(n,)`` of motion rows ``(n, 3)``.
+
+    Scaling is about the template centroid (only its distinct coordinates are
+    mapped); translation follows. A rounded coordinate outside the frame makes
+    the row invalid, its indices still returned unclamped.
+    """
+    height, width = frame_dims
+    (rows_i, inv_i), (cols_j, inv_j) = template.distinct_coords
+    ci, cj = template.centroid_i, template.centroid_j
+    rows = round_half_away(motion[:, 0:1] + motion[:, 2:3] * (rows_i - ci) + ci)
+    cols = round_half_away(motion[:, 1:2] + motion[:, 2:3] * (cols_j - cj) + cj)
+    valid = np.all((rows >= 0) & (rows < height), 1) & np.all((cols >= 0) & (cols < width), 1)
+    return (rows * width).astype(np.intp)[:, inv_i] + cols.astype(np.intp)[:, inv_j], valid
+
+
+def mapped_rows(frame: Frame, motion: np.ndarray, template: TemplatePatch) -> tuple:
+    """ROI pixels minus the template per motion row (pixel 0 if invalid), and validity."""
+    mapped, valid = np.empty((len(motion), template.n_pixels)), np.empty(len(motion), dtype=bool)
+    for lo in range(0, len(motion), _ROW_BLOCK):  # a block of index rows at a time bounds memory
+        rows = slice(lo, lo + _ROW_BLOCK)
+        indices, valid[rows] = roi_rows(motion[rows], template, (frame.height, frame.width))
+        np.take(frame.pixels, np.where(valid[rows, None], indices, 0), out=mapped[rows])
+    mapped -= template.pixels
+    return mapped, valid
+
+
 def compute_roi(
     motion: MotionState, template: TemplatePatch, frame_dims: tuple[int, int]
 ) -> RoiIndexSet:
-    """Frame pixel indices of each template pixel under ``motion``.
-
-    Scaling is about the template centroid; translation follows. Rounded
-    coordinates outside the frame flip ``valid`` off (indices are still
-    returned unclamped).
-    """
-    height, width = frame_dims
-    ci, cj = template.centroid_i, template.centroid_j
-    rows = round_half_away(motion.u_x + motion.s * (template.coord_i - ci) + ci)
-    cols = round_half_away(motion.u_y + motion.s * (template.coord_j - cj) + cj)
-    valid = bool(
-        np.all(rows >= 0) and np.all(rows < height) and np.all(cols >= 0) and np.all(cols < width)
-    )
-    indices = (rows * width + cols).astype(np.intp)
-    return RoiIndexSet(indices=indices, valid=valid)
+    """Frame pixel indices of each template pixel under ``motion`` (see :func:`roi_rows`)."""
+    indices, valid = roi_rows(motion.as_array()[None], template, frame_dims)
+    return RoiIndexSet(indices=indices[0], valid=bool(valid[0]))
 
 
 def render_frame(
@@ -172,49 +198,50 @@ def residual_g(
     dictionary: Dictionary,
 ) -> np.ndarray:
     """Mapped-pixel residual: frame values minus template minus illumination."""
-    roi = compute_roi(motion, template, (frame.height, frame.width))
-    if not roi.valid:
+    mapped, valid = mapped_rows(frame, motion.as_array()[None], template)
+    if not valid[0]:
         raise InvalidRoiError(f"motion {motion} leaves the frame")
-    return (
-        frame.pixels[roi.indices]
-        - template.pixels
-        - dictionary.matrix @ np.asarray(coeffs, dtype=float)
-    )
+    return mapped[0] - dictionary.matrix @ np.asarray(coeffs, dtype=float)
 
 
 def log_likelihood(
     frame: Frame,
-    motion: MotionState,
+    motion: np.ndarray,
     coeffs: np.ndarray,
     template: TemplatePatch,
     dictionary: Dictionary,
     noise: NoiseModel,
-    mapped: np.ndarray | None = None,
-) -> float:
-    """Log-likelihood of the frame under one (motion, coefficients) hypothesis.
+    gathered: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Log-likelihood of the frame under each (motion, coefficients) row.
 
-    The clutter block contributes ``(m - n_l) * log(1 / pixel_max)``; invalid
-    placements return ``-inf``. The ``gaussian-mixture`` kind inflates a
-    ``p_out`` fraction of the residuals to variance ``sigma_out_sq``.
-    ``mapped`` is the frame's ROI pixels under ``motion`` minus the template,
-    for a caller that has already gathered them from a valid placement; the
-    ROI is then not computed again.
+    ``motion`` is ``(n, 3)`` and ``coeffs`` ``(n, n_lambda)``. The clutter
+    block contributes ``(m - n_l) * log(1 / pixel_max)``; invalid placements
+    score ``-inf``. The ``gaussian-mixture`` kind inflates a ``p_out``
+    fraction of the residuals to variance ``sigma_out_sq``. ``gathered`` is
+    :func:`mapped_rows` of these motions, from a caller that already has it;
+    its pixels are overwritten.
     """
-    if mapped is None:
-        roi = compute_roi(motion, template, (frame.height, frame.width))
-        if not roi.valid:
-            return NEG_INF
-        mapped = frame.pixels[roi.indices] - template.pixels
-    r = mapped - dictionary.matrix @ np.asarray(coeffs, dtype=float)
+    r, valid = mapped_rows(frame, motion, template) if gathered is None else gathered
+    for row, c in zip(r, np.asarray(coeffs, dtype=float)):
+        row -= dictionary.matrix @ c  # one matrix-vector product per row fixes its bits
     clutter = -(frame.n_pixels - template.n_pixels) * math.log(noise.pixel_max)
-    if noise.kind == "pure-gaussian" or noise.p_out == 0.0:
-        return diag_gaussian_log_density(r, noise.sigma_sq) + clutter
-    if noise.sigma_sq == 0.0:
-        raise ValueError("gaussian-mixture likelihood needs positive variances")
-    c_in = math.log1p(-noise.p_out) - 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
-    c_out = math.log(noise.p_out) - 0.5 * math.log(2.0 * math.pi * noise.sigma_out_sq)
-    per_pixel = np.logaddexp(
-        c_in - r * r / (2.0 * noise.sigma_sq),
-        c_out - r * r / (2.0 * noise.sigma_out_sq),
-    )
-    return float(np.sum(per_pixel)) + clutter
+    if noise.kind == "gaussian-mixture" and noise.p_out > 0.0:
+        if noise.sigma_sq == 0.0:
+            raise ValueError("gaussian-mixture likelihood needs positive variances")
+        c_in = math.log1p(-noise.p_out) - 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
+        c_out = math.log(noise.p_out) - 0.5 * math.log(2.0 * math.pi * noise.sigma_out_sq)
+        r *= r
+        out = np.sum(
+            np.logaddexp(c_in - r / (2.0 * noise.sigma_sq), c_out - r / (2.0 * noise.sigma_out_sq)),
+            axis=1,
+        ) + clutter
+    elif noise.sigma_sq == 0.0:  # point mass, as in diag_gaussian_log_density
+        out = np.where(np.any(np.abs(r) > ZERO_VAR_ATOL, axis=1), NEG_INF, 0.0) + clutter
+    else:  # the Gaussian constant is computed once, the rest in place
+        r *= r
+        r /= noise.sigma_sq
+        r += np.log(2.0 * np.pi * noise.sigma_sq)
+        out = -0.5 * np.sum(r, axis=1) + clutter
+    out[~valid] = NEG_INF
+    return out

@@ -2,6 +2,7 @@
 thresholding, and the five tracker variants on miniature scenes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from pafimocs.dictionary import TemplatePatch, build_dictionary
 from pafimocs.filters import (
     VARIANTS,
     FilterConfig,
-    Particle,
     ParticleSet,
     RunConstants,
     TrackerLostError,
@@ -131,9 +131,15 @@ class TestPosteriorEstimate:
 
     def _means(self, states, log_weights):
         pset = ParticleSet.initialize(states[0], len(states), seed=0)
-        proposed = [Particle(s, lw) for s, lw in zip(states, log_weights)]
+        proposed = replace(
+            pset,
+            motion=np.array([s.motion.as_array() for s in states]),
+            coeffs=np.array([s.coeffs for s in states]),
+            supports=tuple(s.support for s in states),
+            log_weights=np.array(log_weights, dtype=float),
+        )
         cfg = FilterConfig(variant="pafimocs", n_pf=len(states), d=1)
-        stats = _finish_step(pset, proposed, cfg).last_stats
+        stats = _finish_step(proposed, cfg).last_stats
         return stats.motion_mean, stats.coeff_mean
 
     def test_single_particle_returns_own_state(self):
@@ -179,6 +185,14 @@ class TestPosteriorEstimate:
         assert np.allclose(motion, ref_motion, atol=1e-12)
         assert np.allclose(coeffs, ref_coeffs, atol=1e-12)
 
+    def test_sum_starts_from_positive_zero(self):
+        # a mean accumulated from np.zeros reads +0.0 when every term is -0.0;
+        # written estimates must not turn into "-0"
+        supp = SupportSet.from_indices([0], 3)
+        state = FullState(MotionState(-0.0, 0.0, 1.0), supp, np.array([-0.0, 0.0, 0.0]))
+        motion, coeffs = self._means([state, state], [-1.0, -1.0])
+        assert not np.signbit(motion[0]) and not np.signbit(coeffs[0])
+
 
 def take_step(pset, frame, template, dictionary, params, cfg):
     """One ``filter_step`` with the run constants built for it."""
@@ -208,14 +222,14 @@ class TestWeightBookkeeping:
         # ess-below with a tiny fraction keeps the proposed particles and
         # their normalized weights instead of resampling
         pset = run_one_step(variant, "ess-below")
-        total = sum(math.exp(p.log_weight) for p in pset.particles)
+        total = sum(math.exp(lw) for lw in pset.log_weights)
         assert abs(total - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_post_resample_weights_uniform(self, variant):
         pset = run_one_step(variant, "every-step")
         expected = -math.log(pset.n_pf)
-        assert all(p.log_weight == expected for p in pset.particles)
+        assert np.all(pset.log_weights == expected)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_step_stats_ranges(self, variant):
@@ -228,10 +242,10 @@ class TestWeightBookkeeping:
 
     def test_pafimocs_states_stay_exactly_sparse(self):
         pset = run_one_step("pafimocs", "ess-below")
-        for p in pset.particles:
-            mask = p.state.support.mask()
-            assert np.all(p.state.coeffs[~mask] == 0.0)
-            assert np.all(p.state.coeffs[mask] != 0.0)
+        for coeffs, support in zip(pset.coeffs, pset.supports):
+            mask = support.mask()
+            assert np.all(coeffs[~mask] == 0.0)
+            assert np.all(coeffs[mask] != 0.0)
 
 
 def track_six_frames(cfg, seed):
@@ -284,7 +298,7 @@ class TestDeterminism:
             MotionState(0.0, 0.0, 1.0), SupportSet.from_indices([0], 3), np.zeros(3)
         )
         pset = ParticleSet.initialize(state, 5, 0)
-        assert all(p.log_weight == -math.log(5) for p in pset.particles)
+        assert np.all(pset.log_weights == -math.log(5))
 
     def test_rejects_empty_particle_set(self):
         state = FullState(
@@ -371,14 +385,11 @@ class TestSscCoincidence:
         set_b = ParticleSet.initialize(truth, 6, 21)
         out_a = take_step(set_a, frame, template, dictionary, params, cfg_a)
         out_b = take_step(set_b, frame, template, dictionary, params, cfg_b)
-        for pa, pb in zip(out_a.particles, out_b.particles):
-            assert pa.state.support == truth.support  # scene precondition
-            assert np.array_equal(
-                pa.state.motion.as_array(), pb.state.motion.as_array()
-            )
-            assert pa.state.support == pb.state.support
-            assert np.array_equal(pa.state.coeffs, pb.state.coeffs)
-            assert pa.log_weight == pb.log_weight
+        assert all(s == truth.support for s in out_a.supports)  # scene precondition
+        assert np.array_equal(out_a.motion, out_b.motion)
+        assert out_a.supports == out_b.supports
+        assert np.array_equal(out_a.coeffs, out_b.coeffs)
+        assert np.array_equal(out_a.log_weights, out_b.log_weights)
 
 
 class TestPfMtDenseSolutions:
@@ -395,9 +406,8 @@ class TestPfMtDenseSolutions:
         )
         pset = ParticleSet.initialize(truth, 8, 33)
         out = take_step(pset, frame, template, dictionary, params, cfg)
-        for p in out.particles:
-            assert p.state.support.indices == tuple(range(7))
-            assert np.all(p.state.coeffs != 0.0)
+        assert all(s.indices == tuple(range(7)) for s in out.supports)
+        assert np.all(out.coeffs != 0.0)
 
 
 class TestInvalidRoiHandling:
@@ -412,13 +422,10 @@ class TestInvalidRoiHandling:
         params, template, dictionary, frame, truth = self._setup()
         far = FullState(MotionState(500.0, 500.0, 1.0), truth.support, truth.coeffs)
         pset = ParticleSet.initialize(truth, 4, 7)
-        log_w = -math.log(4)
-        pset.particles[1] = Particle(far, log_w)
-        pset.particles[3] = Particle(far, log_w)
+        pset.motion[[1, 3]] = far.motion.as_array()
         cfg = FilterConfig(variant="pafimocs", n_pf=4, d=1)
         out = take_step(pset, frame, template, dictionary, params, cfg)
-        for p in out.particles:
-            assert abs(p.state.motion.u_x) < 100.0
+        assert np.all(np.abs(out.motion[:, 0]) < 100.0)
 
     def test_all_invalid_raises_tracker_lost(self):
         params, template, dictionary, frame, truth = self._setup()

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gaussian_log_density
 from pafimocs.dictionary import TemplatePatch, build_dictionary
-from pafimocs.models import MotionState
+from pafimocs.models import NEG_INF, MotionState, diag_gaussian_log_density
 from pafimocs.observation import (
     Frame,
     InvalidRoiError,
@@ -16,6 +18,7 @@ from pafimocs.observation import (
     compute_roi,
     log_likelihood,
     render_frame,
+    roi_rows,
     round_half_away,
 )
 from pafimocs.observation import residual_g
@@ -156,7 +159,10 @@ def test_log_likelihood_zero_residual_value():
         np.random.default_rng(4),
     )
     sigma_sq = 2.0
-    value = log_likelihood(frame, motion, lam, template, dictionary, pure_noise(sigma_sq))
+    value = log_likelihood(
+        frame, motion.as_array()[None], lam[None], template, dictionary, pure_noise(sigma_sq)
+    )
+    assert value.shape == (1,)
     n_l = template.pixels.size
     m = frame.n_pixels
     expected = -(n_l / 2.0) * math.log(2.0 * math.pi * sigma_sq) + (m - n_l) * math.log(
@@ -180,11 +186,14 @@ def test_log_likelihood_from_gathered_pixels_is_bit_identical():
         pure_noise(1.5),
         NoiseModel(kind="gaussian-mixture", sigma_sq=1.0, sigma_out_sq=40.0, p_out=0.1),
     ):
-        direct = log_likelihood(frame, motion, 0.9 * lam, template, dictionary, noise)
-        gathered = log_likelihood(
-            frame, motion, 0.9 * lam, template, dictionary, noise, mapped=mapped
+        direct = log_likelihood(
+            frame, motion.as_array()[None], 0.9 * lam[None], template, dictionary, noise
         )
-        assert gathered == direct
+        from_pixels = log_likelihood(
+            frame, motion.as_array()[None], 0.9 * lam[None], template, dictionary, noise,
+            gathered=(mapped[None].copy(), np.array([roi.valid])),
+        )
+        assert from_pixels[0] == direct[0]
 
 
 def test_log_likelihood_clutter_term_cancels_in_differences():
@@ -196,8 +205,11 @@ def test_log_likelihood_clutter_term_cancels_in_differences():
         noise, np.random.default_rng(5),
     )
     m1, m2 = MotionState(0.0, 0.0, 1.0), MotionState(1.0, 0.0, 1.0)
-    diff = log_likelihood(frame, m1, np.zeros(3), template, dictionary, noise) - \
-        log_likelihood(frame, m2, np.zeros(3), template, dictionary, noise)
+    both = log_likelihood(
+        frame, np.array([m1.as_array(), m2.as_array()]), np.zeros((2, 3)), template,
+        dictionary, noise,
+    )
+    diff = both[0] - both[1]
     r1 = residual_g(frame, m1, np.zeros(3), template, dictionary)
     r2 = residual_g(frame, m2, np.zeros(3), template, dictionary)
     n_l = template.pixels.size
@@ -217,9 +229,9 @@ def test_log_likelihood_monotone_in_residual_norm():
         np.random.default_rng(6),
     )
     lams = [np.zeros(3), np.array([0.05, 0.0, 0.0]), np.array([0.2, 0.1, 0.0])]
-    values = [
-        log_likelihood(frame, motion, lam, template, dictionary, noise) for lam in lams
-    ]
+    values = log_likelihood(
+        frame, np.tile(motion.as_array(), (3, 1)), np.array(lams), template, dictionary, noise
+    )
     norms = [
         float(np.sum(residual_g(frame, motion, lam, template, dictionary) ** 2))
         for lam in lams
@@ -236,10 +248,11 @@ def test_log_likelihood_invalid_roi_is_neg_inf():
         pure_noise(1.0), np.random.default_rng(7),
     )
     value = log_likelihood(
-        frame, MotionState(100.0, 0.0, 1.0), np.zeros(3), template, dictionary,
-        pure_noise(1.0),
+        frame, np.array([[100.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), np.zeros((2, 3)), template,
+        dictionary, pure_noise(1.0),
     )
-    assert value == float("-inf")
+    assert value[0] == float("-inf")
+    assert np.isfinite(value[1])
     with pytest.raises(InvalidRoiError):
         residual_g(frame, MotionState(100.0, 0.0, 1.0), np.zeros(3), template, dictionary)
 
@@ -252,9 +265,10 @@ def test_mixture_p_out_zero_matches_pure():
         motion, np.zeros(3), template, dictionary, FRAME_DIMS, pure_noise(1.0),
         np.random.default_rng(8),
     )
-    pure = log_likelihood(frame, motion, np.zeros(3), template, dictionary, pure_noise(2.0))
+    rows = motion.as_array()[None]
+    pure = log_likelihood(frame, rows, np.zeros((1, 3)), template, dictionary, pure_noise(2.0))
     mixture = NoiseModel(kind="gaussian-mixture", sigma_sq=2.0, sigma_out_sq=50.0, p_out=0.0)
-    mixed = log_likelihood(frame, motion, np.zeros(3), template, dictionary, mixture)
+    mixed = log_likelihood(frame, rows, np.zeros((1, 3)), template, dictionary, mixture)
     assert mixed == pytest.approx(pure, abs=1e-12)
 
 
@@ -272,11 +286,13 @@ def test_mixture_downweights_outliers():
     corrupted[roi.indices[5]] += 200.0
     bad = Frame(corrupted, frame.height, frame.width)
 
-    pure_drop = log_likelihood(frame, motion, np.zeros(3), template, dictionary, pure_noise(1.0)) - \
-        log_likelihood(bad, motion, np.zeros(3), template, dictionary, pure_noise(1.0))
+    rows, coeffs = motion.as_array()[None], np.zeros((1, 3))
     mixture = NoiseModel(kind="gaussian-mixture", sigma_sq=1.0, sigma_out_sq=1e4, p_out=0.05)
-    mix_drop = log_likelihood(frame, motion, np.zeros(3), template, dictionary, mixture) - \
-        log_likelihood(bad, motion, np.zeros(3), template, dictionary, mixture)
+    pure_drop, mix_drop = (
+        log_likelihood(frame, rows, coeffs, template, dictionary, noise)[0]
+        - log_likelihood(bad, rows, coeffs, template, dictionary, noise)[0]
+        for noise in (pure_noise(1.0), mixture)
+    )
     assert pure_drop > 1e4
     assert mix_drop < 20.0
 
@@ -292,15 +308,14 @@ def test_likelihood_peaks_at_true_motion():
             true_motion, lam, template, dictionary, FRAME_DIMS, pure_noise(0.0),
             np.random.default_rng(100 + trial),
         )
-        best = None
-        noise = pure_noise(1.0)
-        for dx in range(-2, 3):
-            for dy in range(-2, 3):
-                cand = MotionState(true_motion.u_x + dx, true_motion.u_y + dy, 1.0)
-                value = log_likelihood(frame, cand, lam, template, dictionary, noise)
-                if best is None or value > best[0]:
-                    best = (value, dx, dy)
-        assert (best[1], best[2]) == (0, 0)
+        shifts = [(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)]
+        cands = np.array(
+            [[true_motion.u_x + dx, true_motion.u_y + dy, 1.0] for dx, dy in shifts]
+        )
+        values = log_likelihood(
+            frame, cands, np.tile(lam, (len(shifts), 1)), template, dictionary, pure_noise(1.0)
+        )
+        assert shifts[int(np.argmax(values))] == (0, 0)
 
 
 def test_noise_model_validation():
@@ -318,3 +333,80 @@ def test_frame_round_trip():
     frame = Frame.from_image(image)
     assert frame.n_pixels == 35
     assert np.array_equal(frame.image(), image)
+
+
+# -------------------------------------------- batched ROI and likelihood rows
+
+MOTION_ROWS = st.lists(
+    st.tuples(
+        st.floats(-30.0, 30.0),  # beyond about +-9 px the 6 x 6 template leaves the frame
+        st.floats(-30.0, 30.0),
+        st.floats(0.0, 2.5),
+    ),
+    min_size=1,
+    max_size=6,
+)
+NOISE_KINDS = {
+    "pure-gaussian": NoiseModel(kind="pure-gaussian", sigma_sq=1.5),
+    "gaussian-mixture": NoiseModel(
+        kind="gaussian-mixture", sigma_sq=1.0, sigma_out_sq=40.0, p_out=0.1
+    ),
+    "point-mass": NoiseModel(kind="pure-gaussian", sigma_sq=0.0),
+}
+
+
+def reference_row(frame, motion, coeffs, template, dictionary, noise):
+    """ROI indices, validity and log-likelihood of one hypothesis, pixel by pixel."""
+    u_x, u_y, s = motion
+    ci, cj = float(np.mean(template.coord_i)), float(np.mean(template.coord_j))
+    rows = round_half_away(u_x + s * (template.coord_i - ci) + ci)
+    cols = round_half_away(u_y + s * (template.coord_j - cj) + cj)
+    valid = bool(
+        np.all((rows >= 0) & (rows < frame.height)) and np.all((cols >= 0) & (cols < frame.width))
+    )
+    indices = (rows * frame.width + cols).astype(np.intp)
+    if not valid:
+        return indices, valid, NEG_INF
+    r = frame.pixels[indices] - template.pixels - dictionary.matrix @ coeffs
+    clutter = -(frame.n_pixels - template.n_pixels) * math.log(noise.pixel_max)
+    if noise.kind == "pure-gaussian":
+        return indices, valid, diag_gaussian_log_density(r, noise.sigma_sq) + clutter
+    c_in = math.log1p(-noise.p_out) - 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
+    c_out = math.log(noise.p_out) - 0.5 * math.log(2.0 * math.pi * noise.sigma_out_sq)
+    per_pixel = np.logaddexp(
+        c_in - r * r / (2.0 * noise.sigma_sq), c_out - r * r / (2.0 * noise.sigma_out_sq)
+    )
+    return indices, valid, float(np.sum(per_pixel)) + clutter
+
+
+@pytest.mark.parametrize("kind", sorted(NOISE_KINDS))
+@settings(max_examples=60, deadline=None)
+@given(motions=MOTION_ROWS, seed=st.integers(0, 2**32 - 1), with_truth=st.booleans())
+def test_batched_rows_match_single_hypothesis_reference(kind, motions, seed, with_truth):
+    noise = NOISE_KINDS[kind]
+    template = small_template()
+    dictionary = build_dictionary(template, 1)
+    rng = np.random.default_rng(seed)
+    truth_motion, truth_coeffs = MotionState(1.0, -2.0, 1.0), rng.normal(0.0, 0.1, 3)
+    frame = render_frame(
+        truth_motion, truth_coeffs, template, dictionary, FRAME_DIMS, noise, rng
+    )
+    motion = np.array(motions, dtype=float)
+    coeffs = rng.normal(0.0, 0.1, (len(motions), 3))
+    if with_truth:  # a zero-residual row, the only kind the point mass does not reject
+        motion = np.vstack([motion, truth_motion.as_array()])
+        coeffs = np.vstack([coeffs, truth_coeffs])
+
+    indices, valid = roi_rows(motion, template, FRAME_DIMS)
+    values = log_likelihood(frame, motion, coeffs, template, dictionary, noise)
+    assert indices.shape == (len(motion), template.n_pixels)
+    assert values.shape == valid.shape == (len(motion),)
+    for k in range(len(motion)):
+        ref_indices, ref_valid, ref_value = reference_row(
+            frame, motion[k], coeffs[k], template, dictionary, noise
+        )
+        assert np.array_equal(indices[k], ref_indices)
+        assert valid[k] == ref_valid
+        assert values[k] == ref_value  # bit for bit, or both -inf
+    if with_truth:
+        assert values[-1] > NEG_INF
