@@ -8,7 +8,11 @@ artifacts. The runs are:
 - ``simulate``: ``pafimocs simulate --n-frames 10`` (every file it writes);
 - ``track-config-seed`` and ``track-seed-7``: ``pafimocs track`` over the
   default eight filters on that simulated directory, with the config seed
-  and with ``--seed 7``.
+  and with ``--seed 7``;
+- ``solve`` and ``solve-outliers``: ``pafimocs solve`` (without ``--trace``)
+  on one fixed problem, the 32 x 32 ``bumps`` template with the d = 20
+  dictionary and 20 spiked pixels, without and with ``gamma_outlier``
+  (``result.json``, ``solution.mat``, ``outliers.mat``).
 
 Usage, from the root of a checkout (``--src`` picks the package tree to
 import, by default this checkout's ``src``)::
@@ -28,6 +32,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -43,8 +49,35 @@ def sha256_lines(base: str) -> list[str]:
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
-def write_artifacts(out: str) -> None:
-    from pafimocs import cli
+def write_problem(pdir: str) -> dict:
+    """Write the fixed solve problem's matrices; returns its ``problem.cfg`` keys."""
+    from pafimocs import fileio
+    from pafimocs.dictionary import build_dictionary, save_dictionary
+    from pafimocs.harness import make_template
+
+    dictionary = build_dictionary(make_template("bumps", 32, 32, seed=0), 20)
+    n, m = dictionary.n_lambda, dictionary.n_pixels
+    rng = np.random.default_rng(0)
+    support = np.sort(rng.choice(n, size=6, replace=False))
+    lam_prev = np.zeros(n)
+    lam_prev[support] = rng.normal(0.0, 0.1, support.size)
+    y = dictionary.matrix @ lam_prev + rng.normal(0.0, 1.0, m)
+    y[rng.choice(m, size=20, replace=False)] += 200.0 * rng.choice([-1.0, 1.0], size=20)
+    os.makedirs(pdir)
+    save_dictionary(dictionary, os.path.join(pdir, "phi.mat"))
+    fileio.save_matrix(os.path.join(pdir, "y.mat"), y.reshape(1, -1), (1, m, 0))
+    fileio.save_matrix(os.path.join(pdir, "lambda_prev.mat"), lam_prev.reshape(1, -1), (1, n, 0))
+    return {
+        "sigma_o_sq": 1.0,
+        "sigma_l_sq": 0.01,
+        "beta": 0.4,
+        "gamma": 0.7,
+        "cond_support": "|".join(str(k) for k in support),
+    }
+
+
+def write_artifacts(out: str, inputs: str) -> None:
+    from pafimocs import cli, fileio
     from pafimocs.harness import SimConfig, run_experiment
 
     run_experiment(SimConfig(n_frames=10, n_monte_carlo=2), os.path.join(out, "experiment"))
@@ -55,10 +88,19 @@ def write_artifacts(out: str) -> None:
         ["track", "--sim", sim, "--out", os.path.join(out, "track-seed-7"), "--seed", "7"],
     )
     for argv in runs:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
-        if code != 0:
-            raise SystemExit(f"pafimocs {argv[0]} exited with {code}")
+        run_cli(cli, argv)
+    pdir = os.path.join(inputs, "problem")  # not digested
+    kv = write_problem(pdir)
+    for name, extra in (("solve", {}), ("solve-outliers", {"gamma_outlier": 20.0})):
+        fileio.write_kv(os.path.join(pdir, "problem.cfg"), {**kv, **extra})
+        run_cli(cli, ["solve", "--problem", pdir, "--out", os.path.join(out, name)])
+
+
+def run_cli(cli, argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"pafimocs {argv[0]} exited with {code}")
 
 
 def main(argv=None) -> int:
@@ -66,8 +108,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="package tree to import")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    with tempfile.TemporaryDirectory() as out:
-        write_artifacts(out)
+    with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as inputs:
+        write_artifacts(out, inputs)
         print("\n".join(sha256_lines(out)))
     return 0
 

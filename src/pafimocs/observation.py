@@ -92,25 +92,18 @@ class RoiIndexSet:
 class NoiseModel:
     """Observation noise on mapped pixels plus the clutter value bound.
 
-    ``kind`` is ``pure-gaussian`` or ``gaussian-mixture``; the mixture keeps
-    a ``p_out`` fraction of pixels at the inflated variance ``sigma_out_sq``.
+    ``kind`` is ``pure-gaussian``, the only kind.
     """
 
     kind: str = "pure-gaussian"
     sigma_sq: float = 1.0
-    sigma_out_sq: float = 0.0
-    p_out: float = 0.0
     pixel_max: float = 255.0
 
     def __post_init__(self):
-        if self.kind not in ("pure-gaussian", "gaussian-mixture"):
+        if self.kind != "pure-gaussian":
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.sigma_sq < 0.0:
             raise ValueError("sigma_sq must be nonnegative")
-        if not 0.0 <= self.p_out < 1.0:
-            raise ValueError("p_out must lie in [0, 1)")
-        if self.kind == "gaussian-mixture" and self.sigma_out_sq < self.sigma_sq:
-            raise ValueError("sigma_out_sq must dominate sigma_sq")
         if self.pixel_max <= 0.0:
             raise ValueError("pixel_max must be positive")
 
@@ -217,26 +210,14 @@ def log_likelihood(
 
     ``motion`` is ``(n, 3)`` and ``coeffs`` ``(n, n_lambda)``. The clutter
     block contributes ``(m - n_l) * log(1 / pixel_max)``; invalid placements
-    score ``-inf``. The ``gaussian-mixture`` kind inflates a ``p_out``
-    fraction of the residuals to variance ``sigma_out_sq``. ``gathered`` is
-    :func:`mapped_rows` of these motions, from a caller that already has it;
-    its pixels are overwritten.
+    score ``-inf``. ``gathered`` is :func:`mapped_rows` of these motions,
+    from a caller that already has it; its pixels are overwritten.
     """
     r, valid = mapped_rows(frame, motion, template) if gathered is None else gathered
     for row, c in zip(r, np.asarray(coeffs, dtype=float)):
         row -= dictionary.matrix @ c  # one matrix-vector product per row fixes its bits
     clutter = -(frame.n_pixels - template.n_pixels) * math.log(noise.pixel_max)
-    if noise.kind == "gaussian-mixture" and noise.p_out > 0.0:
-        if noise.sigma_sq == 0.0:
-            raise ValueError("gaussian-mixture likelihood needs positive variances")
-        c_in = math.log1p(-noise.p_out) - 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
-        c_out = math.log(noise.p_out) - 0.5 * math.log(2.0 * math.pi * noise.sigma_out_sq)
-        r *= r
-        out = np.sum(
-            np.logaddexp(c_in - r / (2.0 * noise.sigma_sq), c_out - r / (2.0 * noise.sigma_out_sq)),
-            axis=1,
-        ) + clutter
-    elif noise.sigma_sq == 0.0:  # point mass, as in diag_gaussian_log_density
+    if noise.sigma_sq == 0.0:  # point mass, as in diag_gaussian_log_density
         out = np.where(np.any(np.abs(r) > ZERO_VAR_ATOL, axis=1), NEG_INF, 0.0) + clutter
     else:  # the Gaussian constant is computed once, the rest in place
         r *= r

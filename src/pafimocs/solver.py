@@ -11,22 +11,24 @@ mode minimizes
 optionally jointly with a per-pixel outlier vector ``o`` entering the data
 term as ``y - Phi lam - o``.
 
-:func:`solve` first runs an exact phase, feature-sign search (Lee, Battle,
-Raina & Ng 2007). Starting from the ridge minimizer of the smooth part, each
-round solves the smooth-plus-linear system restricted to the current sign
-pattern, certifies the candidate, and otherwise moves to the cheapest point
-on the way to it, dropping a coordinate whose sign changes or adding the one
-that violates optimality most. At image data scales the optimal sign pattern
-is almost always that of the ridge solution, so one round usually suffices.
-With dependent dictionary columns the search may restart from zero, and it
-steps along null directions of singular systems. When no round certifies,
+:func:`solve` runs feature-sign search (Lee, Battle, Raina & Ng 2007).
+Starting from the ridge minimizer of the smooth part, each round solves the
+smooth-plus-linear system restricted to the current sign pattern, certifies
+the candidate, and otherwise moves to the cheapest point on the way to it,
+dropping a coordinate whose sign changes or adding the one that violates
+optimality most. At image data scales the optimal sign pattern is almost
+always that of the ridge solution, so one round usually suffices. With
+dependent dictionary columns the search may restart from zero, and it steps
+along null directions of singular systems. When no round certifies,
 accelerated proximal gradient iterations run from the warm start (soft
 threshold only on off-support coordinates, so they carry exact zeros) with
-adaptive restart, plus periodic polish steps that apply the same
-sign-pattern solve and are accepted whenever they lower the objective.
-:func:`solve_with_outliers` runs plain accelerated proximal gradient over
-both blocks. Convergence is certified by the subgradient residual computed
-from the full dictionary (not the iteration's cached Gram products).
+adaptive restart.
+
+:func:`solve_with_outliers` runs the same search on the joint problem, a
+lasso over ``(lam, o)`` with dictionary ``[Phi I]`` (minimizing over ``o``
+alone leaves a Huber loss on the residual; She & Owen 2011), from the warm
+start with ``o = 0``. Convergence is certified by the subgradient residual
+computed from the full dictionary (not the search's cached Gram products).
 """
 
 from __future__ import annotations
@@ -60,8 +62,6 @@ __all__ = [
 _ORACLE_MAX_AMBIENT = 12
 # eigenvalue ratio below which a Gram system counts as singular
 _SINGULAR_RATIO = 1e-12
-# APG iterations between polish steps
-_POLISH_EVERY = 10
 
 
 @dataclass(eq=False)
@@ -106,7 +106,6 @@ class SolverConfig:
     kkt_tolerance: float = 1e-6
     warm_start: np.ndarray | None = None
     record_trace: bool = False
-    polish: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -213,43 +212,31 @@ def kkt_residual(problem: ModeTrackingProblem, lam, outlier=None) -> float:
     return best
 
 
-def _gram_objective(x, g0x, phity, ynorm, problem, mask, off):
-    quad = ynorm - 2.0 * float(x @ phity) + float(x @ g0x)
-    d_on = x[mask] - problem.lambda_prev[mask]
-    return (
-        quad / (2.0 * problem.sigma_o_sq)
-        + problem.beta * float(d_on @ d_on) / (2.0 * problem.sigma_l_sq)
-        + problem.gamma * float(np.sum(np.abs(x[off])))
-    )
-
-
-def _polish_candidate(x, problem, gram_big, rhs, mask, off):
+def _pattern_candidate(pattern, weights, gram_big, rhs, mask):
     """Exact solve of the smooth(+linear) system on the current sign pattern."""
-    active = mask | (x != 0.0)
-    idx = np.flatnonzero(active)
+    idx = np.flatnonzero(mask | (pattern != 0.0))
     if idx.size == 0:
-        return np.zeros_like(x)
-    sign_term = np.zeros(idx.size)
-    off_active = off[idx]
-    sign_term[off_active] = problem.gamma * np.sign(x[idx][off_active])
+        return np.zeros_like(pattern)
     sub = gram_big[np.ix_(idx, idx)]
+    target = rhs[idx] - weights[idx] * np.sign(pattern[idx])
     try:
-        v = np.linalg.solve(sub, rhs[idx] - sign_term)
+        v = np.linalg.solve(sub, target)
     except np.linalg.LinAlgError:
-        v, *_ = np.linalg.lstsq(sub, rhs[idx] - sign_term, rcond=None)
-    cand = np.zeros_like(x)
+        v, *_ = np.linalg.lstsq(sub, target, rcond=None)
+    cand = np.zeros_like(pattern)
     cand[idx] = v
     return cand
 
 
-def _null_descent(point, pattern, problem, gram_big, rhs, mask, off):
+def _null_descent(point, pattern, weights, gram_big, rhs, mask):
     """Where the cost, falling along a null direction of the pattern's
-    singular system, first zeroes an off-support coordinate of ``point``.
+    singular system, first zeroes an l1 coordinate of ``point``.
 
     Along such a direction the smooth part is flat and the l1 part linear,
     so the cost falls until a sign changes. None when the system is regular
     or the cost does not fall that way.
     """
+    off = ~mask
     idx = np.flatnonzero(mask | (pattern != 0.0))
     values, vectors = np.linalg.eigh(gram_big[np.ix_(idx, idx)])
     if values[0] > _SINGULAR_RATIO * values[-1]:
@@ -258,11 +245,11 @@ def _null_descent(point, pattern, problem, gram_big, rhs, mask, off):
     direction[idx] = vectors[:, 0]
     # directional derivative of the cost: the terms linear in the direction,
     # which fix its orientation, then the l1 growth of coordinates now zero
-    signs = np.where(off, np.sign(point), 0.0)
-    rate = float((gram_big @ point - rhs + problem.gamma * signs) @ direction)
+    rate = float((gram_big @ point - rhs + weights * np.sign(point)) @ direction)
     if rate > 0.0:
         direction, rate = -direction, -rate
-    rate += problem.gamma * float(np.sum(np.abs(direction[off & (point == 0.0)])))
+    at_zero = off & (point == 0.0)
+    rate += float(np.sum(weights[at_zero] * np.abs(direction[at_zero])))
     hits = np.flatnonzero(off & (point * direction < 0.0))
     if not rate < 0.0 or hits.size == 0:
         return None
@@ -273,64 +260,74 @@ def _null_descent(point, pattern, problem, gram_big, rhs, mask, off):
     return moved
 
 
-def _sign_pattern_rounds(problem, gram_big, rhs, mask, off, tol):
-    """Exact phase of :func:`solve`: ``(candidate, kkt)`` of each round run.
+def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start=None):
+    """Feature-sign search: ``(candidate, kkt)`` of each round run.
 
-    Feature-sign search (Lee, Battle, Raina & Ng 2007) from the ridge
+    The objective is ``x' gram_big x / 2 - rhs' x + sum(weights |x|)``
+    with ``weights`` zero on ``mask``; the coordinates off ``mask`` are the
+    l1 ones. ``cost`` evaluates it (up to a constant) from its definition and
+    ``certify`` returns the KKT residual of a point. Feature-sign search
+    (Lee, Battle, Raina & Ng 2007) runs from ``start``, by default the ridge
     minimizer, or from zero when the ridge solve fails or when round 1 fails
     and zero costs less. Each round solves the system on the current sign
-    pattern and certifies the candidate on the full dictionary. The search
-    then moves to the cheapest of the candidate and the points on the way to
-    it where an off-support coordinate changes sign (that coordinate set to
-    zero). A candidate whose signs match the pattern that produced it and
-    that is stationary on it is optimal there, so the zero off-support
-    coordinate with the largest subgradient violation joins the next
-    pattern. Otherwise, when the cost does not fall, the pattern's system is
-    singular and the search moves along its null direction
-    (:func:`_null_descent`). Stops at the first certified candidate, when no
-    move lowers the cost, or after ``2 n_lambda + 3`` rounds.
+    pattern and certifies the candidate. The search then moves to the
+    cheapest of the candidate and the points on the way to it where an l1
+    coordinate changes sign (that coordinate set to zero). A candidate whose
+    signs match the pattern that produced it and that is stationary on it is
+    optimal there, so the zero l1 coordinate with the largest subgradient
+    violation joins the next pattern. Otherwise, when the cost does not
+    fall, the pattern's system is singular and the search moves along its
+    null direction (:func:`_null_descent`). Stops at the first certified
+    candidate, when no move lowers the cost, or after ``2 n + 3`` rounds
+    for ``n`` unknowns.
     """
-    try:
-        point = np.linalg.solve(gram_big, rhs)
-    except np.linalg.LinAlgError:
-        point = np.zeros_like(rhs)
+    off = ~mask
+    if start is not None:
+        point = start
+    else:
+        try:
+            point = np.linalg.solve(gram_big, rhs)
+        except np.linalg.LinAlgError:
+            point = np.zeros_like(rhs)
     pattern = point
     point_cost = None
     rounds = []
-    for _ in range(2 * problem.dictionary.n_lambda + 3):
-        cand = _polish_candidate(pattern, problem, gram_big, rhs, mask, off)
-        kkt = kkt_residual(problem, cand)
+    for _ in range(2 * rhs.size + 3):
+        cand = _pattern_candidate(pattern, weights, gram_big, rhs, mask)
+        kkt = certify(cand)
         rounds.append((cand, kkt))
         if kkt <= tol:
             break
         if point_cost is None:
-            point_cost = evaluate_cost(problem, point)
+            point_cost = cost(point)
             zero = np.zeros_like(rhs)
-            zero_cost = evaluate_cost(problem, zero)
+            zero_cost = cost(zero)
             if zero_cost < point_cost:
                 # e.g. the ridge solution of a singular system: restart at zero
                 point = pattern = zero
                 point_cost = zero_cost
                 continue
-        best, best_cost = cand, evaluate_cost(problem, cand)
+        best, best_cost = cand, cost(cand)
         for i in np.flatnonzero(off & (point * cand < 0.0)):
             step = point + point[i] / (point[i] - cand[i]) * (cand - point)
             step[i] = 0.0
-            step_cost = evaluate_cost(problem, step)
+            step_cost = cost(step)
             if step_cost < best_cost:
                 best, best_cost = step, step_cost
         consistent = best is cand and np.array_equal(np.sign(cand[off]), np.sign(pattern[off]))
         # a candidate optimal on the pattern of the point costs no more than
-        # it, up to rounding
-        if best_cost < point_cost or (consistent and best_cost <= point_cost * (1.0 + 1e-12)):
+        # it, up to rounding; so does a step that zeroes a coordinate left at
+        # rounding level (two coordinates that cross zero together)
+        tied = consistent or best is not cand
+        if best_cost < point_cost or (tied and best_cost <= point_cost * (1.0 + 1e-12)):
             point, point_cost, pattern = best, best_cost, best
             if not consistent:
                 continue
             grad = gram_big @ cand - rhs
             at_zero = off & (cand == 0.0)
-            violation = np.where(at_zero, np.abs(grad) - problem.gamma, 0.0)
+            violation = np.where(at_zero, np.abs(grad) - weights, 0.0)
             k = int(np.argmax(violation))
-            stationary = np.abs(grad + problem.gamma * np.sign(cand) * off)[~at_zero]
+            stationary = np.abs(grad + weights * np.sign(cand))[~at_zero]
             if violation[k] > 0.0 and np.all(stationary <= tol):
                 pattern = cand.copy()
                 pattern[k] = -np.sign(grad[k])
@@ -338,8 +335,8 @@ def _sign_pattern_rounds(problem, gram_big, rhs, mask, off, tol):
         # the cost did not fall, or the candidate is not stationary on its
         # pattern, or it is optimal yet uncertified: take the pattern's
         # system as singular
-        moved = _null_descent(point, pattern, problem, gram_big, rhs, mask, off)
-        moved_cost = math.inf if moved is None else evaluate_cost(problem, moved)
+        moved = _null_descent(point, pattern, weights, gram_big, rhs, mask)
+        moved_cost = math.inf if moved is None else cost(moved)
         if not moved_cost < point_cost:
             break
         point = pattern = moved
@@ -347,23 +344,31 @@ def _sign_pattern_rounds(problem, gram_big, rhs, mask, off, tol):
     return rounds
 
 
+def _warm_start(config: SolverConfig, n_lambda: int) -> np.ndarray:
+    if config.warm_start is None:
+        return np.zeros(n_lambda)
+    x = np.array(config.warm_start, dtype=float)
+    if x.shape != (n_lambda,):
+        raise ValueError("warm_start has wrong length")
+    return x
+
+
 def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> SolverResult:
     """Minimize the coefficient-only mode-tracking cost.
 
     A warm start that already certifies is returned with ``iterations`` 0.
-    With ``config.polish`` set, the exact sign-pattern phase (see the module
-    docstring) runs next; when one of its rounds certifies, ``iterations``
-    is the number of rounds and the trace holds the warm start (row 0) and
+    Otherwise feature-sign search runs from the ridge minimizer (see the
+    module docstring); when one of its rounds certifies, ``iterations`` is
+    the number of rounds and the trace holds the warm start (row 0) and
     each round's candidate. Otherwise accelerated proximal gradient runs
     from the warm start in the Gram domain (all per-iteration work is
-    n_lambda sized), with the step 1/L from a power-iteration spectral bound;
-    ``iterations`` and trace rows then count its iterations only. Every
-    result is certified with :func:`kkt_residual` on the full dictionary.
+    n_lambda sized) for at most ``config.max_iterations`` iterations, with
+    the step 1/L from a power-iteration spectral bound; ``iterations`` and
+    trace rows then count its iterations only. Every result is certified
+    with :func:`kkt_residual` on the full dictionary.
     """
     if config is None:
         config = SolverConfig()
-    phi = problem.dictionary.matrix
-    y = problem.y_residual_base
     mask = problem.cond_support.mask()
     off = ~mask
     c_data = 1.0 / problem.sigma_o_sq
@@ -371,28 +376,21 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
 
     gram0 = problem.dictionary.gram
     gram_big = c_data * gram0 + np.diag(c_prior * mask)
-    phity = phi.T @ y
+    phity = problem.dictionary.matrix.T @ problem.y_residual_base
     rhs = c_data * phity + c_prior * (problem.lambda_prev * mask)
-    ynorm = float(y @ y)
-
-    if config.warm_start is not None:
-        x = np.array(config.warm_start, dtype=float)
-        if x.shape != (problem.dictionary.n_lambda,):
-            raise ValueError("warm_start has wrong length")
-    else:
-        x = np.zeros(problem.dictionary.n_lambda)
+    x = _warm_start(config, problem.dictionary.n_lambda)
 
     def gram_kkt(point, grad):
         on = float(np.max(np.abs(grad[mask]))) if np.any(mask) else 0.0
         return max(on, _l1_kkt(grad[off], point[off], problem.gamma))
 
+    def cost(point):
+        return evaluate_cost(problem, point)
+
     def certify(point):
         return kkt_residual(problem, point)
 
     trace = [] if config.record_trace else None
-
-    def objective(point):
-        return _gram_objective(point, gram0 @ point, phity, ynorm, problem, mask, off)
 
     grad_x = gram_big @ x - rhs
     kkt_now = gram_kkt(x, grad_x)
@@ -400,19 +398,19 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
         direct = certify(x)
         if direct <= config.kkt_tolerance:
             if trace is not None:
-                trace.append((0, objective(x), direct))
-            return SolverResult(x, None, evaluate_cost(problem, x), direct, 0, True, trace)
+                trace.append((0, cost(x), direct))
+            return SolverResult(x, None, cost(x), direct, 0, True, trace)
 
-    if config.polish:
-        rounds = _sign_pattern_rounds(problem, gram_big, rhs, mask, off, config.kkt_tolerance)
-        if rounds[-1][1] <= config.kkt_tolerance:
-            x_opt, direct = rounds[-1]
-            if trace is not None:
-                trace.append((0, objective(x), certify(x)))
-                trace.extend((r, objective(c), k) for r, (c, k) in enumerate(rounds, 1))
-            return SolverResult(
-                x_opt, None, evaluate_cost(problem, x_opt), direct, len(rounds), True, trace
-            )
+    rounds = _sign_pattern_rounds(
+        problem.gamma * off, gram_big, rhs, mask, cost, certify, config.kkt_tolerance
+    )
+    if trace is not None:
+        trace.append((0, cost(x), certify(x)))
+    if rounds[-1][1] <= config.kkt_tolerance:
+        x_opt, direct = rounds[-1]
+        if trace is not None:
+            trace.extend((r, cost(c), k) for r, (c, k) in enumerate(rounds, 1))
+        return SolverResult(x_opt, None, cost(x_opt), direct, len(rounds), True, trace)
 
     lmax = problem.gram_lmax
     if lmax is None:
@@ -424,8 +422,6 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
 
     z = x.copy()
     t_momentum = 1.0
-    if trace is not None:
-        trace.append((0, objective(x), certify(x)))
     tol = config.kkt_tolerance
     iterations = 0
 
@@ -434,141 +430,87 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
         grad_z = gram_big @ z - rhs
         x_new = z - grad_z / step_l
         x_new[off] = soft_threshold(x_new[off], problem.gamma / step_l)
-        obj_new = None
-
         grad_new = gram_big @ x_new - rhs
         kkt_now = gram_kkt(x_new, grad_new)
-        polished = False
-        if kkt_now > tol and config.polish and it % _POLISH_EVERY == 0:
-            cand = _polish_candidate(x_new, problem, gram_big, rhs, mask, off)
-            obj_new = objective(x_new)
-            obj_cand = objective(cand)
-            if obj_cand <= obj_new:
-                x_new = cand
-                obj_new = obj_cand
-                grad_new = gram_big @ x_new - rhs
-                kkt_now = gram_kkt(x_new, grad_new)
-                polished = True
-
         if trace is not None:
-            if obj_new is None:
-                obj_new = objective(x_new)
-            trace.append((it, obj_new, certify(x_new)))
+            trace.append((it, cost(x_new), certify(x_new)))
 
         if kkt_now <= tol:
             direct = certify(x_new)
             if direct <= config.kkt_tolerance:
-                return SolverResult(
-                    x_new, None, evaluate_cost(problem, x_new), direct, it, True, trace
-                )
+                return SolverResult(x_new, None, cost(x_new), direct, it, True, trace)
             # Gram and direct residuals disagree at float noise level; tighten
             tol *= 0.5
 
-        if polished:
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
+        z = x_new + (t_momentum - 1.0) / t_next * (x_new - x)
+        # adaptive restart on the momentum direction turning uphill
+        if float(grad_new @ (x_new - x)) > 0.0:
             z = x_new.copy()
-            t_momentum = 1.0
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            z = x_new + (t_momentum - 1.0) / t_next * (x_new - x)
-            # adaptive restart on the momentum direction turning uphill
-            if float(grad_new @ (x_new - x)) > 0.0:
-                z = x_new.copy()
-                t_next = 1.0
-            t_momentum = t_next
+            t_next = 1.0
+        t_momentum = t_next
         x = x_new
 
     direct = certify(x)
     return SolverResult(
-        x, None, evaluate_cost(problem, x), direct, iterations, direct <= config.kkt_tolerance, trace
+        x, None, cost(x), direct, iterations, direct <= config.kkt_tolerance, trace
     )
 
 
 def solve_with_outliers(
     problem: ModeTrackingProblem, config: SolverConfig | None = None
 ) -> SolverResult:
-    """Joint minimization over coefficients and a sparse per-pixel outlier vector."""
+    """Joint minimization over coefficients and a sparse per-pixel outlier vector.
+
+    The joint cost is a lasso over ``z = (lam, o)`` with dictionary
+    ``[Phi I]``: the Gram matrix is ``[[G, Phi'], [Phi, I]] / sigma_o_sq``
+    plus the prior on ``T``, and the l1 weights are ``gamma`` off ``T`` and
+    ``gamma_outlier`` on ``o``. Feature-sign search solves it exactly from
+    ``(warm start or 0, o = 0)``; the ridge point would start it from an
+    ``o`` that is dense at rounding level. ``iterations`` counts its rounds
+    (0 when the start already certifies) and the trace holds the start and
+    each round's candidate. When no round certifies within the round cap,
+    the candidate with the smallest KKT residual is returned flagged
+    ``converged = False``; ``config.max_iterations`` does not apply.
+    """
     if problem.gamma_outlier is None:
         raise ValueError("solve_with_outliers requires gamma_outlier")
     if config is None:
         config = SolverConfig()
     phi = problem.dictionary.matrix
     y = problem.y_residual_base
-    mask = problem.cond_support.mask()
-    off = ~mask
+    n, m = problem.dictionary.n_lambda, problem.dictionary.n_pixels
+    on = problem.cond_support.mask()
+    mask = np.concatenate([on, np.zeros(m, dtype=bool)])
     c_data = 1.0 / problem.sigma_o_sq
     c_prior = problem.beta / problem.sigma_l_sq
 
-    lmax = problem.gram_lmax
-    if lmax is None:
-        lmax = power_iteration_lmax(problem.dictionary.gram)
-    # spectral bound of the joint data operator [Phi I]: lmax(Phi^T Phi) + 1
-    step_l = 1.02 * c_data * (lmax + 1.0) + c_prior
+    gram_big = c_data * np.block([[problem.dictionary.gram, phi.T], [phi, np.eye(m)]])
+    gram_big += np.diag(c_prior * mask)
+    rhs = c_data * np.concatenate([phi.T @ y, y])
+    rhs[:n] += c_prior * (problem.lambda_prev * on)
+    weights = np.concatenate([problem.gamma * ~on, np.full(m, problem.gamma_outlier)])
+    start = np.concatenate([_warm_start(config, n), np.zeros(m)])
 
-    if config.warm_start is not None:
-        lam = np.array(config.warm_start, dtype=float)
-    else:
-        lam = np.zeros(problem.dictionary.n_lambda)
-    out = np.zeros(problem.dictionary.n_pixels)
+    def cost(point):
+        return evaluate_cost(problem, point[:n], point[n:])
 
-    def full_kkt(l_vec, o_vec):
-        return kkt_residual(problem, l_vec, o_vec)
+    def certify(point):
+        return kkt_residual(problem, point[:n], point[n:])
 
-    trace = [] if config.record_trace else None
-    kkt_now = full_kkt(lam, out)
-    if trace is not None:
-        trace.append((0, evaluate_cost(problem, lam, out), kkt_now))
-    if kkt_now <= config.kkt_tolerance:
-        return SolverResult(
-            lam, out, evaluate_cost(problem, lam, out), kkt_now, 0, True, trace
+    kkt_start = certify(start)
+    rounds = []
+    if kkt_start > config.kkt_tolerance:
+        rounds = _sign_pattern_rounds(
+            weights, gram_big, rhs, mask, cost, certify, config.kkt_tolerance, start
         )
-
-    z_lam, z_out = lam.copy(), out.copy()
-    t_momentum = 1.0
-    iterations = 0
-    for it in range(1, config.max_iterations + 1):
-        iterations = it
-        resid = phi @ z_lam + z_out - y
-        g_lam = c_data * (phi.T @ resid)
-        g_lam[mask] += c_prior * (z_lam - problem.lambda_prev)[mask]
-        g_out = c_data * resid
-
-        lam_new = z_lam - g_lam / step_l
-        lam_new[off] = soft_threshold(lam_new[off], problem.gamma / step_l)
-        out_new = soft_threshold(z_out - g_out / step_l, problem.gamma_outlier / step_l)
-
-        kkt_now = full_kkt(lam_new, out_new)
-        if trace is not None:
-            trace.append((it, evaluate_cost(problem, lam_new, out_new), kkt_now))
-        if kkt_now <= config.kkt_tolerance:
-            return SolverResult(
-                lam_new,
-                out_new,
-                evaluate_cost(problem, lam_new, out_new),
-                kkt_now,
-                it,
-                True,
-                trace,
-            )
-
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-        accel = (t_momentum - 1.0) / t_next
-        z_lam = lam_new + accel * (lam_new - lam)
-        z_out = out_new + accel * (out_new - out)
-        if float(g_lam @ (lam_new - lam)) + float(g_out @ (out_new - out)) > 0.0:
-            z_lam, z_out = lam_new.copy(), out_new.copy()
-            t_next = 1.0
-        t_momentum = t_next
-        lam, out = lam_new, out_new
-
-    kkt_now = full_kkt(lam, out)
+    z, kkt_now = min(rounds, key=lambda r: r[1], default=(start, kkt_start))
+    trace = None
+    if config.record_trace:
+        trace = [(0, cost(start), kkt_start)]
+        trace.extend((r, cost(c), k) for r, (c, k) in enumerate(rounds, 1))
     return SolverResult(
-        lam,
-        out,
-        evaluate_cost(problem, lam, out),
-        kkt_now,
-        iterations,
-        kkt_now <= config.kkt_tolerance,
-        trace,
+        z[:n], z[n:], cost(z), kkt_now, len(rounds), kkt_now <= config.kkt_tolerance, trace
     )
 
 

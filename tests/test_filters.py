@@ -341,7 +341,7 @@ class TestDegenerateExactness:
 class TestUnconvergedSolves:
     @pytest.mark.parametrize("variant", ["pafimocs", "pafimocs-ssc", "pf-mt"])
     def test_capped_solves_are_counted(self, variant):
-        capped = SolverConfig(max_iterations=1, polish=False, kkt_tolerance=1e-14)
+        capped = SolverConfig(max_iterations=1, kkt_tolerance=1e-300)
         cfg = FilterConfig(variant=variant, n_pf=6, d=1, solver=capped)
         result = track_six_frames(cfg, seed=4)
         assert 0 < result.unconverged_solves <= 5 * 6

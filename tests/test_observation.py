@@ -1,5 +1,5 @@
 """ROI geometry, frame rendering, the affine residual, and the observation
-log-likelihood with its clutter and mixture variants."""
+log-likelihood with its clutter term."""
 
 import math
 
@@ -182,18 +182,15 @@ def test_log_likelihood_from_gathered_pixels_is_bit_identical():
     )
     roi = compute_roi(motion, template, FRAME_DIMS)
     mapped = frame.pixels[roi.indices] - template.pixels
-    for noise in (
-        pure_noise(1.5),
-        NoiseModel(kind="gaussian-mixture", sigma_sq=1.0, sigma_out_sq=40.0, p_out=0.1),
-    ):
-        direct = log_likelihood(
-            frame, motion.as_array()[None], 0.9 * lam[None], template, dictionary, noise
-        )
-        from_pixels = log_likelihood(
-            frame, motion.as_array()[None], 0.9 * lam[None], template, dictionary, noise,
-            gathered=(mapped[None].copy(), np.array([roi.valid])),
-        )
-        assert from_pixels[0] == direct[0]
+    noise = pure_noise(1.5)
+    direct = log_likelihood(
+        frame, motion.as_array()[None], 0.9 * lam[None], template, dictionary, noise
+    )
+    from_pixels = log_likelihood(
+        frame, motion.as_array()[None], 0.9 * lam[None], template, dictionary, noise,
+        gathered=(mapped[None].copy(), np.array([roi.valid])),
+    )
+    assert from_pixels[0] == direct[0]
 
 
 def test_log_likelihood_clutter_term_cancels_in_differences():
@@ -257,46 +254,6 @@ def test_log_likelihood_invalid_roi_is_neg_inf():
         residual_g(frame, MotionState(100.0, 0.0, 1.0), np.zeros(3), template, dictionary)
 
 
-def test_mixture_p_out_zero_matches_pure():
-    template = small_template()
-    dictionary = build_dictionary(template, 1)
-    motion = MotionState(0.0, 0.0, 1.0)
-    frame = render_frame(
-        motion, np.zeros(3), template, dictionary, FRAME_DIMS, pure_noise(1.0),
-        np.random.default_rng(8),
-    )
-    rows = motion.as_array()[None]
-    pure = log_likelihood(frame, rows, np.zeros((1, 3)), template, dictionary, pure_noise(2.0))
-    mixture = NoiseModel(kind="gaussian-mixture", sigma_sq=2.0, sigma_out_sq=50.0, p_out=0.0)
-    mixed = log_likelihood(frame, rows, np.zeros((1, 3)), template, dictionary, mixture)
-    assert mixed == pytest.approx(pure, abs=1e-12)
-
-
-def test_mixture_downweights_outliers():
-    """A single corrupted pixel costs far less under the mixture model."""
-    template = small_template()
-    dictionary = build_dictionary(template, 1)
-    motion = MotionState(0.0, 0.0, 1.0)
-    frame = render_frame(
-        motion, np.zeros(3), template, dictionary, FRAME_DIMS, pure_noise(1.0),
-        np.random.default_rng(9),
-    )
-    roi = compute_roi(motion, template, FRAME_DIMS)
-    corrupted = frame.pixels.copy()
-    corrupted[roi.indices[5]] += 200.0
-    bad = Frame(corrupted, frame.height, frame.width)
-
-    rows, coeffs = motion.as_array()[None], np.zeros((1, 3))
-    mixture = NoiseModel(kind="gaussian-mixture", sigma_sq=1.0, sigma_out_sq=1e4, p_out=0.05)
-    pure_drop, mix_drop = (
-        log_likelihood(frame, rows, coeffs, template, dictionary, noise)[0]
-        - log_likelihood(bad, rows, coeffs, template, dictionary, noise)[0]
-        for noise in (pure_noise(1.0), mixture)
-    )
-    assert pure_drop > 1e4
-    assert mix_drop < 20.0
-
-
 def test_likelihood_peaks_at_true_motion():
     template = small_template(origin=(9, 9))
     dictionary = build_dictionary(template, 2)
@@ -319,8 +276,6 @@ def test_likelihood_peaks_at_true_motion():
 
 
 def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(kind="gaussian-mixture", sigma_sq=4.0, sigma_out_sq=1.0, p_out=0.1)
     with pytest.raises(ValueError):
         NoiseModel(kind="pure-gaussian", sigma_sq=-1.0)
     with pytest.raises(ValueError):
@@ -348,9 +303,6 @@ MOTION_ROWS = st.lists(
 )
 NOISE_KINDS = {
     "pure-gaussian": NoiseModel(kind="pure-gaussian", sigma_sq=1.5),
-    "gaussian-mixture": NoiseModel(
-        kind="gaussian-mixture", sigma_sq=1.0, sigma_out_sq=40.0, p_out=0.1
-    ),
     "point-mass": NoiseModel(kind="pure-gaussian", sigma_sq=0.0),
 }
 
@@ -369,14 +321,7 @@ def reference_row(frame, motion, coeffs, template, dictionary, noise):
         return indices, valid, NEG_INF
     r = frame.pixels[indices] - template.pixels - dictionary.matrix @ coeffs
     clutter = -(frame.n_pixels - template.n_pixels) * math.log(noise.pixel_max)
-    if noise.kind == "pure-gaussian":
-        return indices, valid, diag_gaussian_log_density(r, noise.sigma_sq) + clutter
-    c_in = math.log1p(-noise.p_out) - 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
-    c_out = math.log(noise.p_out) - 0.5 * math.log(2.0 * math.pi * noise.sigma_out_sq)
-    per_pixel = np.logaddexp(
-        c_in - r * r / (2.0 * noise.sigma_sq), c_out - r * r / (2.0 * noise.sigma_out_sq)
-    )
-    return indices, valid, float(np.sum(per_pixel)) + clutter
+    return indices, valid, diag_gaussian_log_density(r, noise.sigma_sq) + clutter
 
 
 @pytest.mark.parametrize("kind", sorted(NOISE_KINDS))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import cost_direct, ridge_closed_form, sign_pattern_minimum
 from pafimocs import filters, harness, solver
-from pafimocs.dictionary import Dictionary
+from pafimocs.dictionary import Dictionary, build_dictionary
 from pafimocs.models import SupportSet
 from pafimocs.solver import (
     ModeTrackingProblem,
@@ -231,11 +231,15 @@ def test_solver_matches_sign_pattern_enumeration():
         assert result.objective >= best - 1e-9
 
 
+# l1 weights 0.01 to 100
+WEIGHTS = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+
+
 @st.composite
-def small_problems(draw):
-    """Random instances with n_lambda <= 6, some of them rank-deficient."""
-    n_lambda = draw(st.integers(1, 6))
-    n_pixels = draw(st.integers(2, 12))
+def small_problems(draw, max_lambda=6, max_pixels=12):
+    """Random instances with n_lambda <= max_lambda, some of them rank-deficient."""
+    n_lambda = draw(st.integers(1, max_lambda))
+    n_pixels = draw(st.integers(2, max_pixels))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     phi = rng.standard_normal((n_pixels, n_lambda))
     deficiency = draw(st.sampled_from(["none", "zero-column", "repeated-column"]))
@@ -257,7 +261,7 @@ def small_problems(draw):
         sigma_l_sq=draw(st.sampled_from([0.1, 1.0, 10.0])),
         beta=draw(st.sampled_from([0.5, 1.0])),
         # up to 100: large enough to pin some off-support coordinates at zero
-        gamma=draw(st.floats(-2.0, 2.0).map(lambda e: 10.0**e)),
+        gamma=draw(WEIGHTS),
     )
 
 
@@ -374,7 +378,7 @@ def test_scaling_consistency():
 def test_unconverged_reports_flag_not_exception():
     rng = np.random.default_rng(12)
     problem = random_problem(rng, n_lambda=8, n_pixels=60, support_size=3)
-    result = solve(problem, SolverConfig(max_iterations=1, polish=False, kkt_tolerance=1e-14))
+    result = solve(problem, SolverConfig(max_iterations=1, kkt_tolerance=1e-300))
     assert not result.converged
     assert result.iterations == 1
 
@@ -451,6 +455,105 @@ def test_outlier_spike_recovery_with_shrinkage():
     # each recovered spike sits within the soft-threshold shrinkage of truth
     for idx, mag in zip(spikes, magnitudes):
         assert abs(result.outlier_opt[idx] - mag) <= gamma_out * problem.sigma_o_sq + 1e-3
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_problems(max_lambda=3, max_pixels=4), WEIGHTS, st.booleans())
+def test_solve_with_outliers_certifies_the_enumerated_minimum(base, gamma_outlier, warm):
+    # o = (gamma / gamma_outlier) u turns the joint cost into the plain cost
+    # over (lam, u) with dictionary [Phi, (gamma / gamma_outlier) I] and the
+    # single l1 weight gamma
+    problem = dataclasses.replace(base, gamma_outlier=gamma_outlier)
+    config = SolverConfig(warm_start=problem.lambda_prev if warm else None)
+    result = solve_with_outliers(problem, config)
+    m = problem.dictionary.n_pixels
+    _, best = sign_pattern_minimum(
+        np.hstack([problem.dictionary.matrix, problem.gamma / gamma_outlier * np.eye(m)]),
+        problem.y_residual_base,
+        np.concatenate([problem.lambda_prev, np.zeros(m)]),
+        np.concatenate([problem.cond_support.mask(), np.zeros(m, dtype=bool)]),
+        problem.sigma_o_sq,
+        problem.sigma_l_sq,
+        problem.beta,
+        problem.gamma,
+    )
+    assert result.converged
+    assert result.kkt_residual <= config.kkt_tolerance
+    assert abs(result.objective - best) <= 1e-9
+
+
+def test_outlier_solve_certifies_on_the_legendre_dictionary():
+    """The 32 x 32 bumps template with the d = 20 dictionary (41 columns,
+    1024 pixels) and 20 spikes of 200 grey levels, all found exactly."""
+    template = harness.make_template("bumps", 32, 32, seed=0)
+    dictionary = build_dictionary(template, 20)
+    n, m = dictionary.n_lambda, dictionary.n_pixels
+    rng = np.random.default_rng(0)
+    support = SupportSet.from_indices(rng.choice(n, size=6, replace=False), n)
+    lam_true = np.where(support.mask(), rng.normal(0.0, 0.1, n), 0.0)
+    spikes = rng.choice(m, size=20, replace=False)
+    y = dictionary.matrix @ lam_true + rng.normal(0.0, 1.0, m)
+    y[spikes] += 200.0 * rng.choice([-1.0, 1.0], size=20)
+    lam_prev = lam_true + 0.1 * rng.standard_normal(n) * support.mask()
+    problem = ModeTrackingProblem(
+        y_residual_base=y,
+        dictionary=dictionary,
+        lambda_prev=lam_prev,
+        cond_support=support,
+        sigma_o_sq=1.0,
+        sigma_l_sq=0.01,
+        beta=0.4,
+        gamma=0.7,
+        gamma_outlier=20.0,
+    )
+    result = solve_with_outliers(problem, SolverConfig(warm_start=lam_prev))
+    assert result.converged
+    assert result.kkt_residual == kkt_residual(problem, result.lambda_opt, result.outlier_opt)
+    assert np.array_equal(np.flatnonzero(result.outlier_opt), np.sort(spikes))
+
+
+def test_outlier_search_zeroes_coordinates_that_cross_zero_together():
+    # columns 0 and 1 are equal, so from the warm start their coefficients
+    # move in step and cross zero at the same point of a line search; the
+    # one not zeroed there is left at rounding level and must not stall it
+    phi = np.array(
+        [
+            [0.65134365, 0.65134365, -1.74329793],
+            [0.57356324, 0.57356324, -1.1790992],
+            [-0.44673852, -0.44673852, 2.08670979],
+        ]
+    )
+    problem = ModeTrackingProblem(
+        y_residual_base=np.array([-2.64458068, -1.95126687, 2.72402643]),
+        dictionary=custom_dictionary(phi),
+        lambda_prev=np.array([1.01991889, 1.16696462, 1.040224]),
+        cond_support=SupportSet.from_indices([], 3),
+        sigma_o_sq=1.0,
+        sigma_l_sq=1.0,
+        beta=0.5,
+        gamma=0.16062869,
+        gamma_outlier=0.16062869,
+    )
+    result = solve_with_outliers(problem, SolverConfig(warm_start=problem.lambda_prev))
+    _, best = sign_pattern_minimum(
+        np.hstack([phi, np.eye(3)]),
+        problem.y_residual_base,
+        np.zeros(6),
+        np.zeros(6, dtype=bool),
+        1.0,
+        1.0,
+        0.5,
+        problem.gamma,
+    )
+    assert result.converged
+    assert abs(result.objective - best) <= 1e-9
+
+
+def test_outlier_warm_start_length_is_checked():
+    rng = np.random.default_rng(21)
+    problem = random_problem(rng, n_lambda=4, gamma_outlier=1.0)
+    with pytest.raises(ValueError, match="warm_start"):
+        solve_with_outliers(problem, SolverConfig(warm_start=np.zeros(5)))
 
 
 def test_joint_cost_midpoint_convexity():
