@@ -5,6 +5,8 @@ artifacts. The runs are:
 
 - ``experiment``: ``run_experiment(SimConfig(n_frames=10, n_monte_carlo=2))``
   (``runs.csv``, ``aggregate.csv``, ``summary.json``);
+- ``experiment-seed-202``: the held-out seed,
+  ``run_experiment(SimConfig(n_frames=6, n_monte_carlo=1, seed=202, n_pf=30))``;
 - ``simulate``: ``pafimocs simulate --n-frames 10`` (every file it writes);
 - ``track-config-seed`` and ``track-seed-7``: ``pafimocs track`` over the
   default eight filters on that simulated directory, with the config seed
@@ -81,6 +83,10 @@ def write_artifacts(out: str, inputs: str) -> None:
     from pafimocs.harness import SimConfig, run_experiment
 
     run_experiment(SimConfig(n_frames=10, n_monte_carlo=2), os.path.join(out, "experiment"))
+    run_experiment(
+        SimConfig(n_frames=6, n_monte_carlo=1, seed=202, n_pf=30),
+        os.path.join(out, "experiment-seed-202"),
+    )
     sim = os.path.join(out, "simulate")
     runs = (
         ["simulate", "--out", sim, "--n-frames", "10"],

@@ -28,6 +28,7 @@ __all__ = [
     "build_dictionary",
     "ml_coeff_fit",
     "energy_support",
+    "energy_rows",
     "support_trace",
     "save_dictionary",
     "load_dictionary",
@@ -219,20 +220,30 @@ def energy_support(coeffs: np.ndarray, fraction: float) -> tuple[SupportSet, flo
     smallest included coefficient; the zero vector gives an empty support and
     threshold 0.0.
     """
+    mags = np.abs(np.asarray(coeffs, dtype=float))
+    picked = energy_rows(mags[None], fraction)[0]
+    alpha = float(np.min(mags[picked])) if np.any(picked) else 0.0
+    return SupportSet.from_mask(picked), alpha
+
+
+def energy_rows(coeffs: np.ndarray, fraction: float) -> np.ndarray:
+    """Boolean masks ``(n, k)`` of :func:`energy_support` for coefficient rows ``(n, k)``.
+
+    Per row: a stable sort by decreasing magnitude, the running squared
+    mass, and one more index than the count of running sums below
+    ``fraction`` of the total, which is where a sorted search would stop.
+    """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
-    coeffs = np.asarray(coeffs, dtype=float)
-    mags = np.abs(coeffs)
-    total = float(np.sum(mags * mags))
-    if total == 0.0:
-        return SupportSet((), coeffs.size), 0.0
-    order = np.argsort(-mags, kind="stable")
-    cum = np.cumsum(mags[order] ** 2)
-    k = int(np.searchsorted(cum, fraction * total, side="left")) + 1
-    k = min(k, coeffs.size)
-    picked = order[:k]
-    alpha = float(mags[picked[-1]])
-    return SupportSet.from_indices(picked, coeffs.size), alpha
+    mags = np.abs(np.ascontiguousarray(coeffs, dtype=float))  # rows sum as lone vectors
+    total = np.sum(mags * mags, axis=1)
+    order = np.argsort(-mags, axis=1, kind="stable")
+    cum = np.cumsum(np.take_along_axis(mags, order, axis=1) ** 2, axis=1)
+    count = np.count_nonzero(cum < fraction * total[:, None], axis=1) + 1
+    count = np.where(total == 0.0, 0, np.minimum(count, mags.shape[1]))
+    picked = np.zeros(mags.shape, dtype=bool)
+    np.put_along_axis(picked, order, np.arange(mags.shape[1]) < count[:, None], axis=1)
+    return picked
 
 
 @dataclass

@@ -21,6 +21,11 @@ then normalizes, records diagnostics and resamples. The moves are:
   coefficient transition density, and for ``pafimocs-ssc`` also the support
   transition probability.
 
+The mode-tracking move runs stacked over the slots with a valid ROI: one
+:func:`solve_rows` call, then row-wise support thresholds
+(:func:`threshold_rows`) and transition densities (``stp_coeffs_rows``,
+``stp_support_rows``), each row computed with a lone slot's arithmetic.
+
 RNG stream rule: ``ParticleSet.initialize`` spawns ``n_pf + 1`` child
 streams from one seed; child ``i`` is pinned to particle slot ``i`` for the
 whole run (streams follow slots, not ancestry) and the last child drives
@@ -40,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dictionary import Dictionary, TemplatePatch, build_dictionary, energy_support
+from .dictionary import Dictionary, TemplatePatch, build_dictionary, energy_rows
 from .models import (
     NEG_INF,
     FullState,
@@ -48,11 +53,12 @@ from .models import (
     SupportSet,
     sample_support_transition,
     sample_walk_rows,
-    stp_coeffs_log,
-    stp_support_log,
+    stp_coeffs_rows,
+    stp_support_rows,
 )
 from .observation import Frame, NoiseModel, log_likelihood, mapped_rows
-from .solver import ModeTrackingProblem, SolverConfig, power_iteration_lmax, solve
+from .solver import ModeTrackingRows, SolverConfig, power_iteration_lmax, solve_rows
+from .solver import solve  # noqa: F401  unused here; perfbench traces ``filters.solve``
 
 __all__ = [
     "TrackerLostError",
@@ -62,6 +68,7 @@ __all__ = [
     "TrackResult",
     "RunConstants",
     "threshold_support",
+    "threshold_rows",
     "systematic_resample",
     "filter_step",
     "run_tracker",
@@ -163,10 +170,16 @@ class FilterConfig:
 def threshold_support(coeffs: np.ndarray, rule: str = "energy-99", alpha: float = 0.0) -> SupportSet:
     """Support extraction from a solved coefficient vector."""
     coeffs = np.asarray(coeffs, dtype=float)
+    return SupportSet.from_mask(threshold_rows(coeffs[None], rule, alpha)[0])
+
+
+def threshold_rows(coeffs: np.ndarray, rule: str = "energy-99", alpha: float = 0.0) -> np.ndarray:
+    """Boolean support masks of coefficient rows ``(n, n_lambda)``, one
+    :func:`threshold_support` per row."""
     if rule == "energy-99":
-        return energy_support(coeffs, 0.99)[0]
+        return energy_rows(coeffs, 0.99)
     if rule == "fixed-alpha":
-        return SupportSet.from_indices(np.flatnonzero(np.abs(coeffs) > alpha), coeffs.size)
+        return np.abs(coeffs) > alpha
     raise ValueError(f"unknown support threshold rule {rule!r}")
 
 
@@ -281,7 +294,9 @@ def filter_step(
 def _mode_track(moved, frame, template, dictionary, params, cfg, run):
     """Mode-tracking move of ``moved`` (new motions, parents' states and base weights).
 
-    Returns the proposed set and the uncertified-solve count; off-frame slots get weight 0.
+    The solves, thresholds and transition densities run stacked over the
+    slots with a valid ROI. Returns the proposed set and the uncertified-solve
+    count; off-frame slots get weight 0.
     """
     if cfg.variant == "pafimocs":
         pairs = zip(moved.supports, moved.streams)
@@ -289,36 +304,41 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
     else:
         conds = moved.supports if cfg.variant == "pafimocs-ssc" else (run.full,) * moved.n_pf
     mapped, valid = mapped_rows(frame, moved.motion, template)
-    coeffs, supports = moved.coeffs.copy(), list(conds)
-    unconverged = 0
-    for i in np.flatnonzero(valid):
-        problem = ModeTrackingProblem(
-            y_residual_base=mapped[i],
-            dictionary=dictionary,
-            lambda_prev=moved.coeffs[i],
-            cond_support=conds[i],
-            sigma_o_sq=run.sigma_o_sq,
-            sigma_l_sq=run.sigma_l_sq,
-            beta=cfg.beta,
-            gamma=cfg.gamma,
-            gram_lmax=run.lmax,
-        )
-        result = solve(problem, replace(cfg.solver, warm_start=moved.coeffs[i], record_trace=False))
-        lam, supports[i] = result.lambda_opt, run.full
-        if cfg.variant != "pf-mt":
-            supports[i] = threshold_support(lam, cfg.support_threshold, cfg.alpha)
-            lam = lam * supports[i].mask()  # states stay exactly sparse
-        coeffs[i] = lam
-        unconverged += not result.converged
+    live = np.flatnonzero(valid)
+    prev = moved.coeffs[live]
+    rows = ModeTrackingRows(
+        y_residual_base=mapped[live],
+        dictionary=dictionary,
+        lambda_prev=prev,
+        cond_supports=tuple(conds[i] for i in live),
+        sigma_o_sq=run.sigma_o_sq,
+        sigma_l_sq=run.sigma_l_sq,
+        beta=cfg.beta,
+        gamma=cfg.gamma,
+        gram_lmax=run.lmax,
+    )
+    solved = solve_rows(rows, replace(cfg.solver, warm_start=prev, record_trace=False))
+    lam = solved.lambda_opt
+    if cfg.variant == "pf-mt":
+        masks = np.ones(lam.shape, dtype=bool)
+        solved_supports = (run.full,) * live.size
+    else:
+        masks = threshold_rows(lam, cfg.support_threshold, cfg.alpha)
+        lam = lam * masks  # states stay exactly sparse
+        solved_supports = [SupportSet.from_mask(mask) for mask in masks]
+    supports = list(conds)
+    for i, support in zip(live, solved_supports):
+        supports[i] = support
+    coeffs = moved.coeffs.copy()
+    coeffs[live] = lam
     log_w = moved.log_weights + log_likelihood(
         frame, moved.motion, coeffs, template, dictionary, run.noise, (mapped, valid)
     )
-    for i in np.flatnonzero(valid):
-        log_w[i] += stp_coeffs_log(coeffs[i], moved.coeffs[i], supports[i], params)
-        if cfg.variant == "pafimocs-ssc":
-            log_w[i] += stp_support_log(supports[i], moved.supports[i], params)
+    log_w[live] += stp_coeffs_rows(lam, prev, masks, params)
+    if cfg.variant == "pafimocs-ssc":
+        log_w[live] += stp_support_rows(masks, rows.masks, params)
     proposed = replace(moved, coeffs=coeffs, supports=tuple(supports), log_weights=log_w)
-    return proposed, unconverged
+    return proposed, int(np.count_nonzero(~solved.converged))
 
 
 @dataclass

@@ -37,11 +37,14 @@ __all__ = [
     "derive_pr_stationary",
     "sample_support_transition",
     "stp_support_log",
+    "stp_support_rows",
     "sample_coeff_transition",
     "stp_coeffs_log",
+    "stp_coeffs_rows",
     "sample_motion_transition",
     "sample_walk_rows",
     "diag_gaussian_log_density",
+    "diag_gaussian_log_rows",
 ]
 
 NEG_INF = float("-inf")
@@ -74,6 +77,10 @@ class SupportSet:
     @classmethod
     def from_indices(cls, indices, ambient_size: int) -> "SupportSet":
         return cls(tuple(sorted(set(int(i) for i in indices))), ambient_size)
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "SupportSet":
+        return cls(tuple(np.flatnonzero(mask).tolist()), mask.size)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -265,31 +272,33 @@ def sample_support_transition(prev: SupportSet, params: ModelParams, rng) -> Sup
     return SupportSet(tuple(int(i) for i in merged), params.n_lambda)
 
 
-def _count_log(count: int, p: float) -> float:
-    # count * log(p) with the 0 * log(0) = 0 convention
-    if count == 0:
-        return 0.0
+def _count_log_rows(counts: np.ndarray, p: float) -> np.ndarray:
+    # counts * log(p) with the 0 * log(0) = 0 convention
     if p == 0.0:
-        return NEG_INF
-    return count * math.log(p)
+        return np.where(counts == 0, 0.0, NEG_INF)
+    return np.where(counts == 0, 0.0, counts * math.log(p))
 
 
 def stp_support_log(new: SupportSet, prev: SupportSet, params: ModelParams) -> float:
     """Log transition probability of one support move under the add/remove model."""
-    if new.ambient_size != prev.ambient_size:
+    return float(stp_support_rows(new.mask()[None], prev.mask()[None], params)[0])
+
+
+def stp_support_rows(new: np.ndarray, prev: np.ndarray, params: ModelParams) -> np.ndarray:
+    """:func:`stp_support_log` of each row of the boolean support masks ``new`` and ``prev``."""
+    if new.shape != prev.shape:
         raise ValueError("support sets live in different ambient sizes")
-    if new.ambient_size != params.n_lambda:
+    if new.shape[1] != params.n_lambda:
         raise ValueError("support ambient size does not match params.n_lambda")
-    added = set(new.indices) - set(prev.indices)
-    removed = set(prev.indices) - set(new.indices)
-    n_comp = params.n_lambda - len(prev)
-    total = (
-        _count_log(len(added), params.p_a)
-        + _count_log(n_comp - len(added), 1.0 - params.p_a)
-        + _count_log(len(removed), params.p_r)
-        + _count_log(len(prev) - len(removed), 1.0 - params.p_r)
+    added = np.count_nonzero(new & ~prev, axis=1)
+    removed = np.count_nonzero(prev & ~new, axis=1)
+    n_prev = np.count_nonzero(prev, axis=1)
+    return (
+        _count_log_rows(added, params.p_a)
+        + _count_log_rows(params.n_lambda - n_prev - added, 1.0 - params.p_a)
+        + _count_log_rows(removed, params.p_r)
+        + _count_log_rows(n_prev - removed, 1.0 - params.p_r)
     )
-    return total
 
 
 def diag_gaussian_log_density(dev, var) -> float:
@@ -299,19 +308,27 @@ def diag_gaussian_log_density(dev, var) -> float:
     masses: they contribute 0.0 when ``|dev| <= ZERO_VAR_ATOL`` else ``-inf``.
     """
     dev = np.atleast_1d(np.asarray(dev, dtype=float))
-    var = np.broadcast_to(np.asarray(var, dtype=float), dev.shape)
+    return float(diag_gaussian_log_rows(dev[None], var)[0])
+
+
+def diag_gaussian_log_rows(dev: np.ndarray, var) -> np.ndarray:
+    """:func:`diag_gaussian_log_density` of each row of ``dev`` ``(n, k)``.
+
+    ``var`` is shared by the rows: a scalar or one variance per column. Each
+    row's terms are summed as a lone row's would be.
+    """
+    dev = np.ascontiguousarray(dev, dtype=float)
+    var = np.broadcast_to(np.asarray(var, dtype=float), dev.shape[1:])
     if np.any(var < 0.0):
         raise ValueError("variances must be nonnegative")
     degenerate = var == 0.0
-    if np.any(degenerate):
-        if np.any(np.abs(dev[degenerate]) > ZERO_VAR_ATOL):
-            return NEG_INF
+    out = np.zeros(len(dev))
     live = ~degenerate
-    if not np.any(live):
-        return 0.0
-    v = var[live]
-    d = dev[live]
-    return float(-0.5 * np.sum(np.log(2.0 * np.pi * v) + d * d / v))
+    if np.any(live):
+        v = var[live]
+        d = np.compress(live, dev, axis=1)  # C order: a row sums as a lone vector does
+        out = -0.5 * np.sum(np.log(2.0 * np.pi * v) + d * d / v, axis=1)
+    return np.where(np.any(np.abs(dev[:, degenerate]) > ZERO_VAR_ATOL, axis=1), NEG_INF, out)
 
 
 def sample_coeff_transition(
@@ -340,17 +357,32 @@ def stp_coeffs_log(
     """
     new = np.asarray(new, dtype=float)
     prev = np.asarray(prev, dtype=float)
-    if new.shape != (params.n_lambda,) or prev.shape != (params.n_lambda,):
+    return float(stp_coeffs_rows(new[None], prev[None], support.mask()[None], params)[0])
+
+
+def stp_coeffs_rows(
+    new: np.ndarray, prev: np.ndarray, masks: np.ndarray, params: ModelParams
+) -> np.ndarray:
+    """:func:`stp_coeffs_log` of each row: coefficients ``(n, n_lambda)``, support masks alike.
+
+    Rows are grouped by support size, so each row's on-support terms are
+    summed as one contiguous row, as a lone vector's are.
+    """
+    shape = (len(new), params.n_lambda)
+    if new.shape != shape or prev.shape != shape:
         raise ValueError("coefficient vectors have wrong length")
-    if support.ambient_size != params.n_lambda:
+    if masks.shape != shape:
         raise ValueError("support ambient size does not match params.n_lambda")
-    off = ~support.mask()
-    if np.any(new[off] != 0.0):
+    if np.any(new[~masks] != 0.0):
         raise ValueError("new coefficients must be exactly zero off the support")
-    if len(support) == 0:
-        return 0.0
-    idx = support.as_array()
-    return diag_gaussian_log_density(new[idx] - prev[idx], params.sigma_l_sq)
+    out = np.zeros(len(new))
+    sizes = np.count_nonzero(masks, axis=1)
+    for size in np.unique(sizes[sizes > 0]):
+        group = np.flatnonzero(sizes == size)
+        cols = np.nonzero(masks[group])[1].reshape(group.size, size)
+        rows = group[:, None]
+        out[group] = diag_gaussian_log_rows(new[rows, cols] - prev[rows, cols], params.sigma_l_sq)
+    return out
 
 
 def sample_motion_transition(prev: MotionState, params: ModelParams, rng) -> MotionState:

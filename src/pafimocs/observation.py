@@ -108,7 +108,7 @@ class NoiseModel:
             raise ValueError("pixel_max must be positive")
 
 
-_ROW_BLOCK = 16
+ROW_BLOCK = 16  # rows per block of stacked per-row work; bounds the temporaries
 
 
 def round_half_away(x):
@@ -138,8 +138,8 @@ def roi_rows(
 def mapped_rows(frame: Frame, motion: np.ndarray, template: TemplatePatch) -> tuple:
     """ROI pixels minus the template per motion row (pixel 0 if invalid), and validity."""
     mapped, valid = np.empty((len(motion), template.n_pixels)), np.empty(len(motion), dtype=bool)
-    for lo in range(0, len(motion), _ROW_BLOCK):  # a block of index rows at a time bounds memory
-        rows = slice(lo, lo + _ROW_BLOCK)
+    for lo in range(0, len(motion), ROW_BLOCK):  # a block of index rows at a time bounds memory
+        rows = slice(lo, lo + ROW_BLOCK)
         indices, valid[rows] = roi_rows(motion[rows], template, (frame.height, frame.width))
         np.take(frame.pixels, np.where(valid[rows, None], indices, 0), out=mapped[rows])
     mapped -= template.pixels

@@ -11,13 +11,16 @@ mode minimizes
 optionally jointly with a per-pixel outlier vector ``o`` entering the data
 term as ``y - Phi lam - o``.
 
-:func:`solve` runs feature-sign search (Lee, Battle, Raina & Ng 2007).
+:func:`solve_rows` solves a stack of such problems over one dictionary, and
+:func:`solve` is its one-row case; each row gets the bits a lone solve would.
+The search is feature-sign search (Lee, Battle, Raina & Ng 2007).
 Starting from the ridge minimizer of the smooth part, each round solves the
 smooth-plus-linear system restricted to the current sign pattern, certifies
 the candidate, and otherwise moves to the cheapest point on the way to it,
 dropping a coordinate whose sign changes or adding the one that violates
 optimality most. At image data scales the optimal sign pattern is almost
-always that of the ridge solution, so one round usually suffices. With
+always that of the ridge solution, so one round usually suffices, and that
+round runs stacked over the rows; the rest go on one row at a time. With
 dependent dictionary columns the search may restart from zero, and it steps
 along null directions of singular systems. When no round certifies,
 accelerated proximal gradient iterations run from the warm start (soft
@@ -35,22 +38,27 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .dictionary import Dictionary
 from .models import SupportSet
+from .observation import ROW_BLOCK
 
 __all__ = [
     "ModeTrackingProblem",
+    "ModeTrackingRows",
     "SolverConfig",
     "SolverResult",
+    "RowSolutions",
     "SscOracleResult",
     "evaluate_cost",
     "smooth_gradient",
     "kkt_residual",
     "solve",
+    "solve_rows",
     "solve_with_outliers",
     "brute_force_ssc_oracle",
     "power_iteration_lmax",
@@ -62,6 +70,27 @@ __all__ = [
 _ORACLE_MAX_AMBIENT = 12
 # eigenvalue ratio below which a Gram system counts as singular
 _SINGULAR_RATIO = 1e-12
+
+
+def _checked_rows(owner, y, prev, supports) -> tuple[np.ndarray, np.ndarray]:
+    """``y`` and ``prev`` as float stacks, one problem per row, after validating
+    them and the dictionary and cost weights of ``owner``."""
+    y = np.ascontiguousarray(y, dtype=float)
+    prev = np.ascontiguousarray(prev, dtype=float)
+    dictionary = owner.dictionary
+    if y.shape != (len(supports), dictionary.n_pixels):
+        raise ValueError("y_residual_base length must match the dictionary rows")
+    if prev.shape != (len(supports), dictionary.n_lambda):
+        raise ValueError("lambda_prev length must match the dictionary columns")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(prev))):
+        raise ValueError("problem data must be finite")
+    if any(s.ambient_size != dictionary.n_lambda for s in supports):
+        raise ValueError("cond_support ambient size must match the dictionary columns")
+    if owner.sigma_o_sq <= 0.0 or owner.sigma_l_sq <= 0.0:
+        raise ValueError("sigma_o_sq and sigma_l_sq must be positive")
+    if owner.beta < 0.0 or owner.gamma < 0.0:
+        raise ValueError("beta and gamma must be nonnegative")
+    return y, prev
 
 
 @dataclass(eq=False)
@@ -80,24 +109,58 @@ class ModeTrackingProblem:
     gram_lmax: float | None = None  # optional cached spectral bound of Phi^T Phi
 
     def __post_init__(self):
-        y = np.asarray(self.y_residual_base, dtype=float)
-        prev = np.asarray(self.lambda_prev, dtype=float)
-        if y.shape != (self.dictionary.n_pixels,):
-            raise ValueError("y_residual_base length must match the dictionary rows")
-        if prev.shape != (self.dictionary.n_lambda,):
-            raise ValueError("lambda_prev length must match the dictionary columns")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(prev))):
-            raise ValueError("problem data must be finite")
-        if self.cond_support.ambient_size != self.dictionary.n_lambda:
-            raise ValueError("cond_support ambient size must match the dictionary columns")
-        if self.sigma_o_sq <= 0.0 or self.sigma_l_sq <= 0.0:
-            raise ValueError("sigma_o_sq and sigma_l_sq must be positive")
-        if self.beta < 0.0 or self.gamma < 0.0:
-            raise ValueError("beta and gamma must be nonnegative")
+        y, prev = _checked_rows(
+            self,
+            np.asarray(self.y_residual_base, dtype=float)[None],
+            np.asarray(self.lambda_prev, dtype=float)[None],
+            (self.cond_support,),
+        )
         if self.gamma_outlier is not None and self.gamma_outlier < 0.0:
             raise ValueError("gamma_outlier must be nonnegative")
-        object.__setattr__(self, "y_residual_base", y)
-        object.__setattr__(self, "lambda_prev", prev)
+        object.__setattr__(self, "y_residual_base", y[0])
+        object.__setattr__(self, "lambda_prev", prev[0])
+
+
+@dataclass(eq=False)
+class ModeTrackingRows:
+    """Mode-tracking problems sharing one dictionary and one set of cost weights.
+
+    Row ``i`` of ``y_residual_base`` and ``lambda_prev`` with
+    ``cond_supports[i]`` is problem ``i`` (:meth:`problem`); ``masks`` holds
+    the supports as boolean rows. The data are validated once per stack.
+    """
+
+    y_residual_base: np.ndarray  # (n, n_pixels)
+    dictionary: Dictionary
+    lambda_prev: np.ndarray  # (n, n_lambda)
+    cond_supports: tuple  # one SupportSet per row
+    sigma_o_sq: float
+    sigma_l_sq: float
+    beta: float = 1.0
+    gamma: float = 0.7
+    gram_lmax: float | None = None
+    masks: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.y_residual_base, self.lambda_prev = _checked_rows(
+            self, self.y_residual_base, self.lambda_prev, self.cond_supports
+        )
+        self.masks = np.array([s.mask() for s in self.cond_supports], dtype=bool).reshape(
+            self.lambda_prev.shape
+        )
+
+    def problem(self, i: int) -> ModeTrackingProblem:
+        return ModeTrackingProblem(
+            y_residual_base=self.y_residual_base[i],
+            dictionary=self.dictionary,
+            lambda_prev=self.lambda_prev[i],
+            cond_support=self.cond_supports[i],
+            sigma_o_sq=self.sigma_o_sq,
+            sigma_l_sq=self.sigma_l_sq,
+            beta=self.beta,
+            gamma=self.gamma,
+            gram_lmax=self.gram_lmax,
+        )
 
 
 @dataclass
@@ -112,6 +175,16 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.kkt_tolerance <= 0.0:
             raise ValueError("kkt_tolerance must be positive")
+
+
+class RowSolutions(NamedTuple):
+    """Results of :func:`solve_rows`, row ``i`` for problem ``i``."""
+
+    lambda_opt: np.ndarray  # (n, n_lambda)
+    kkt_residual: np.ndarray  # (n,)
+    iterations: np.ndarray  # (n,)
+    converged: np.ndarray  # (n,) bool
+    traces: list | None  # one per row when the config records traces
 
 
 @dataclass
@@ -170,46 +243,61 @@ def evaluate_cost(problem: ModeTrackingProblem, lam, outlier=None) -> float:
     return total
 
 
+def _matvec_rows(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # one matrix-vector product per row (``mat`` shared or stacked per row), so
+    # each row gets the bits of a lone product; a matrix-matrix product would not
+    return np.matmul(mat, rows[:, :, None])[:, :, 0]
+
+
+def _gradient_rows(phi, y, prev, masks, sigma_o_sq, c_prior, lam, outlier=None):
+    """Smooth-part gradient rows in ``lam`` and the data residual rows."""
+    resid = _matvec_rows(phi, lam) - y
+    if outlier is not None:
+        resid = resid + outlier
+    g_lam = _matvec_rows(phi.T, resid) / sigma_o_sq
+    return np.where(masks, g_lam + c_prior * (lam - prev), g_lam), resid
+
+
+def _kkt_rows(grad: np.ndarray, x: np.ndarray, masks: np.ndarray, weight: float) -> np.ndarray:
+    """Max-norm subgradient residual of each row: the ``masks`` coordinates are
+    smooth, the others carry an l1 term of ``weight``."""
+    l1 = np.where(
+        x == 0.0,
+        np.maximum(np.abs(grad) - weight, 0.0),
+        np.abs(grad + weight * np.sign(x)),
+    )
+    return np.max(np.where(masks, np.abs(grad), l1), axis=1, initial=0.0)
+
+
 def smooth_gradient(problem: ModeTrackingProblem, lam, outlier=None):
     """Gradient of the smooth part at (lam, outlier); outlier grad is None
     when no outlier vector is passed."""
     lam = np.asarray(lam, dtype=float)
-    resid = problem.dictionary.matrix @ lam - problem.y_residual_base
     if outlier is not None:
-        resid = resid + np.asarray(outlier, dtype=float)
-    g_lam = problem.dictionary.matrix.T @ resid / problem.sigma_o_sq
-    mask = problem.cond_support.mask()
-    g_lam[mask] += problem.beta / problem.sigma_l_sq * (lam - problem.lambda_prev)[mask]
-    g_out = resid / problem.sigma_o_sq if outlier is not None else None
-    return g_lam, g_out
-
-
-def _l1_kkt(grad: np.ndarray, x: np.ndarray, weight: float) -> float:
-    # subgradient residual of weight * ||x||_1 coordinates
-    if grad.size == 0:
-        return 0.0
-    zero = x == 0.0
-    res = np.where(
-        zero,
-        np.maximum(np.abs(grad) - weight, 0.0),
-        np.abs(grad + weight * np.sign(x)),
+        outlier = np.asarray(outlier, dtype=float)[None]
+    g_lam, resid = _gradient_rows(
+        problem.dictionary.matrix,
+        problem.y_residual_base[None],
+        problem.lambda_prev[None],
+        problem.cond_support.mask()[None],
+        problem.sigma_o_sq,
+        problem.beta / problem.sigma_l_sq,
+        lam[None],
+        outlier,
     )
-    return float(np.max(res))
+    return g_lam[0], None if outlier is None else resid[0] / problem.sigma_o_sq
 
 
 def kkt_residual(problem: ModeTrackingProblem, lam, outlier=None) -> float:
     """Max-norm subgradient residual; 0 exactly at a minimizer."""
     lam = np.asarray(lam, dtype=float)
     g_lam, g_out = smooth_gradient(problem, lam, outlier)
-    mask = problem.cond_support.mask()
-    best = float(np.max(np.abs(g_lam[mask]))) if np.any(mask) else 0.0
-    best = max(best, _l1_kkt(g_lam[~mask], lam[~mask], problem.gamma))
+    best = _kkt_rows(g_lam[None], lam[None], problem.cond_support.mask()[None], problem.gamma)
     if outlier is not None:
-        best = max(
-            best,
-            _l1_kkt(g_out, np.asarray(outlier, dtype=float), problem.gamma_outlier),
-        )
-    return best
+        outlier = np.asarray(outlier, dtype=float)[None]
+        free = np.zeros(outlier.shape, dtype=bool)
+        best = np.maximum(best, _kkt_rows(g_out[None], outlier, free, problem.gamma_outlier))
+    return float(best[0])
 
 
 def _pattern_candidate(pattern, weights, gram_big, rhs, mask):
@@ -354,7 +442,8 @@ def _warm_start(config: SolverConfig, n_lambda: int) -> np.ndarray:
 
 
 def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> SolverResult:
-    """Minimize the coefficient-only mode-tracking cost.
+    """Minimize the coefficient-only mode-tracking cost: the one-row case of
+    :func:`solve_rows`.
 
     A warm start that already certifies is returned with ``iterations`` 0.
     Otherwise feature-sign search runs from the ridge minimizer (see the
@@ -369,20 +458,114 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
     """
     if config is None:
         config = SolverConfig()
+    rows = ModeTrackingRows(
+        y_residual_base=problem.y_residual_base[None],
+        dictionary=problem.dictionary,
+        lambda_prev=problem.lambda_prev[None],
+        cond_supports=(problem.cond_support,),
+        sigma_o_sq=problem.sigma_o_sq,
+        sigma_l_sq=problem.sigma_l_sq,
+        beta=problem.beta,
+        gamma=problem.gamma,
+        gram_lmax=problem.gram_lmax,
+    )
+    warm = _warm_start(config, problem.dictionary.n_lambda)
+    out = solve_rows(rows, replace(config, warm_start=warm[None]))
+    x = out.lambda_opt[0]
+    return SolverResult(
+        x,
+        None,
+        evaluate_cost(problem, x),
+        float(out.kkt_residual[0]),
+        int(out.iterations[0]),
+        bool(out.converged[0]),
+        None if out.traces is None else out.traces[0],
+    )
+
+
+def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> RowSolutions:
+    """Solve each row's problem as :func:`solve` would, with its bits.
+
+    ``config.warm_start`` is ``(n, n_lambda)``, zeros when None. Rows run in
+    blocks of ``ROW_BLOCK``, which bounds the stacked temporaries. A block
+    builds every row's Gram system, checks the warm starts, solves for the
+    ridge points and the first sign-pattern candidates, and certifies those
+    on the full dictionary, all stacked. A row whose candidate certifies is
+    done in one round. The others take the one-row path
+    (:func:`_solve_row`): rows whose warm start passes the Gram check, whose
+    ridge point has an exact zero off the support (a smaller first pattern),
+    or whose candidate does not certify, every row of a block with a
+    singular system, and every row when traces are recorded. Stacked
+    products are one matrix-vector product or LU solve per row, so no row's
+    arithmetic changes.
+    """
+    if config is None:
+        config = SolverConfig()
+    n, k = rows.lambda_prev.shape
+    warm = np.zeros((n, k))
+    if config.warm_start is not None:
+        warm = np.array(config.warm_start, dtype=float, order="C")
+    if warm.shape != (n, k):
+        raise ValueError("warm_start has wrong shape")
+    phi, tol = rows.dictionary.matrix, config.kkt_tolerance
+    c_data = 1.0 / rows.sigma_o_sq
+    c_prior = rows.beta / rows.sigma_l_sq
+    gram_data = c_data * rows.dictionary.gram
+    diagonal = np.arange(k)
+    out = RowSolutions(
+        np.empty((n, k)),
+        np.empty(n),
+        np.ones(n, dtype=int),
+        np.ones(n, dtype=bool),
+        [None] * n if config.record_trace else None,
+    )
+    for lo in range(0, n, ROW_BLOCK):
+        block = slice(lo, lo + ROW_BLOCK)
+        y, prev, x = rows.y_residual_base[block], rows.lambda_prev[block], warm[block]
+        masks = rows.masks[block]
+        gram_big = np.zeros((len(x), k, k))
+        gram_big[:, diagonal, diagonal] = c_prior * masks
+        gram_big += gram_data
+        rhs = c_data * _matvec_rows(phi.T, y) + c_prior * (prev * masks)
+        grad = _matvec_rows(gram_big, x) - rhs
+        one_row = (_kkt_rows(grad, x, masks, rows.gamma) <= tol) | config.record_trace
+        try:
+            ridge = np.linalg.solve(gram_big, rhs[:, :, None])[:, :, 0]
+            target = rhs - rows.gamma * ~masks * np.sign(ridge)
+            # where the sign term leaves the right-hand side's bits unchanged
+            # (a full support has no l1 term), the candidate is the ridge point
+            cand = ridge.copy()
+            redo = ~np.all((target == rhs) & (rhs != 0.0), axis=1)
+            cand[redo] = np.linalg.solve(gram_big[redo], target[redo][:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            ridge = cand = np.zeros_like(x)
+            one_row[:] = True
+        one_row |= np.any(~masks & (ridge == 0.0), axis=1)
+        grad, _ = _gradient_rows(phi, y, prev, masks, rows.sigma_o_sq, c_prior, cand)
+        kkt = _kkt_rows(grad, cand, masks, rows.gamma)
+        one_row |= ~(kkt <= tol)
+        out.lambda_opt[block] = cand
+        out.kkt_residual[block] = kkt
+        for j in np.flatnonzero(one_row):
+            i = lo + j
+            lam, out.kkt_residual[i], out.iterations[i], out.converged[i], trace = _solve_row(
+                rows.problem(i), gram_big[j], rhs[j], x[j], config
+            )
+            out.lambda_opt[i] = lam
+            if out.traces is not None:
+                out.traces[i] = trace
+    return out
+
+
+def _solve_row(problem, gram_big, rhs, x, config):
+    """One row of :func:`solve_rows` from its Gram system and warm start ``x``:
+    ``(lambda, kkt residual, iterations, converged, trace)``."""
     mask = problem.cond_support.mask()
     off = ~mask
-    c_data = 1.0 / problem.sigma_o_sq
-    c_prior = problem.beta / problem.sigma_l_sq
-
-    gram0 = problem.dictionary.gram
-    gram_big = c_data * gram0 + np.diag(c_prior * mask)
-    phity = problem.dictionary.matrix.T @ problem.y_residual_base
-    rhs = c_data * phity + c_prior * (problem.lambda_prev * mask)
-    x = _warm_start(config, problem.dictionary.n_lambda)
+    tol = config.kkt_tolerance
 
     def gram_kkt(point, grad):
-        on = float(np.max(np.abs(grad[mask]))) if np.any(mask) else 0.0
-        return max(on, _l1_kkt(grad[off], point[off], problem.gamma))
+        return _kkt_rows(grad[None], point[None], mask[None], problem.gamma)[0]
 
     def cost(point):
         return evaluate_cost(problem, point)
@@ -392,37 +575,31 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
 
     trace = [] if config.record_trace else None
 
-    grad_x = gram_big @ x - rhs
-    kkt_now = gram_kkt(x, grad_x)
-    if kkt_now <= config.kkt_tolerance:
+    if gram_kkt(x, gram_big @ x - rhs) <= tol:
         direct = certify(x)
-        if direct <= config.kkt_tolerance:
+        if direct <= tol:
             if trace is not None:
                 trace.append((0, cost(x), direct))
-            return SolverResult(x, None, cost(x), direct, 0, True, trace)
+            return x, direct, 0, True, trace
 
-    rounds = _sign_pattern_rounds(
-        problem.gamma * off, gram_big, rhs, mask, cost, certify, config.kkt_tolerance
-    )
+    rounds = _sign_pattern_rounds(problem.gamma * off, gram_big, rhs, mask, cost, certify, tol)
     if trace is not None:
         trace.append((0, cost(x), certify(x)))
-    if rounds[-1][1] <= config.kkt_tolerance:
-        x_opt, direct = rounds[-1]
+    if rounds[-1][1] <= tol:
         if trace is not None:
             trace.extend((r, cost(c), k) for r, (c, k) in enumerate(rounds, 1))
-        return SolverResult(x_opt, None, cost(x_opt), direct, len(rounds), True, trace)
+        return *rounds[-1], len(rounds), True, trace
 
     lmax = problem.gram_lmax
     if lmax is None:
-        lmax = power_iteration_lmax(gram0)
+        lmax = power_iteration_lmax(problem.dictionary.gram)
     # 2 percent headroom: power iteration approaches lmax from below
-    step_l = 1.02 * c_data * lmax + c_prior
+    step_l = 1.02 * (1.0 / problem.sigma_o_sq) * lmax + problem.beta / problem.sigma_l_sq
     if step_l <= 0.0:
         step_l = 1.0
 
     z = x.copy()
     t_momentum = 1.0
-    tol = config.kkt_tolerance
     iterations = 0
 
     for it in range(1, config.max_iterations + 1):
@@ -438,7 +615,7 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
         if kkt_now <= tol:
             direct = certify(x_new)
             if direct <= config.kkt_tolerance:
-                return SolverResult(x_new, None, cost(x_new), direct, it, True, trace)
+                return x_new, direct, it, True, trace
             # Gram and direct residuals disagree at float noise level; tighten
             tol *= 0.5
 
@@ -452,9 +629,7 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
         x = x_new
 
     direct = certify(x)
-    return SolverResult(
-        x, None, cost(x), direct, iterations, direct <= config.kkt_tolerance, trace
-    )
+    return x, direct, iterations, direct <= config.kkt_tolerance, trace
 
 
 def solve_with_outliers(

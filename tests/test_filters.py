@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import weighted_mean_reference
-from pafimocs import filters, solver
+from pafimocs import filters, harness, solver
 from pafimocs.dictionary import TemplatePatch, build_dictionary
 from pafimocs.filters import (
     VARIANTS,
@@ -21,6 +23,7 @@ from pafimocs.filters import (
     replace_params_ambient,
     run_tracker,
     systematic_resample,
+    threshold_rows,
     threshold_support,
 )
 from pafimocs.models import (
@@ -30,7 +33,7 @@ from pafimocs.models import (
     MotionState,
     SupportSet,
 )
-from pafimocs.observation import NoiseModel, render_frame
+from pafimocs.observation import Frame, NoiseModel, render_frame
 from pafimocs.solver import SolverConfig
 
 FRAME_DIMS = (20, 20)
@@ -91,6 +94,42 @@ class TestThresholdSupport:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
             threshold_support(np.ones(3), "topk")
+        with pytest.raises(ValueError, match="threshold"):
+            threshold_rows(np.ones((2, 3)), "topk")
+
+
+def energy_reference(coeffs, fraction=0.99):
+    """One row's energy support by sorted search over the running squared mass."""
+    mags = np.abs(coeffs)
+    total = float(np.sum(mags * mags))
+    if total == 0.0:
+        return ()
+    order = np.argsort(-mags, kind="stable")
+    cum = np.cumsum(mags[order] ** 2)
+    k = min(int(np.searchsorted(cum, fraction * total, side="left")) + 1, coeffs.size)
+    return tuple(sorted(int(i) for i in order[:k]))
+
+
+# small integer magnitudes with random signs, so rows hold ties and zero rows
+COEFF_ROWS = st.integers(1, 12).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(-3, 3).map(float), min_size=k, max_size=k), min_size=0, max_size=20
+    ).map(lambda rows: np.array(rows, dtype=float).reshape(len(rows), k))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(COEFF_ROWS, st.sampled_from([1.0, 1e-3, 1e5]))
+def test_threshold_rows_match_each_row(coeffs, scale):
+    coeffs = coeffs * scale
+    energy = threshold_rows(coeffs, "energy-99")
+    fixed = threshold_rows(coeffs, "fixed-alpha", 1.5 * scale)
+    assert energy.shape == fixed.shape == coeffs.shape
+    for row, e, f in zip(coeffs, energy, fixed):
+        assert tuple(np.flatnonzero(e)) == energy_reference(row)
+        assert tuple(np.flatnonzero(e)) == threshold_support(row, "energy-99").indices
+        fixed_lone = threshold_support(row, "fixed-alpha", 1.5 * scale)
+        assert tuple(np.flatnonzero(f)) == fixed_lone.indices
 
 
 class TestSystematicResample:
@@ -445,6 +484,19 @@ class TestInvalidRoiHandling:
         assert np.array_equal(result.motion, np.tile(far.motion.as_array(), (6, 1)))
         assert np.all(result.ess[1:] == 0.0)
         assert np.all(result.max_log_weight[1:] == NEG_INF)
+
+
+@pytest.mark.parametrize("label", ["pafimocs", "pf-mt-20"])
+def test_non_finite_frame_is_rejected(label):
+    # frames read from text files may hold NaN; the mode-tracking move refuses them
+    cfg = harness.SimConfig(n_frames=2)
+    truth = harness.generate_sequence(cfg, np.random.default_rng(0))
+    frames = list(truth.frames)
+    frames[2] = Frame(np.full(frames[2].n_pixels, np.nan), frames[2].height, frames[2].width)
+    spec = harness.parse_filter_label(label, cfg.d)
+    fcfg = replace(harness.resolve_filter_config(spec, cfg), n_pf=10)
+    with pytest.raises(ValueError, match="problem data must be finite"):
+        run_tracker(frames, truth.template, cfg.params, fcfg, truth.states[0], 1)
 
 
 class TestAmbientCoercion:

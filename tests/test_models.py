@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gaussian_log_density
 from pafimocs.models import (
@@ -22,7 +24,9 @@ from pafimocs.models import (
     sample_motion_transition,
     sample_support_transition,
     stp_coeffs_log,
+    stp_coeffs_rows,
     stp_support_log,
+    stp_support_rows,
 )
 
 
@@ -292,6 +296,96 @@ def test_stp_coeffs_matches_reference_density():
         assert stp_coeffs_log(new, prev, support, params) == pytest.approx(
             expected, abs=1e-12
         )
+
+
+# ------------------------------------------------ stacked transition densities
+
+
+def coeff_walk_reference(new, prev, support, sigma_l_sq):
+    """One row's coefficient walk density, summed over its support alone."""
+    idx = support.as_array()
+    if idx.size == 0:
+        return 0.0
+    dev = new[idx] - prev[idx]
+    if sigma_l_sq == 0.0:
+        return 0.0 if np.all(np.abs(dev) <= ZERO_VAR_ATOL) else NEG_INF
+    var = np.full(dev.shape, sigma_l_sq)
+    return float(-0.5 * np.sum(np.log(2.0 * np.pi * var) + dev * dev / var))
+
+
+def support_move_reference(new, prev, params):
+    """One support move's probability, counted with sets."""
+
+    def count_log(count, p):
+        if count == 0:
+            return 0.0
+        return NEG_INF if p == 0.0 else count * math.log(p)
+
+    added = len(set(new.indices) - set(prev.indices))
+    removed = len(set(prev.indices) - set(new.indices))
+    return (
+        count_log(added, params.p_a)
+        + count_log(params.n_lambda - len(prev) - added, 1.0 - params.p_a)
+        + count_log(removed, params.p_r)
+        + count_log(len(prev) - removed, 1.0 - params.p_r)
+    )
+
+
+@st.composite
+def support_rows(draw, max_lambda=12, max_rows=20):
+    """Random supports (empty and full ones among them) over one axis."""
+    n_lambda = draw(st.integers(1, max_lambda))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, max_rows))
+    fill = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    masks = rng.random((n, n_lambda)) < rng.choice([0.0, fill, 1.0], size=(n, 1))
+    return rng, masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(support_rows(), st.sampled_from([0.0, 1e-3, 0.04, 2.0]), st.booleans())
+def test_stacked_coefficient_walk_matches_each_row(drawn, sigma_l_sq, near):
+    rng, masks = drawn
+    n, n_lambda = masks.shape
+    params = make_params(n_lambda=n_lambda, s_expected=1, sigma_l_sq=sigma_l_sq)
+    prev = rng.standard_normal((n, n_lambda))
+    # near: deviations inside the point mass's slack, so sigma_l_sq = 0 keeps rows finite
+    scale = 0.5 * ZERO_VAR_ATOL if near else 1.0
+    new = np.where(masks, prev + scale * rng.standard_normal((n, n_lambda)), 0.0)
+    values = stp_coeffs_rows(new, prev, masks, params)
+    assert values.shape == (n,)
+    for i in range(n):
+        support = SupportSet.from_indices(np.flatnonzero(masks[i]), n_lambda)
+        assert values[i] == coeff_walk_reference(new[i], prev[i], support, sigma_l_sq)
+        assert values[i] == stp_coeffs_log(new[i], prev[i], support, params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(support_rows(), st.sampled_from([0.0, 0.2]), st.sampled_from([0.0, 0.3]))
+def test_stacked_support_move_matches_each_row(drawn, p_a, p_r):
+    rng, prev = drawn
+    n, n_lambda = prev.shape
+    new = prev ^ (rng.random(prev.shape) < 0.3)
+    params = make_params(n_lambda=n_lambda, s_expected=1, p_a=p_a, p_r=p_r)
+    values = stp_support_rows(new, prev, params)
+    assert values.shape == (n,)
+    for i in range(n):
+        a = SupportSet.from_indices(np.flatnonzero(new[i]), n_lambda)
+        b = SupportSet.from_indices(np.flatnonzero(prev[i]), n_lambda)
+        assert values[i] == support_move_reference(a, b, params)
+        assert values[i] == stp_support_log(a, b, params)
+
+
+def test_stacked_coefficient_walk_checks_the_stack():
+    params = make_params(n_lambda=3, s_expected=1)
+    masks = np.array([[True, False, False], [False, True, True]])
+    leak = np.array([[1.0, 0.0, 0.0], [1e-300, 1.0, 1.0]])  # row 1 is nonzero off its support
+    with pytest.raises(ValueError, match="off the support"):
+        stp_coeffs_rows(leak, np.zeros((2, 3)), masks, params)
+    with pytest.raises(ValueError, match="wrong length"):
+        stp_coeffs_rows(np.zeros((2, 4)), np.zeros((2, 4)), masks, params)
+    with pytest.raises(ValueError, match="ambient"):
+        stp_coeffs_rows(np.zeros((2, 3)), np.zeros((2, 3)), masks[:, :2], params)
 
 
 # ---------------------------------------------------------------- motion walk

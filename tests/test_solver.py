@@ -15,6 +15,7 @@ from pafimocs.dictionary import Dictionary, build_dictionary
 from pafimocs.models import SupportSet
 from pafimocs.solver import (
     ModeTrackingProblem,
+    ModeTrackingRows,
     SolverConfig,
     brute_force_ssc_oracle,
     evaluate_cost,
@@ -23,6 +24,7 @@ from pafimocs.solver import (
     smooth_gradient,
     soft_threshold,
     solve,
+    solve_rows,
     solve_with_outliers,
     write_trace_csv,
 )
@@ -305,18 +307,136 @@ def test_tracker_solves_certify_in_the_exact_phase(monkeypatch):
     truth = harness.generate_sequence(cfg, np.random.default_rng(0))
     results = []
 
-    def recording_solve(problem, config=None):
-        result = solver.solve(problem, config)
+    def recording_solve_rows(rows, config=None):
+        result = solver.solve_rows(rows, config)
         results.append(result)
         return result
 
-    monkeypatch.setattr(filters, "solve", recording_solve)
+    monkeypatch.setattr(filters, "solve_rows", recording_solve_rows)
     for label in ("pafimocs", "pafimocs-ssc", "pf-mt-20"):
         spec = harness.parse_filter_label(label, cfg.d)
         fcfg = dataclasses.replace(harness.resolve_filter_config(spec, cfg), n_pf=20)
         filters.run_tracker(truth.frames, truth.template, cfg.params, fcfg, truth.states[0], 1)
-    assert len(results) == 3 * 3 * 20
-    assert all(r.converged and r.iterations <= 3 for r in results)
+    iterations = np.concatenate([r.iterations for r in results])
+    assert iterations.size == 3 * 3 * 20
+    assert all(r.converged.all() for r in results) and iterations.max() <= 3
+
+
+# ----------------------------------------------------------- stacked solve
+
+
+@st.composite
+def solve_stacks(draw, max_lambda=6, max_pixels=12, max_rows=20):
+    """Problem stacks over one dictionary, with their warm starts.
+
+    Rows mix empty, full and random supports, and zero, previous and solved
+    warm starts (the last certify at 0 rounds); the l1 weight reaches values
+    where rows need two rounds or more. Stacks of more than 16 rows run in
+    two blocks.
+    """
+    n_lambda = draw(st.integers(1, max_lambda))
+    n_pixels = draw(st.integers(2, max_pixels))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = rng.standard_normal((n_pixels, n_lambda))
+    if draw(st.booleans()) and n_lambda > 1:
+        phi[:, 1] = phi[:, 0]
+    n = draw(st.integers(1, max_rows))
+    supports = []
+    kinds = draw(st.lists(st.sampled_from(["empty", "full", "random"]), min_size=n, max_size=n))
+    for kind in kinds:
+        size = {"empty": 0, "full": n_lambda}.get(kind, int(rng.integers(0, n_lambda + 1)))
+        indices = rng.choice(n_lambda, size, replace=False)
+        supports.append(SupportSet.from_indices(indices, n_lambda))
+    lam_true = rng.standard_normal((n, n_lambda))
+    rows = ModeTrackingRows(
+        y_residual_base=lam_true @ phi.T + 0.1 * rng.standard_normal((n, n_pixels)),
+        dictionary=custom_dictionary(phi),
+        lambda_prev=rng.standard_normal((n, n_lambda)),
+        cond_supports=tuple(supports),
+        sigma_o_sq=draw(st.sampled_from([0.5, 1.0, 4.0])),
+        sigma_l_sq=draw(st.sampled_from([0.1, 1.0, 10.0])),
+        beta=draw(st.sampled_from([0.5, 1.0])),
+        gamma=draw(WEIGHTS),
+    )
+    warm = np.zeros((n, n_lambda))
+    kinds = draw(st.lists(st.sampled_from(["zero", "prev", "solved"]), min_size=n, max_size=n))
+    for i, kind in enumerate(kinds):
+        if kind == "prev":
+            warm[i] = rows.lambda_prev[i]
+        elif kind == "solved":
+            warm[i] = solve(rows.problem(i)).lambda_opt
+    return rows, warm
+
+
+def assert_rows_match_lone_solves(rows, warm):
+    """Every row of the stacked solve has the bits of the one-row solve of that row."""
+    config = SolverConfig(warm_start=warm)
+    stacked = solve_rows(rows, config)
+    for i in range(len(warm)):
+        lone = solve(rows.problem(i), dataclasses.replace(config, warm_start=warm[i]))
+        assert stacked.lambda_opt[i].tobytes() == lone.lambda_opt.tobytes()
+        assert stacked.kkt_residual[i] == lone.kkt_residual
+        assert stacked.iterations[i] == lone.iterations
+        assert stacked.converged[i] == lone.converged
+    return stacked
+
+
+@settings(max_examples=150, deadline=None)
+@given(solve_stacks())
+def test_stacked_solve_matches_each_lone_solve(stack):
+    assert_rows_match_lone_solves(*stack)
+
+
+def test_stacked_solve_covers_every_path():
+    """A fixed stack over two blocks with rows that certify at 0 rounds, in
+    the stacked first round, and after two or more rounds."""
+    rng = np.random.default_rng(21)
+    n, n_lambda, n_pixels = 24, 6, 30
+    phi = rng.standard_normal((n_pixels, n_lambda))
+    supports = [
+        SupportSet.from_indices(rng.choice(n_lambda, i % (n_lambda + 1), replace=False), n_lambda)
+        for i in range(n)
+    ]
+    rows = ModeTrackingRows(
+        y_residual_base=rng.standard_normal((n, n_lambda)) @ phi.T,
+        dictionary=custom_dictionary(phi),
+        lambda_prev=rng.standard_normal((n, n_lambda)),
+        cond_supports=tuple(supports),
+        sigma_o_sq=1.0,
+        sigma_l_sq=1.0,
+        gamma=3.0,
+    )
+    warm = rows.lambda_prev.copy()
+    warm[::5] = [solve(rows.problem(i)).lambda_opt for i in range(0, n, 5)]
+    stacked = assert_rows_match_lone_solves(rows, warm)
+    assert {0, 1} <= set(stacked.iterations) and max(stacked.iterations) >= 2
+    assert stacked.converged.all()
+
+
+def test_stacked_solve_checks_the_stack_once():
+    rng = np.random.default_rng(22)
+    phi = rng.standard_normal((10, 3))
+    good = dict(
+        y_residual_base=np.zeros((2, 10)),
+        dictionary=custom_dictionary(phi),
+        lambda_prev=np.zeros((2, 3)),
+        cond_supports=(full_support(3), SupportSet.from_indices([], 3)),
+        sigma_o_sq=1.0,
+        sigma_l_sq=1.0,
+    )
+    y = np.zeros((2, 10))
+    y[1, 4] = np.nan
+    with pytest.raises(ValueError, match="problem data must be finite"):
+        ModeTrackingRows(**{**good, "y_residual_base": y})
+    with pytest.raises(ValueError, match="length"):
+        ModeTrackingRows(**{**good, "lambda_prev": np.zeros((3, 3))})
+    with pytest.raises(ValueError, match="ambient"):
+        ModeTrackingRows(**{**good, "cond_supports": (full_support(3), full_support(4))})
+    with pytest.raises(ValueError, match="warm_start"):
+        solve_rows(ModeTrackingRows(**good), SolverConfig(warm_start=np.zeros(3)))
+    empty = ModeTrackingRows(**{**good, "y_residual_base": np.zeros((0, 10)),
+                                "lambda_prev": np.zeros((0, 3)), "cond_supports": ()})
+    assert solve_rows(empty).lambda_opt.shape == (0, 3)
 
 
 def test_kkt_residual_behaviour():
