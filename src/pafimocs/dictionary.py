@@ -94,6 +94,9 @@ class TemplatePatch:
     ``pixels`` is the row-major flattening of the patch; ``coord_i`` /
     ``coord_j`` give each pixel's row / column position in the frame the
     patch was cut from, so the patch stays anchored when motion is applied.
+    The coordinates must form a row-major ``height x width`` grid: pixel
+    ``a * width + b`` sits at ``(axis_i[a], axis_j[b])``, which lets the
+    observation model map each axis once instead of every pixel.
     """
 
     pixels: np.ndarray
@@ -109,6 +112,10 @@ class TemplatePatch:
             if arr.shape != (n_l,):
                 raise ValueError(f"{name} must have length height * width = {n_l}")
             object.__setattr__(self, name, arr)
+        grid_i = self.coord_i.reshape(self.height, self.width)
+        grid_j = self.coord_j.reshape(self.height, self.width)
+        if np.any(grid_i != grid_i[:, :1]) or np.any(grid_j != grid_j[:1]):
+            raise ValueError("coord_i / coord_j must form a row-major height x width grid")
 
     @classmethod
     def from_image(cls, image, origin: tuple[int, int] = (0, 0)) -> "TemplatePatch":
@@ -143,10 +150,15 @@ class TemplatePatch:
     def centroid_j(self) -> float:
         return float(np.mean(self.coord_j))
 
-    @cached_property
-    def distinct_coords(self) -> tuple:
-        """``np.unique(..., return_inverse=True)`` of ``coord_i`` and of ``coord_j``."""
-        return tuple(np.unique(c, return_inverse=True) for c in (self.coord_i, self.coord_j))
+    @property
+    def axis_i(self) -> np.ndarray:
+        """Frame row of each template row, ``(height,)``."""
+        return self.coord_i[:: self.width]
+
+    @property
+    def axis_j(self) -> np.ndarray:
+        """Frame column of each template column, ``(width,)``."""
+        return self.coord_j[: self.width]
 
 
 @dataclass(frozen=True, eq=False)

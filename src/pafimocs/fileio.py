@@ -68,9 +68,8 @@ def save_matrix(path, matrix: np.ndarray, header: tuple[int, int, int]) -> None:
     h0, h1, h2 = (int(v) for v in header)
     with open(path, "w") as fh:
         fh.write(f"{h0} {h1} {h2}\n")
-        for row in matrix:
-            fh.write(" ".join(fmt_float(v) for v in row))
-            fh.write("\n")
+        # tolist() yields builtin floats, whose repr is fmt_float
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in matrix.tolist())
 
 
 def load_matrix(path) -> tuple[np.ndarray, tuple[int, int, int]]:
@@ -80,7 +79,7 @@ def load_matrix(path) -> tuple[np.ndarray, tuple[int, int, int]]:
         if len(head) != 3:
             raise ValueError(f"{path}: expected a 3-integer header line")
         header = tuple(int(v) for v in head)
-        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
+        rows = [list(map(float, fields)) for fields in map(str.split, fh) if fields]
     if rows:
         width = len(rows[0])
         if any(len(r) != width for r in rows):

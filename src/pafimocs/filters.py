@@ -10,7 +10,9 @@ then normalizes, records diagnostics and resamples. The moves are:
 * prior move (``pf-gordon``, ``aux-pf``): coefficients sampled from their
   dense random walk, weight is the observation likelihood. ``aux-pf`` first
   selects ancestors by the likelihood of their zero-noise propagation (the
-  previous states), so its weights carry the likelihood ratio.
+  previous states), so its weights carry the likelihood ratio. That first
+  stage is evaluated once per distinct previous state: after resampling
+  most slots share their parent's bytes.
 * mode-tracking move (``pafimocs``, ``pafimocs-ssc``, ``pf-mt``): the
   coefficients are replaced by the mode of the observation-plus-walk cost,
   solved conditioned on a support: one sampled from the add/remove kernel
@@ -276,7 +278,7 @@ def filter_step(
     """
     parents = pset
     if cfg.variant == "aux-pf":
-        mean_ll = log_likelihood(frame, pset.motion, pset.coeffs, template, dictionary, run.noise)
+        mean_ll = _first_stage(pset, frame, template, dictionary, run)
         stage_one = _normalize_log_weights(pset.log_weights + mean_ll)
         ancestors = systematic_resample(np.exp(stage_one), pset.resample_rng)
         parents = replace(pset.select(ancestors), log_weights=-mean_ll[ancestors])
@@ -289,6 +291,22 @@ def filter_step(
     supports = (run.full,) * pset.n_pf
     proposed = replace(moved, coeffs=coeffs, supports=supports, log_weights=moved.log_weights + ll)
     return _finish_step(proposed, cfg)
+
+
+def _first_stage(pset, frame, template, dictionary, run) -> np.ndarray:
+    """``aux-pf``'s first-stage log-likelihood of every slot's current state.
+
+    It is evaluated once per distinct (motion, coefficients) row, compared
+    byte for byte, and scattered back; each row of :func:`log_likelihood` is
+    computed on its own, so duplicates get the same bits.
+    """
+    states = np.concatenate([pset.motion, pset.coeffs], axis=1)
+    keys = states.view(np.dtype((np.void, states.itemsize * states.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    unique_ll = log_likelihood(
+        frame, pset.motion[first], pset.coeffs[first], template, dictionary, run.noise
+    )
+    return unique_ll[inverse]
 
 
 def _mode_track(moved, frame, template, dictionary, params, cfg, run):

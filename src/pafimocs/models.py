@@ -190,10 +190,13 @@ class ModelParams:
             raise ValueError("p_r must lie in [0, 0.5)")
         if self.sigma_l_sq < 0.0 or self.sigma_o_sq < 0.0:
             raise ValueError("variances must be nonnegative")
-        sigma_u = tuple(float(v) for v in self.sigma_u)
+        sigma_u = tuple(float(v) + 0.0 for v in self.sigma_u)  # + 0.0 turns -0.0 into 0.0
         if len(sigma_u) != 3 or any(v < 0.0 for v in sigma_u):
             raise ValueError("sigma_u must be three nonnegative diagonal entries")
         object.__setattr__(self, "sigma_u", sigma_u)
+        for name in ("sigma_l_sq", "sigma_o_sq"):  # sqrt(-0.0) = -0.0 is no Gaussian scale
+            if getattr(self, name) == 0.0:
+                object.__setattr__(self, name, 0.0)
         if self.pixel_max <= 0.0:
             raise ValueError("pixel_max must be positive")
 
@@ -394,7 +397,11 @@ def sample_motion_transition(prev: MotionState, params: ModelParams, rng) -> Mot
 def sample_walk_rows(prev: np.ndarray, variance, rngs) -> np.ndarray:
     """Random walk of each row of ``prev``, with ``variance`` shared or per column.
 
-    Row ``i`` draws from ``rngs[i]``, one Gaussian draw call per row.
+    Row ``i`` draws ``rngs[i].standard_normal(k)`` for its ``k`` columns and
+    adds ``scale * z + 0.0``: that is how ``Generator.normal(0.0, scale, k)``
+    computes its draws (``loc + scale * z``), so each stream's state and every
+    bit match it, including ``-0.0`` handling.
     """
     scale = np.sqrt(np.asarray(variance, dtype=float))
-    return prev + np.array([rng.normal(0.0, scale, prev.shape[1]) for rng in rngs])
+    z = np.array([rng.standard_normal(prev.shape[1]) for rng in rngs])
+    return prev + (scale * z + 0.0)

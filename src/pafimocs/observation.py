@@ -6,7 +6,9 @@ pixels take the template value plus dictionary illumination plus Gaussian
 noise, and every other pixel is independent uniform clutter. Mapped
 coordinates are rounded half away from zero; the mapping is a pixel-wise
 lookup (duplicate targets are kept), and placements that leave the frame are
-marked invalid rather than clamped.
+marked invalid rather than clamped. The template's coordinates form a grid,
+so only its ``height`` row and ``width`` column coordinates are mapped and
+rounded; a pixel's index is its row's offset plus its column's.
 
 Hypotheses are evaluated in stacks, one per row (:func:`roi_rows`,
 :func:`log_likelihood`); :func:`compute_roi` and :func:`residual_g` are the
@@ -104,6 +106,8 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.sigma_sq < 0.0:
             raise ValueError("sigma_sq must be nonnegative")
+        if self.sigma_sq == 0.0:  # -0.0 would draw noise with scale sqrt(-0.0) = -0.0
+            object.__setattr__(self, "sigma_sq", 0.0)
         if self.pixel_max <= 0.0:
             raise ValueError("pixel_max must be positive")
 
@@ -117,22 +121,28 @@ def round_half_away(x):
     return np.sign(arr) * np.floor(np.abs(arr) + 0.5)
 
 
+def _grid_rows(motion: np.ndarray, template: TemplatePatch, frame_dims: tuple[int, int]):
+    """Row offsets ``(n, height)``, columns ``(n, width)`` and validity ``(n,)`` of motion rows."""
+    height, width = frame_dims
+    ci, cj = template.centroid_i, template.centroid_j
+    rows = round_half_away(motion[:, 0:1] + motion[:, 2:3] * (template.axis_i - ci) + ci)
+    cols = round_half_away(motion[:, 1:2] + motion[:, 2:3] * (template.axis_j - cj) + cj)
+    valid = np.all((rows >= 0) & (rows < height), 1) & np.all((cols >= 0) & (cols < width), 1)
+    return (rows * width).astype(np.intp), cols.astype(np.intp), valid
+
+
 def roi_rows(
     motion: np.ndarray, template: TemplatePatch, frame_dims: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame pixel indices ``(n, n_l)`` and validity ``(n,)`` of motion rows ``(n, 3)``.
 
-    Scaling is about the template centroid (only its distinct coordinates are
-    mapped); translation follows. A rounded coordinate outside the frame makes
-    the row invalid, its indices still returned unclamped.
+    Scaling is about the template centroid; translation follows. Only the
+    template's row and column coordinates are mapped, and each pixel's index
+    is its row's offset plus its column. A rounded coordinate outside the
+    frame makes the row invalid, its indices still returned unclamped.
     """
-    height, width = frame_dims
-    (rows_i, inv_i), (cols_j, inv_j) = template.distinct_coords
-    ci, cj = template.centroid_i, template.centroid_j
-    rows = round_half_away(motion[:, 0:1] + motion[:, 2:3] * (rows_i - ci) + ci)
-    cols = round_half_away(motion[:, 1:2] + motion[:, 2:3] * (cols_j - cj) + cj)
-    valid = np.all((rows >= 0) & (rows < height), 1) & np.all((cols >= 0) & (cols < width), 1)
-    return (rows * width).astype(np.intp)[:, inv_i] + cols.astype(np.intp)[:, inv_j], valid
+    offsets, cols, valid = _grid_rows(motion, template, frame_dims)
+    return (offsets[:, :, None] + cols[:, None, :]).reshape(len(motion), -1), valid
 
 
 def mapped_rows(frame: Frame, motion: np.ndarray, template: TemplatePatch) -> tuple:
@@ -140,8 +150,10 @@ def mapped_rows(frame: Frame, motion: np.ndarray, template: TemplatePatch) -> tu
     mapped, valid = np.empty((len(motion), template.n_pixels)), np.empty(len(motion), dtype=bool)
     for lo in range(0, len(motion), ROW_BLOCK):  # a block of index rows at a time bounds memory
         rows = slice(lo, lo + ROW_BLOCK)
-        indices, valid[rows] = roi_rows(motion[rows], template, (frame.height, frame.width))
-        np.take(frame.pixels, np.where(valid[rows, None], indices, 0), out=mapped[rows])
+        offsets, cols, valid[rows] = _grid_rows(motion[rows], template, (frame.height, frame.width))
+        offsets[~valid[rows]] = cols[~valid[rows]] = 0  # invalid rows read pixel 0
+        indices = (offsets[:, :, None] + cols[:, None, :]).reshape(len(offsets), -1)
+        np.take(frame.pixels, indices, out=mapped[rows])
     mapped -= template.pixels
     return mapped, valid
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,29 @@ def test_matrix_round_trip(tmp_path):
     back, header = fileio.load_matrix(path)
     assert header == (4, 3, 7)
     assert np.array_equal(back, mat)
+
+
+def test_matrix_text_is_fmt_float(tmp_path):
+    path = tmp_path / "f.mat"
+    values = [-0.0, 5e-324, 1e16, 1e-05, math.inf, -math.inf, math.nan]
+    mat = np.array([values, values[::-1]])
+    fileio.save_matrix(path, mat, (2, 7, 0))
+    rows = ["2 7 0"] + [" ".join(fileio.fmt_float(v) for v in row) for row in mat]
+    assert path.read_bytes() == "".join(f"{line}\n" for line in rows).encode()
+    back, header = fileio.load_matrix(path)
+    assert header == (2, 7, 0)
+    assert back.tobytes() == mat.tobytes()
+
+
+def test_matrix_skips_blank_lines_and_reads_header_only(tmp_path):
+    path = tmp_path / "b.mat"
+    path.write_text("2 2 0\n\n1.0 2.0\n  \t\n3.0 -0.0\n\n")
+    back, header = fileio.load_matrix(path)
+    assert header == (2, 2, 0)
+    assert back.tobytes() == np.array([[1.0, 2.0], [3.0, -0.0]]).tobytes()
+    path.write_text("0 0 0\n")
+    back, header = fileio.load_matrix(path)
+    assert header == (0, 0, 0) and back.shape == (0,)
 
 
 def test_matrix_ragged_rejected(tmp_path):

@@ -287,9 +287,9 @@ class TestWeightBookkeeping:
             assert np.all(coeffs[mask] != 0.0)
 
 
-def track_six_frames(cfg, seed):
+def track_six_frames(cfg, seed, **param_overrides):
     """``run_tracker`` over six frames of a static two-coefficient scene."""
-    params = make_params()
+    params = make_params(**param_overrides)
     template, dictionary, _, truth = make_scene(
         params, support=(0, 2), coeff_values=(20.0, -12.0)
     )
@@ -302,6 +302,45 @@ def track_six_frames(cfg, seed):
         for t in range(6)
     ]
     return run_tracker(frames, template, params, cfg, truth, seed)
+
+
+@pytest.mark.parametrize("resample", ["every-step", "ess-below"])
+def test_aux_first_stage_matches_every_row(monkeypatch, resample):
+    # every-step resampling leaves mostly duplicate parents; ess-below with a
+    # tiny fraction never resamples, so after the first step all rows differ.
+    # A still motion and a faint coefficient walk keep several parents alive.
+    n_pf = 12
+    walk = dict(sigma_u=(0.0, 0.0, 0.0), sigma_l_sq=1e-5)
+    cfg = FilterConfig(
+        variant="aux-pf", n_pf=n_pf, d=1, resample=resample, ess_fraction=1e-9
+    )
+    rows_evaluated = []
+    lone = filters.log_likelihood
+
+    def counting(frame, motion, *args, **kwargs):
+        rows_evaluated.append(len(motion))
+        return lone(frame, motion, *args, **kwargs)
+
+    monkeypatch.setattr(filters, "log_likelihood", counting)
+    deduplicated = track_six_frames(cfg, seed=4, **walk)
+    first_stage_rows, second_stage_rows = rows_evaluated[0::2], rows_evaluated[1::2]
+    distinct = []
+
+    def every_row(pset, frame, template, dictionary, run):
+        distinct.append(len(np.unique(np.hstack([pset.motion, pset.coeffs]), axis=0)))
+        return lone(frame, pset.motion, pset.coeffs, template, dictionary, run.noise)
+
+    monkeypatch.setattr(filters, "_first_stage", every_row)
+    reference = track_six_frames(cfg, seed=4, **walk)
+    for name in ("motion", "coeffs", "ess", "max_log_weight", "support_sizes"):
+        assert getattr(deduplicated, name).tobytes() == getattr(reference, name).tobytes()
+    assert first_stage_rows == distinct  # each distinct parent was evaluated once
+    assert second_stage_rows == [n_pf] * 5
+    assert distinct[0] == 1  # every particle starts at the truth state
+    if resample == "every-step":
+        assert all(1 < count < n_pf for count in distinct[1:])
+    else:
+        assert distinct[1:] == [n_pf] * 4
 
 
 class TestDeterminism:

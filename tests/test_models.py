@@ -23,6 +23,7 @@ from pafimocs.models import (
     sample_coeff_transition,
     sample_motion_transition,
     sample_support_transition,
+    sample_walk_rows,
     stp_coeffs_log,
     stp_coeffs_rows,
     stp_support_log,
@@ -91,6 +92,20 @@ def test_params_validation():
         make_params(sigma_u=(1.0, -1.0, 0.0))
     with pytest.raises(ValueError, match="variances"):
         make_params(sigma_o_sq=-1.0)
+
+
+def test_negative_zero_variances_walk_as_zero():
+    # sqrt(-0.0) is -0.0, which Generator.normal refuses as a scale
+    params = make_params(sigma_l_sq=-0.0, sigma_u=(-0.0, 0.5, -0.0), sigma_o_sq=-0.0)
+    assert math.copysign(1.0, params.sigma_l_sq) == 1.0
+    assert math.copysign(1.0, params.sigma_o_sq) == 1.0
+    assert [math.copysign(1.0, v) for v in params.sigma_u] == [1.0, 1.0, 1.0]
+    prev = np.array([1.5, 0.0, -2.0, 0.25, 3.0])
+    full = SupportSet(tuple(range(5)), 5)
+    walked = sample_coeff_transition(prev, full, params, np.random.default_rng(0))
+    assert np.array_equal(walked, prev)
+    moved = sample_motion_transition(MotionState(1.0, 2.0, 1.1), params, np.random.default_rng(0))
+    assert (moved.u_x, moved.s) == (1.0, 1.1) and moved.u_y != 2.0
 
 
 def test_params_config_round_trip(tmp_path):
@@ -389,6 +404,37 @@ def test_stacked_coefficient_walk_checks_the_stack():
 
 
 # ---------------------------------------------------------------- motion walk
+
+
+WALK_VARIANCES = st.sampled_from([0.0, 1e-3, 0.25, 2.0])
+
+
+@st.composite
+def walk_cases(draw):
+    """Rows to walk (``-0.0`` entries among them), a shared or per-column variance, seeds."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entries = st.sampled_from([0.0, -0.0, 1.0, -3.5, 1e-300])
+    prev = np.array(draw(st.lists(entries, min_size=n * k, max_size=n * k))).reshape(n, k)
+    shared = draw(st.booleans())
+    variance = draw(WALK_VARIANCES) if shared else np.array(
+        draw(st.lists(WALK_VARIANCES, min_size=k, max_size=k))
+    )
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n))
+    return prev, variance, seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_cases())
+def test_walk_rows_match_generator_normal(case):
+    prev, variance, seeds = case
+    rngs = [np.random.default_rng(s) for s in seeds]
+    twins = [np.random.default_rng(s) for s in seeds]
+    walked = sample_walk_rows(prev, variance, rngs)
+    scale = np.sqrt(variance)
+    for i, twin in enumerate(twins):
+        expected = prev[i] + twin.normal(0.0, scale, prev.shape[1])
+        assert walked[i].tobytes() == expected.tobytes()  # bit for bit, signs of zero too
+        assert rngs[i].bit_generator.state == twin.bit_generator.state
 
 
 def test_motion_zero_covariance_is_identity():

@@ -282,6 +282,17 @@ def test_noise_model_validation():
         NoiseModel(kind="laplace", sigma_sq=1.0)
 
 
+def test_negative_zero_noise_variance_renders_exactly():
+    template = small_template()
+    dictionary = build_dictionary(template, 1)
+    noise = NoiseModel(kind="pure-gaussian", sigma_sq=-0.0)
+    assert math.copysign(1.0, noise.sigma_sq) == 1.0
+    still, flat = MotionState(0.0, 0.0, 1.0), np.zeros(3)
+    rng = np.random.default_rng(0)
+    frame = render_frame(still, flat, template, dictionary, FRAME_DIMS, noise, rng)
+    assert not np.any(residual_g(frame, still, flat, template, dictionary))
+
+
 def test_frame_round_trip():
     rng = np.random.default_rng(11)
     image = rng.random((5, 7)) * 255.0
@@ -294,7 +305,7 @@ def test_frame_round_trip():
 
 MOTION_ROWS = st.lists(
     st.tuples(
-        st.floats(-30.0, 30.0),  # beyond about +-9 px the 6 x 6 template leaves the frame
+        st.floats(-30.0, 30.0),  # both valid and off-frame rows for every drawn template
         st.floats(-30.0, 30.0),
         st.floats(0.0, 2.5),
     ),
@@ -326,10 +337,18 @@ def reference_row(frame, motion, coeffs, template, dictionary, noise):
 
 @pytest.mark.parametrize("kind", sorted(NOISE_KINDS))
 @settings(max_examples=60, deadline=None)
-@given(motions=MOTION_ROWS, seed=st.integers(0, 2**32 - 1), with_truth=st.booleans())
-def test_batched_rows_match_single_hypothesis_reference(kind, motions, seed, with_truth):
+@given(
+    motions=MOTION_ROWS,
+    seed=st.integers(0, 2**32 - 1),
+    with_truth=st.booleans(),
+    shape=st.tuples(st.integers(2, 7), st.integers(2, 7)),  # unequal sides catch axis mix-ups
+    origin=st.tuples(st.integers(0, 16), st.integers(2, 17)),  # the truth stays in the frame
+)
+def test_batched_rows_match_single_hypothesis_reference(
+    kind, motions, seed, with_truth, shape, origin
+):
     noise = NOISE_KINDS[kind]
-    template = small_template()
+    template = small_template(origin=origin, height=shape[0], width=shape[1])
     dictionary = build_dictionary(template, 1)
     rng = np.random.default_rng(seed)
     truth_motion, truth_coeffs = MotionState(1.0, -2.0, 1.0), rng.normal(0.0, 0.1, 3)
