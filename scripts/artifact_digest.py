@@ -11,6 +11,11 @@ artifacts. The runs are:
 - ``track-config-seed`` and ``track-seed-7``: ``pafimocs track`` over the
   default eight filters on that simulated directory, with the config seed
   and with ``--seed 7``;
+- ``simulate-config`` and ``experiment-config``: a config file that sets
+  ``regime = real-video``, ``pafimocs.gamma`` and ``pf-mt-3.beta``, read by
+  ``pafimocs simulate --config ... --n-frames 2`` (only the ``config.cfg``
+  it writes) and by ``pafimocs experiment --config ... --n-runs 1
+  --n-frames 2 --n-pf 10`` (only ``summary.json``, which echoes the config);
 - ``solve`` and ``solve-outliers``: ``pafimocs solve`` (without ``--trace``)
   on one fixed problem, the 32 x 32 ``bumps`` template with the d = 20
   dictionary and 20 spiked pixels, without and with ``gamma_outlier``
@@ -31,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
 import sys
 import tempfile
 
@@ -95,11 +101,27 @@ def write_artifacts(out: str, inputs: str) -> None:
     )
     for argv in runs:
         run_cli(cli, argv)
+    write_config_runs(cli, fileio, out, inputs)
     pdir = os.path.join(inputs, "problem")  # not digested
     kv = write_problem(pdir)
     for name, extra in (("solve", {}), ("solve-outliers", {"gamma_outlier": 20.0})):
         fileio.write_kv(os.path.join(pdir, "problem.cfg"), {**kv, **extra})
         run_cli(cli, ["solve", "--problem", pdir, "--out", os.path.join(out, name)])
+
+
+def write_config_runs(cli, fileio, out: str, inputs: str) -> None:
+    """Digest what ``simulate`` and ``experiment`` echo of a non-default config."""
+    config = os.path.join(inputs, "config.cfg")
+    fileio.write_kv(config, {"regime": "real-video", "pafimocs.gamma": 0.55, "pf-mt-3.beta": 0.25})
+    runs = (
+        ("simulate", "config.cfg", ["--n-frames", "2"]),
+        ("experiment", "summary.json", ["--n-runs", "1", "--n-frames", "2", "--n-pf", "10"]),
+    )
+    for command, keep, extra in runs:
+        run_dir = os.path.join(inputs, command)  # not digested but for ``keep``
+        run_cli(cli, [command, "--config", config, "--out", run_dir, *extra])
+        os.makedirs(os.path.join(out, f"{command}-config"))
+        shutil.copy(os.path.join(run_dir, keep), os.path.join(out, f"{command}-config", keep))
 
 
 def run_cli(cli, argv: list[str]) -> None:

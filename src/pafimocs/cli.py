@@ -35,8 +35,9 @@ from .harness import (
     analyze_support,
     generate_sequence,
     location_error,
+    nmse,
     nmse_components,
-    parse_filter_label,
+    parse_filter_labels,
     resolve_filter_config,
     run_experiment,
     sim_config_from_kv,
@@ -60,15 +61,13 @@ def _load_sim_config(args) -> SimConfig:
     cfg = sim_config_from_kv(kv)
     overrides = {}
     for name in ("seed", "n_frames", "n_jobs", "d", "n_pf"):
-        value = getattr(args, name.replace("-", "_"), None)
+        value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
     if getattr(args, "n_runs", None) is not None:
         overrides["n_monte_carlo"] = args.n_runs
     if getattr(args, "filters", None):
-        labels = [s.strip() for s in args.filters.split(",") if s.strip()]
-        d = overrides.get("d", cfg.d)
-        overrides["filters"] = tuple(parse_filter_label(lbl, d) for lbl in labels)
+        overrides["filters"] = parse_filter_labels(args.filters, overrides.get("d", cfg.d))
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
@@ -158,10 +157,7 @@ def cmd_track(args) -> int:
     sim_dir = args.sim
     cfg = sim_config_from_kv(fileio.read_kv(os.path.join(sim_dir, "config.cfg")))
     if args.filters:
-        labels = [s.strip() for s in args.filters.split(",") if s.strip()]
-        cfg = dataclasses.replace(
-            cfg, filters=tuple(parse_filter_label(lbl, cfg.d) for lbl in labels)
-        )
+        cfg = dataclasses.replace(cfg, filters=parse_filter_labels(args.filters, cfg.d))
     template = _read_template_dir(sim_dir)
     t_motion, t_supports, t_coeffs = _read_states_csv(
         os.path.join(sim_dir, "states.csv"), cfg.params.n_lambda
@@ -198,6 +194,7 @@ def cmd_track(args) -> int:
             )
             est_coeffs = _pad_coeffs(result.coeffs, n_lambda)
             err, ref = nmse_components(truth, result.motion, est_coeffs)
+            ratio = nmse(truth, result.motion, est_coeffs)
             le = np.asarray(location_error(t_motion, result.motion)).reshape(-1)
             for t in range(len(frames)):
                 lam = ",".join(fileio.fmt_float(v) for v in est_coeffs[t])
@@ -206,10 +203,9 @@ def cmd_track(args) -> int:
                     f"{fileio.fmt_float(result.motion[t, 1])},"
                     f"{fileio.fmt_float(result.motion[t, 2])},{lam}\n"
                 )
-                ratio = err[t] / ref[t] if ref[t] > 0 else float("nan")
                 met_fh.write(
                     f"{spec.label},{t},{fileio.fmt_float(err[t])},"
-                    f"{fileio.fmt_float(ref[t])},{fileio.fmt_float(ratio)},"
+                    f"{fileio.fmt_float(ref[t])},{fileio.fmt_float(ratio[t])},"
                     f"{fileio.fmt_float(le[t])}\n"
                 )
                 log_fh.write(

@@ -5,7 +5,8 @@ coefficients, log weights) and one ``SupportSet`` per slot. Every tracker
 runs one skeleton (:func:`filter_step`): each slot importance-samples its
 motion from the random walk, moves its coefficient block, and is weighted,
 with the observation model run once over all slots; :func:`_finish_step`
-then normalizes, records diagnostics and resamples. The moves are:
+then normalizes, records diagnostics and resamples, at every step (as
+PF-MT does), so each step starts from equal weights. The moves are:
 
 * prior move (``pf-gordon``, ``aux-pf``): coefficients sampled from their
   dense random walk, weight is the observation likelihood. ``aux-pf`` first
@@ -42,7 +43,7 @@ configurations exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -150,9 +151,6 @@ class FilterConfig:
     beta: float = 1.0
     support_threshold: str = "energy-99"  # or "fixed-alpha"
     alpha: float = 0.0
-    resample: str = "every-step"  # or "ess-below"
-    ess_fraction: float = 0.5
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -163,10 +161,6 @@ class FilterConfig:
             raise ValueError("d must be nonnegative")
         if self.support_threshold not in ("energy-99", "fixed-alpha"):
             raise ValueError(f"unknown support threshold rule {self.support_threshold!r}")
-        if self.resample not in ("every-step", "ess-below"):
-            raise ValueError(f"unknown resample rule {self.resample!r}")
-        if not 0.0 < self.ess_fraction <= 1.0:
-            raise ValueError("ess_fraction must lie in (0, 1]")
 
 
 def threshold_support(coeffs: np.ndarray, rule: str = "energy-99", alpha: float = 0.0) -> SupportSet:
@@ -212,8 +206,11 @@ def _weighted_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms)[-1]  # rows added left to right
 
 
-def _finish_step(proposed: ParticleSet, cfg: FilterConfig, unconverged: int = 0) -> ParticleSet:
-    """Normalize ``proposed``'s log weights, record diagnostics, resample per the rule."""
+def _finish_step(proposed: ParticleSet, unconverged: int = 0) -> ParticleSet:
+    """Normalize ``proposed``'s log weights, record diagnostics and resample.
+
+    Every step resamples, as PF-MT does, so the returned set has equal weights.
+    """
     log_ws = _normalize_log_weights(proposed.log_weights)
     w = np.exp(log_ws)
     n = w.size
@@ -225,11 +222,8 @@ def _finish_step(proposed: ParticleSet, cfg: FilterConfig, unconverged: int = 0)
         support_sizes=np.array([len(s) for s in proposed.supports]),
         unconverged_solves=unconverged,
     )
-    if cfg.resample == "every-step" or stats.ess < cfg.ess_fraction * n:
-        order = systematic_resample(w, proposed.resample_rng)
-        kept = replace(proposed.select(order), log_weights=np.full(n, -math.log(n)))
-    else:
-        kept = replace(proposed, log_weights=log_ws)
+    order = systematic_resample(w, proposed.resample_rng)
+    kept = replace(proposed.select(order), log_weights=np.full(n, -math.log(n)))
     return replace(kept, step=proposed.step + 1, last_stats=stats)
 
 
@@ -285,12 +279,12 @@ def filter_step(
     moved = replace(parents, motion=sample_walk_rows(parents.motion, params.sigma_u, pset.streams))
     if cfg.variant not in _PRIOR_MOVE:
         proposed, unconverged = _mode_track(moved, frame, template, dictionary, params, cfg, run)
-        return _finish_step(proposed, cfg, unconverged)
+        return _finish_step(proposed, unconverged)
     coeffs = sample_walk_rows(moved.coeffs, params.sigma_l_sq, pset.streams)  # the prior move
     ll = log_likelihood(frame, moved.motion, coeffs, template, dictionary, run.noise)
     supports = (run.full,) * pset.n_pf
     proposed = replace(moved, coeffs=coeffs, supports=supports, log_weights=moved.log_weights + ll)
-    return _finish_step(proposed, cfg)
+    return _finish_step(proposed)
 
 
 def _first_stage(pset, frame, template, dictionary, run) -> np.ndarray:
@@ -335,7 +329,7 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
         gamma=cfg.gamma,
         gram_lmax=run.lmax,
     )
-    solved = solve_rows(rows, replace(cfg.solver, warm_start=prev, record_trace=False))
+    solved = solve_rows(rows, SolverConfig(warm_start=prev))
     lam = solved.lambda_opt
     if cfg.variant == "pf-mt":
         masks = np.ones(lam.shape, dtype=bool)

@@ -21,7 +21,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "nmse",
     "nmse_components",
     "location_error",
+    "parse_filter_labels",
     "resolve_filter_config",
     "run_experiment",
     "analyze_support",
@@ -93,7 +94,9 @@ class FilterSpec:
 
 
 def default_filters(d: int = 20) -> tuple:
-    return (
+    """The paper's eight trackers; at ``d = 3`` the order-3 and order-``d``
+    entries coincide and are listed once."""
+    specs = (
         FilterSpec("pafimocs", "pafimocs", d),
         FilterSpec("pafimocs-ssc", "pafimocs-ssc", d),
         FilterSpec("pf-mt-3", "pf-mt", 3),
@@ -103,6 +106,7 @@ def default_filters(d: int = 20) -> tuple:
         FilterSpec("aux-pf-3", "aux-pf", 3),
         FilterSpec(f"aux-pf-{d}", "aux-pf", d),
     )
+    return tuple(dict.fromkeys(specs))
 
 
 @dataclass
@@ -126,7 +130,7 @@ class SimConfig:
     filters: tuple = field(default_factory=default_filters)
     n_monte_carlo: int = 20
     regime: str = "simulation"
-    n_jobs: int = 1
+    n_jobs: int = field(default=1, metadata={"echo": False})  # outputs do not depend on it
 
     def __post_init__(self):
         if self.n_frames < 1:
@@ -146,11 +150,20 @@ class SimConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.n_monte_carlo < 1 or self.n_jobs < 1:
             raise ValueError("n_monte_carlo and n_jobs must be >= 1")
+        labels = [spec.label for spec in self.filters]
+        duplicated = sorted({label for label in labels if labels.count(label) > 1})
+        if duplicated:
+            raise ValueError(f"duplicate filter labels: {', '.join(duplicated)}")
         if self.template_pattern == "constant" and self.d > 0:
             warnings.warn(
                 "constant template with d > 0 risks an ill-conditioned dictionary",
                 RuntimeWarning,
             )
+
+
+# SimConfig's int and str settings; each default also gives the setting's type.
+# ``params`` and ``filters`` come from factories and are written their own way.
+_SCALAR_FIELDS = {f.name: f for f in fields(SimConfig) if f.default is not MISSING}
 
 
 @dataclass(eq=False)
@@ -448,23 +461,11 @@ def _write_aggregate_csv(path, cfg: SimConfig, metrics) -> None:
 
 def _config_echo(cfg: SimConfig) -> dict:
     echo = {
-        "seed": cfg.seed,
-        "n_frames": cfg.n_frames,
-        "frame_height": cfg.frame_height,
-        "frame_width": cfg.frame_width,
-        "template_height": cfg.template_height,
-        "template_width": cfg.template_width,
-        "template_pattern": cfg.template_pattern,
-        "template_seed": cfg.template_seed,
-        "d": cfg.d,
-        "n_pf": cfg.n_pf,
-        "support_change_period": cfg.support_change_period,
-        "initial_support_size": cfg.initial_support_size,
-        "n_monte_carlo": cfg.n_monte_carlo,
-        "regime": cfg.regime,
-        "params": cfg.params.to_config(),
-        "filters": [asdict(spec) for spec in cfg.filters],
+        name: getattr(cfg, name)
+        for name, f in _SCALAR_FIELDS.items()
+        if f.metadata.get("echo", True)
     }
+    echo.update(params=cfg.params.to_config(), filters=[asdict(spec) for spec in cfg.filters])
     return echo
 
 
@@ -536,27 +537,17 @@ def parse_filter_label(label: str, default_d: int) -> FilterSpec:
     return FilterSpec(label=label, variant=variant, d=d)
 
 
+def parse_filter_labels(text: str, default_d: int) -> tuple:
+    """The filter specs of comma-separated labels; blank entries are skipped."""
+    labels = (label.strip() for label in text.split(","))
+    return tuple(parse_filter_label(label, default_d) for label in labels if label)
+
+
 def sim_config_to_kv(cfg: SimConfig) -> dict:
     """Flatten a simulation config for the key-value file format."""
     kv = dict(cfg.params.to_config())
-    kv.update(
-        seed=cfg.seed,
-        n_frames=cfg.n_frames,
-        frame_height=cfg.frame_height,
-        frame_width=cfg.frame_width,
-        template_height=cfg.template_height,
-        template_width=cfg.template_width,
-        template_pattern=cfg.template_pattern,
-        template_seed=cfg.template_seed,
-        d=cfg.d,
-        n_pf=cfg.n_pf,
-        support_change_period=cfg.support_change_period,
-        initial_support_size=cfg.initial_support_size,
-        n_monte_carlo=cfg.n_monte_carlo,
-        regime=cfg.regime,
-        n_jobs=cfg.n_jobs,
-        filters=",".join(spec.label for spec in cfg.filters),
-    )
+    kv.update({name: getattr(cfg, name) for name in _SCALAR_FIELDS})
+    kv["filters"] = ",".join(spec.label for spec in cfg.filters)
     for spec in cfg.filters:
         if spec.gamma is not None:
             kv[f"{spec.label}.gamma"] = spec.gamma
@@ -571,10 +562,7 @@ def sim_config_from_kv(kv: dict) -> SimConfig:
     Missing keys take the dataclass defaults; unknown keys (beyond the
     per-filter ``<label>.gamma`` / ``<label>.beta`` overrides) are an error.
     """
-    from dataclasses import replace
-
     kv = dict(kv)
-    base = SimConfig()
     param_keys = set(default_params().to_config())
     param_kv = {k: kv.pop(k) for k in list(kv) if k in param_keys}
     params = (
@@ -583,38 +571,14 @@ def sim_config_from_kv(kv: dict) -> SimConfig:
         else default_params()
     )
 
-    int_keys = (
-        "seed",
-        "n_frames",
-        "frame_height",
-        "frame_width",
-        "template_height",
-        "template_width",
-        "template_seed",
-        "d",
-        "n_pf",
-        "support_change_period",
-        "initial_support_size",
-        "n_monte_carlo",
-        "n_jobs",
-    )
-    fields = {}
-    for key in int_keys:
-        if key in kv:
-            fields[key] = int(kv.pop(key))
-    for key in ("template_pattern", "regime"):
-        if key in kv:
-            fields[key] = str(kv.pop(key))
-
-    d = fields.get("d", base.d)
-    labels = [
-        s.strip() for s in str(kv.pop("filters", "")).split(",") if s.strip()
-    ] or [spec.label for spec in default_filters(d)]
+    scalars = {
+        name: type(f.default)(kv.pop(name)) for name, f in _SCALAR_FIELDS.items() if name in kv
+    }
+    cfg = SimConfig(params=params, **scalars)  # the filter labels need its d
     specs = []
-    for label in labels:
-        spec = parse_filter_label(label, d)
-        gamma = kv.pop(f"{label}.gamma", None)
-        beta = kv.pop(f"{label}.beta", None)
+    for spec in parse_filter_labels(str(kv.pop("filters", "")), cfg.d) or default_filters(cfg.d):
+        gamma = kv.pop(f"{spec.label}.gamma", None)
+        beta = kv.pop(f"{spec.label}.beta", None)
         specs.append(
             replace(
                 spec,
@@ -624,4 +588,4 @@ def sim_config_from_kv(kv: dict) -> SimConfig:
         )
     if kv:
         raise ValueError(f"unknown config keys: {sorted(kv)}")
-    return SimConfig(params=params, filters=tuple(specs), **fields)
+    return replace(cfg, filters=tuple(specs))

@@ -326,3 +326,11 @@ class TestArgumentErrors:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["type"] == "ValueError"
         assert "bananas" in payload["error"]
+
+    def test_duplicate_filter_labels_report_json_error(self, tmp_path, capsys):
+        argv = ["experiment", "--out", str(tmp_path / "o"), "--filters", "pf-gordon-3,pf-gordon-3"]
+        rc = main(argv + ["--n-runs", "1", "--n-frames", "2"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": "duplicate filter labels: pf-gordon-3", "type": "ValueError"}
+        assert not os.path.exists(tmp_path / "o")

@@ -1,6 +1,7 @@
 """Tests for the particle filter layer: resampling, weighting, support
 thresholding, and the five tracker variants on miniature scenes."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -177,8 +178,7 @@ class TestPosteriorEstimate:
             supports=tuple(s.support for s in states),
             log_weights=np.array(log_weights, dtype=float),
         )
-        cfg = FilterConfig(variant="pafimocs", n_pf=len(states), d=1)
-        stats = _finish_step(proposed, cfg).last_stats
+        stats = _finish_step(proposed).last_stats
         return stats.motion_mean, stats.coeff_mean
 
     def test_single_particle_returns_own_state(self):
@@ -239,48 +239,60 @@ def take_step(pset, frame, template, dictionary, params, cfg):
     return filter_step(pset, frame, template, dictionary, params, cfg, run)
 
 
-def run_one_step(variant, resample, n_pf=8, seed=17):
+def keep_proposals(monkeypatch):
+    """Make every resampling keep each slot's own particle.
+
+    The step then returns the proposed particles themselves, in slot order.
+    The returned list collects the normalized weights of each resampling.
+    """
+    seen = []
+
+    def identity(weights, rng):
+        seen.append(np.array(weights))
+        return np.arange(len(weights))
+
+    monkeypatch.setattr(filters, "systematic_resample", identity)
+    return seen
+
+
+def run_one_step(variant, n_pf=8, seed=17):
     params = make_params()
     template, dictionary, frame, truth = make_scene(
         params, support=(0,), coeff_values=(25.0,)
     )
-    cfg = FilterConfig(
-        variant=variant,
-        n_pf=n_pf,
-        d=1,
-        resample=resample,
-        ess_fraction=1e-9 if resample == "ess-below" else 0.5,
-    )
+    cfg = FilterConfig(variant=variant, n_pf=n_pf, d=1)
     pset = ParticleSet.initialize(truth, n_pf, seed)
     return take_step(pset, frame, template, dictionary, params, cfg)
 
 
 class TestWeightBookkeeping:
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_normalized_weights_sum_to_one(self, variant):
-        # ess-below with a tiny fraction keeps the proposed particles and
-        # their normalized weights instead of resampling
-        pset = run_one_step(variant, "ess-below")
-        total = sum(math.exp(lw) for lw in pset.log_weights)
+    def test_normalized_weights_sum_to_one(self, monkeypatch, variant):
+        # the normalized weights the step resamples by
+        seen = keep_proposals(monkeypatch)
+        pset = run_one_step(variant)
+        assert seen[-1].shape == (pset.n_pf,)
+        total = sum(float(w) for w in seen[-1])
         assert abs(total - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_post_resample_weights_uniform(self, variant):
-        pset = run_one_step(variant, "every-step")
+        pset = run_one_step(variant)
         expected = -math.log(pset.n_pf)
         assert np.all(pset.log_weights == expected)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_step_stats_ranges(self, variant):
-        pset = run_one_step(variant, "every-step")
+        pset = run_one_step(variant)
         stats = pset.last_stats
         assert 1.0 <= stats.ess <= pset.n_pf + 1e-9
         assert stats.max_log_weight <= 0.0
         assert stats.support_sizes.shape == (pset.n_pf,)
         assert np.all(stats.support_sizes <= 3)
 
-    def test_pafimocs_states_stay_exactly_sparse(self):
-        pset = run_one_step("pafimocs", "ess-below")
+    def test_pafimocs_states_stay_exactly_sparse(self, monkeypatch):
+        keep_proposals(monkeypatch)
+        pset = run_one_step("pafimocs")
         for coeffs, support in zip(pset.coeffs, pset.supports):
             mask = support.mask()
             assert np.all(coeffs[~mask] == 0.0)
@@ -304,16 +316,17 @@ def track_six_frames(cfg, seed, **param_overrides):
     return run_tracker(frames, template, params, cfg, truth, seed)
 
 
-@pytest.mark.parametrize("resample", ["every-step", "ess-below"])
+@pytest.mark.parametrize("resample", ["every-step", "identity"])
 def test_aux_first_stage_matches_every_row(monkeypatch, resample):
-    # every-step resampling leaves mostly duplicate parents; ess-below with a
-    # tiny fraction never resamples, so after the first step all rows differ.
-    # A still motion and a faint coefficient walk keep several parents alive.
+    # every-step resampling leaves mostly duplicate parents; resampling kept
+    # to the identity leaves every slot its own parent, so after the first
+    # step all rows differ. A still motion and a faint coefficient walk keep
+    # several parents alive.
     n_pf = 12
     walk = dict(sigma_u=(0.0, 0.0, 0.0), sigma_l_sq=1e-5)
-    cfg = FilterConfig(
-        variant="aux-pf", n_pf=n_pf, d=1, resample=resample, ess_fraction=1e-9
-    )
+    cfg = FilterConfig(variant="aux-pf", n_pf=n_pf, d=1)
+    if resample == "identity":
+        keep_proposals(monkeypatch)
     rows_evaluated = []
     lone = filters.log_likelihood
 
@@ -418,9 +431,10 @@ class TestDegenerateExactness:
 
 class TestUnconvergedSolves:
     @pytest.mark.parametrize("variant", ["pafimocs", "pafimocs-ssc", "pf-mt"])
-    def test_capped_solves_are_counted(self, variant):
-        capped = SolverConfig(max_iterations=1, kkt_tolerance=1e-300)
-        cfg = FilterConfig(variant=variant, n_pf=6, d=1, solver=capped)
+    def test_capped_solves_are_counted(self, monkeypatch, variant):
+        capped = functools.partial(SolverConfig, max_iterations=1, kkt_tolerance=1e-300)
+        monkeypatch.setattr(filters, "SolverConfig", capped)
+        cfg = FilterConfig(variant=variant, n_pf=6, d=1)
         result = track_six_frames(cfg, seed=4)
         assert 0 < result.unconverged_solves <= 5 * 6
 
@@ -446,7 +460,7 @@ def test_spectral_bound_computed_once_per_run(monkeypatch, variant):
 
 
 class TestSscCoincidence:
-    def test_matches_pafimocs_when_sampled_support_is_previous(self):
+    def test_matches_pafimocs_when_sampled_support_is_previous(self, monkeypatch):
         # p_a = p_r = 0 forces the sampled support to equal the previous one,
         # so both variants solve the same conditioned problem; the tiny
         # motion noise keeps each solve close enough to the truth that the
@@ -456,9 +470,9 @@ class TestSscCoincidence:
         template, dictionary, frame, truth = make_scene(
             params, support=(0, 2), coeff_values=(22.0, -15.0)
         )
-        kw = dict(n_pf=6, d=1, resample="ess-below", ess_fraction=1e-9)
-        cfg_a = FilterConfig(variant="pafimocs", **kw)
-        cfg_b = FilterConfig(variant="pafimocs-ssc", **kw)
+        weights = keep_proposals(monkeypatch)
+        cfg_a = FilterConfig(variant="pafimocs", n_pf=6, d=1)
+        cfg_b = FilterConfig(variant="pafimocs-ssc", n_pf=6, d=1)
         set_a = ParticleSet.initialize(truth, 6, 21)
         set_b = ParticleSet.initialize(truth, 6, 21)
         out_a = take_step(set_a, frame, template, dictionary, params, cfg_a)
@@ -467,21 +481,21 @@ class TestSscCoincidence:
         assert np.array_equal(out_a.motion, out_b.motion)
         assert out_a.supports == out_b.supports
         assert np.array_equal(out_a.coeffs, out_b.coeffs)
-        assert np.array_equal(out_a.log_weights, out_b.log_weights)
+        assert np.array_equal(weights[0], weights[1])
+        assert out_a.last_stats.max_log_weight == out_b.last_stats.max_log_weight
 
 
 class TestPfMtDenseSolutions:
     def test_order_three_has_seven_coefficients(self):
         assert build_dictionary(small_template(), 3).n_lambda == 7
 
-    def test_solutions_are_dense(self):
+    def test_solutions_are_dense(self, monkeypatch):
         params = make_params(n_lambda=7, s_expected=3, p_r=0.04)
         template, dictionary, frame, truth = make_scene(
             params, support=(1, 3, 5), coeff_values=(20.0, -15.0, 10.0)
         )
-        cfg = FilterConfig(
-            variant="pf-mt", n_pf=8, d=3, resample="ess-below", ess_fraction=1e-9
-        )
+        keep_proposals(monkeypatch)
+        cfg = FilterConfig(variant="pf-mt", n_pf=8, d=3)
         pset = ParticleSet.initialize(truth, 8, 33)
         out = take_step(pset, frame, template, dictionary, params, cfg)
         assert all(s.indices == tuple(range(7)) for s in out.supports)
@@ -567,9 +581,6 @@ class TestConfigValidation:
             (dict(n_pf=0), "n_pf"),
             (dict(d=-1), "d must"),
             (dict(support_threshold="topk"), "threshold"),
-            (dict(resample="never"), "resample"),
-            (dict(resample="ess-below", ess_fraction=0.0), "ess_fraction"),
-            (dict(resample="ess-below", ess_fraction=1.5), "ess_fraction"),
         ],
     )
     def test_bad_config_rejected(self, kw, message):

@@ -3,9 +3,13 @@ flat config format."""
 
 import json
 import math
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pafimocs import fileio
 from pafimocs.dictionary import build_dictionary
@@ -23,13 +27,14 @@ from pafimocs.harness import (
     nmse,
     nmse_components,
     parse_filter_label,
+    parse_filter_labels,
     resolve_filter_config,
     run_experiment,
     sim_config_from_kv,
     sim_config_to_kv,
     write_membership_csv,
 )
-from pafimocs.harness import _run_one, _spawn_run_seeds, _truth_arrays
+from pafimocs.harness import _config_echo, _run_one, _spawn_run_seeds, _truth_arrays
 from pafimocs.models import FullState, ModelParams, MotionState, SupportSet
 
 
@@ -118,6 +123,16 @@ class TestSimConfigValidation:
     def test_bad_config_rejected(self, kw, message):
         with pytest.raises(ValueError, match=message):
             small_config(**kw)
+
+    def test_duplicate_filter_labels_rejected(self):
+        # runs and results are keyed by label, so a repeated one would
+        # overwrite the first tracker's results
+        twice = (FilterSpec("pf-gordon-1", "pf-gordon", 1),) * 2
+        with pytest.raises(ValueError, match="duplicate filter labels: pf-gordon-1"):
+            small_config(filters=twice)
+        kv = {"filters": "pf-gordon-3,pf-gordon-3", "pf-gordon-3.gamma": "0.3"}
+        with pytest.raises(ValueError, match="duplicate filter labels: pf-gordon-3"):
+            sim_config_from_kv(kv)
 
     def test_constant_pattern_with_positive_order_warns(self):
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
@@ -443,6 +458,11 @@ class TestConfigFormat:
         assert parse_filter_label("pf-mt", 4) == FilterSpec("pf-mt", "pf-mt", 4)
         with pytest.raises(ValueError, match="label"):
             parse_filter_label("pf-fancy-3", 20)
+        assert parse_filter_labels(" pf-mt-3, ,pafimocs,", 7) == (
+            FilterSpec("pf-mt-3", "pf-mt", 3),
+            FilterSpec("pafimocs", "pafimocs", 7),
+        )
+        assert parse_filter_labels("", 7) == ()
 
     def test_default_filters_cover_paper_set(self):
         labels = [spec.label for spec in default_filters(20)]
@@ -459,3 +479,66 @@ class TestConfigFormat:
         params = default_params()
         assert params.n_lambda == 41 and params.s_expected == 5
         assert params.p_a == 0.03 and params.p_r == 0.216
+        labels = [spec.label for spec in default_filters(3)]
+        assert labels == ["pafimocs", "pafimocs-ssc", "pf-mt-3", "pf-gordon-3", "aux-pf-3"]
+
+
+UNIT = st.floats(0.0, 0.5, exclude_max=True)
+VARIANCE = st.floats(0.0, 1e6)
+MULTIPLIER = st.none() | st.floats(allow_nan=False)
+
+
+@st.composite
+def sim_configs(draw):
+    """Valid configs that vary every scalar setting, the model constants, both
+    regimes, and a subset of the default trackers with multiplier overrides."""
+    d = draw(st.integers(0, 6))
+    n_lambda = 2 * d + 1
+    frame_height, frame_width = draw(st.integers(4, 128)), draw(st.integers(4, 128))
+    params = ModelParams(
+        n_lambda=n_lambda,
+        s_expected=draw(st.integers(1, n_lambda)),
+        p_a=draw(UNIT),
+        p_r=draw(UNIT),
+        sigma_l_sq=draw(VARIANCE),
+        sigma_u=tuple(draw(st.lists(VARIANCE, min_size=3, max_size=3))),
+        sigma_o_sq=draw(VARIANCE),
+    )
+    chosen = draw(
+        st.lists(st.sampled_from(default_filters(d)), min_size=1, unique_by=lambda s: s.label)
+    )
+    specs = tuple(
+        FilterSpec(spec.label, spec.variant, spec.d, draw(MULTIPLIER), draw(MULTIPLIER))
+        for spec in chosen
+    )
+    return SimConfig(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        n_frames=draw(st.integers(1, 500)),
+        frame_height=frame_height,
+        frame_width=frame_width,
+        template_height=draw(st.integers(4, frame_height)),
+        template_width=draw(st.integers(4, frame_width)),
+        template_pattern=draw(st.sampled_from(["bumps", "constant"])),
+        template_seed=draw(st.integers(0, 2**32 - 1)),
+        d=d,
+        n_pf=draw(st.integers(1, 10_000)),
+        params=params,
+        support_change_period=draw(st.integers(1, 100)),
+        initial_support_size=draw(st.integers(0, n_lambda)),
+        filters=specs,
+        n_monte_carlo=draw(st.integers(1, 1000)),
+        regime=draw(st.sampled_from(["simulation", "real-video"])),
+        n_jobs=draw(st.integers(1, 64)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_config_round_trips_through_the_kv_file(tmp_path_factory, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # constant template with d > 0
+        cfg = data.draw(sim_configs())
+        path = tmp_path_factory.mktemp("kv") / "config.cfg"
+        fileio.write_kv(path, sim_config_to_kv(cfg))
+        assert sim_config_from_kv(fileio.read_kv(path)) == cfg
+    assert set(_config_echo(cfg)) == {f.name for f in fields(SimConfig)} - {"n_jobs"}
