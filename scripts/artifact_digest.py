@@ -19,7 +19,13 @@ artifacts. The runs are:
 - ``solve`` and ``solve-outliers``: ``pafimocs solve`` (without ``--trace``)
   on one fixed problem, the 32 x 32 ``bumps`` template with the d = 20
   dictionary and 20 spiked pixels, without and with ``gamma_outlier``
-  (``result.json``, ``solution.mat``, ``outliers.mat``).
+  (``result.json``, ``solution.mat``, ``outliers.mat``);
+- ``solve-trace`` and ``solve-outliers-trace``: the same two solves with
+  ``--trace`` (also ``trace.csv``);
+- ``analyze-support-coeffs`` and ``analyze-support-patches``: ``pafimocs
+  analyze-support`` at d = 3 on the 16 x 16 ``bumps`` template, over a
+  coefficient matrix of 12 sparse rows (some of them zero) and over the
+  noisy patches those rows illuminate (trace and membership CSVs).
 
 Usage, from the root of a checkout (``--src`` picks the package tree to
 import, by default this checkout's ``src``)::
@@ -107,6 +113,33 @@ def write_artifacts(out: str, inputs: str) -> None:
     for name, extra in (("solve", {}), ("solve-outliers", {"gamma_outlier": 20.0})):
         fileio.write_kv(os.path.join(pdir, "problem.cfg"), {**kv, **extra})
         run_cli(cli, ["solve", "--problem", pdir, "--out", os.path.join(out, name)])
+        trace_dir = os.path.join(out, f"{name}-trace")
+        run_cli(cli, ["solve", "--problem", pdir, "--out", trace_dir, "--trace"])
+    write_support_runs(cli, fileio, out, inputs)
+
+
+def write_support_runs(cli, fileio, out: str, inputs: str) -> None:
+    """Digest ``analyze-support`` over coefficient rows and over patch rows."""
+    from pafimocs.dictionary import build_dictionary
+    from pafimocs.harness import make_template
+
+    template = make_template("bumps", 16, 16, seed=1)
+    dictionary = build_dictionary(template, 3)
+    rng = np.random.default_rng(3)
+    coeffs = rng.normal(0.0, 0.05, (12, dictionary.n_lambda))
+    coeffs *= rng.random(coeffs.shape) < 0.3
+    coeffs[[0, 5]] = 0.0  # frames with an empty support
+    patches = template.pixels + coeffs @ dictionary.matrix.T + rng.normal(0.0, 1.0, (12, 256))
+    template_path = os.path.join(inputs, "template.mat")
+    fileio.save_matrix(template_path, template.image(), (16, 16, 0))
+    for name, rows in (("coeffs", coeffs), ("patches", patches)):
+        source = os.path.join(inputs, f"{name}.mat")
+        fileio.save_matrix(source, rows, (*rows.shape, 0))
+        run_dir = os.path.join(out, f"analyze-support-{name}")
+        os.makedirs(run_dir)
+        argv = ["analyze-support", "--input", source, "--template", template_path, "--d", "3"]
+        argv += ["--out", os.path.join(run_dir, "trace.csv")]
+        run_cli(cli, argv + ["--membership", os.path.join(run_dir, "membership.csv")])
 
 
 def write_config_runs(cli, fileio, out: str, inputs: str) -> None:

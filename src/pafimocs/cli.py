@@ -37,9 +37,9 @@ from .harness import (
     location_error,
     nmse,
     nmse_components,
-    parse_filter_labels,
     resolve_filter_config,
     run_experiment,
+    select_filters,
     sim_config_from_kv,
     sim_config_to_kv,
     write_membership_csv,
@@ -56,19 +56,17 @@ from .solver import (
 )
 
 
+# the CLI options that set config keys, each stored under its key
+_OPTION_KEYS = ("seed", "n_frames", "n_monte_carlo", "n_jobs", "n_pf", "d")
+
+
 def _load_sim_config(args) -> SimConfig:
+    """The config of the file's keys and the CLI options, an option overriding its key."""
     kv = fileio.read_kv(args.config) if args.config else {}
-    cfg = sim_config_from_kv(kv)
-    overrides = {}
-    for name in ("seed", "n_frames", "n_jobs", "d", "n_pf"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "n_runs", None) is not None:
-        overrides["n_monte_carlo"] = args.n_runs
-    if getattr(args, "filters", None):
-        overrides["filters"] = parse_filter_labels(args.filters, overrides.get("d", cfg.d))
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    for key in _OPTION_KEYS:
+        if getattr(args, key, None) is not None:
+            kv[key] = getattr(args, key)
+    return select_filters(sim_config_from_kv(kv), getattr(args, "filters", None))
 
 
 def _write_template_dir(out_dir, template: TemplatePatch) -> None:
@@ -77,8 +75,8 @@ def _write_template_dir(out_dir, template: TemplatePatch) -> None:
         {
             "height": template.height,
             "width": template.width,
-            "origin_i": int(template.coord_i[0]),
-            "origin_j": int(template.coord_j[0]),
+            "origin_i": template.origin_i,
+            "origin_j": template.origin_j,
         },
     )
     fileio.save_matrix(
@@ -155,9 +153,9 @@ def _read_states_csv(path, n_lambda: int):
 
 def cmd_track(args) -> int:
     sim_dir = args.sim
-    cfg = sim_config_from_kv(fileio.read_kv(os.path.join(sim_dir, "config.cfg")))
-    if args.filters:
-        cfg = dataclasses.replace(cfg, filters=parse_filter_labels(args.filters, cfg.d))
+    cfg = select_filters(
+        sim_config_from_kv(fileio.read_kv(os.path.join(sim_dir, "config.cfg"))), args.filters
+    )
     template = _read_template_dir(sim_dir)
     t_motion, t_supports, t_coeffs = _read_states_csv(
         os.path.join(sim_dir, "states.csv"), cfg.params.n_lambda
@@ -252,8 +250,16 @@ def cmd_analyze_support(args) -> int:
     return 0
 
 
+# problem.cfg keys besides ``cond_support``; a key left out takes the field's default
+_PROBLEM_KEYS = ("sigma_o_sq", "sigma_l_sq", "beta", "gamma", "gamma_outlier")
+_SOLVER_KEYS = {"max_iterations": int, "kkt_tolerance": float}
+
+
 def _load_problem_dir(problem_dir):
     kv = fileio.read_kv(os.path.join(problem_dir, "problem.cfg"))
+    unknown = set(kv) - {"cond_support", *_PROBLEM_KEYS, *_SOLVER_KEYS}
+    if unknown:
+        raise ValueError(f"unknown problem keys: {sorted(unknown)}")
     y, _ = fileio.load_matrix(os.path.join(problem_dir, "y.mat"))
     lam_prev, _ = fileio.load_matrix(os.path.join(problem_dir, "lambda_prev.mat"))
     dictionary = load_dictionary(os.path.join(problem_dir, "phi.mat"))
@@ -263,16 +269,9 @@ def _load_problem_dir(problem_dir):
         dictionary=dictionary,
         lambda_prev=lam_prev.ravel(),
         cond_support=support,
-        sigma_o_sq=float(kv["sigma_o_sq"]),
-        sigma_l_sq=float(kv["sigma_l_sq"]),
-        beta=float(kv.get("beta", 1.0)),
-        gamma=float(kv.get("gamma", 0.7)),
-        gamma_outlier=float(kv["gamma_outlier"]) if "gamma_outlier" in kv else None,
+        **{key: float(kv[key]) for key in _PROBLEM_KEYS if key in kv},
     )
-    config = SolverConfig(
-        max_iterations=int(kv.get("max_iterations", 2000)),
-        kkt_tolerance=float(kv.get("kkt_tolerance", 1e-6)),
-    )
+    config = SolverConfig(**{key: kind(kv[key]) for key, kind in _SOLVER_KEYS.items() if key in kv})
     return problem, config
 
 
@@ -336,10 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", required=True)
     p_exp.add_argument("--seed", type=int)
     p_exp.add_argument("--n-frames", type=int, dest="n_frames")
-    p_exp.add_argument("--n-runs", type=int, dest="n_runs")
+    p_exp.add_argument("--n-runs", type=int, dest="n_monte_carlo")
     p_exp.add_argument("--n-jobs", type=int, dest="n_jobs")
     p_exp.add_argument("--n-pf", type=int, dest="n_pf", help="particles per tracker")
-    p_exp.add_argument("--d", type=int, help="dictionary order (config params must match)")
+    p_exp.add_argument(
+        "--d", type=int, help="dictionary order (n_lambda = 2 d + 1 unless the config sets it)"
+    )
     p_exp.add_argument("--filters", help="comma-separated filter labels")
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -11,7 +11,7 @@ matrix stacks ``vec(template * basis_k)`` as columns (row-major ``vec``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -89,33 +89,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TemplatePatch:
-    """Template pixels with their frame coordinates.
+    """Template pixels placed in a frame.
 
-    ``pixels`` is the row-major flattening of the patch; ``coord_i`` /
-    ``coord_j`` give each pixel's row / column position in the frame the
-    patch was cut from, so the patch stays anchored when motion is applied.
-    The coordinates must form a row-major ``height x width`` grid: pixel
-    ``a * width + b`` sits at ``(axis_i[a], axis_j[b])``, which lets the
-    observation model map each axis once instead of every pixel.
+    ``pixels`` is the row-major flattening of the patch, whose top-left
+    pixel sits at frame row ``origin_i`` and column ``origin_j``; so pixel
+    ``a * width + b`` sits at ``(axis_i[a], axis_j[b])``, and the patch stays
+    anchored when motion is applied. The observation model maps each axis
+    once instead of every pixel.
     """
 
     pixels: np.ndarray
     height: int
     width: int
-    coord_i: np.ndarray
-    coord_j: np.ndarray
+    origin_i: int = 0
+    origin_j: int = 0
 
     def __post_init__(self):
         n_l = self.height * self.width
-        for name in ("pixels", "coord_i", "coord_j"):
-            arr = _freeze(getattr(self, name))
-            if arr.shape != (n_l,):
-                raise ValueError(f"{name} must have length height * width = {n_l}")
-            object.__setattr__(self, name, arr)
-        grid_i = self.coord_i.reshape(self.height, self.width)
-        grid_j = self.coord_j.reshape(self.height, self.width)
-        if np.any(grid_i != grid_i[:, :1]) or np.any(grid_j != grid_j[:1]):
-            raise ValueError("coord_i / coord_j must form a row-major height x width grid")
+        pixels = _freeze(self.pixels)
+        if pixels.shape != (n_l,):
+            raise ValueError(f"pixels must have length height * width = {n_l}")
+        object.__setattr__(self, "pixels", pixels)
 
     @classmethod
     def from_image(cls, image, origin: tuple[int, int] = (0, 0)) -> "TemplatePatch":
@@ -123,17 +117,10 @@ class TemplatePatch:
         if image.ndim != 2:
             raise ValueError("template image must be 2-D")
         h, w = image.shape
-        ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        return cls(
-            pixels=image.ravel(),
-            height=h,
-            width=w,
-            coord_i=(ii.ravel() + origin[0]).astype(float),
-            coord_j=(jj.ravel() + origin[1]).astype(float),
-        )
+        return cls(pixels=image.ravel(), height=h, width=w, origin_i=origin[0], origin_j=origin[1])
 
     def with_origin(self, origin_i: int, origin_j: int) -> "TemplatePatch":
-        return TemplatePatch.from_image(self.image(), (origin_i, origin_j))
+        return replace(self, origin_i=origin_i, origin_j=origin_j)
 
     def image(self) -> np.ndarray:
         return self.pixels.reshape(self.height, self.width)
@@ -144,21 +131,31 @@ class TemplatePatch:
 
     @cached_property
     def centroid_i(self) -> float:
-        return float(np.mean(self.coord_i))
+        return self.origin_i + (self.height - 1) / 2
 
     @cached_property
     def centroid_j(self) -> float:
-        return float(np.mean(self.coord_j))
+        return self.origin_j + (self.width - 1) / 2
 
-    @property
+    @cached_property
     def axis_i(self) -> np.ndarray:
         """Frame row of each template row, ``(height,)``."""
-        return self.coord_i[:: self.width]
+        return _freeze(np.arange(self.height) + self.origin_i)
 
-    @property
+    @cached_property
     def axis_j(self) -> np.ndarray:
         """Frame column of each template column, ``(width,)``."""
-        return self.coord_j[: self.width]
+        return _freeze(np.arange(self.width) + self.origin_j)
+
+    @property
+    def coord_i(self) -> np.ndarray:
+        """Frame row of each pixel, ``(n_pixels,)``."""
+        return np.repeat(self.axis_i, self.width)
+
+    @property
+    def coord_j(self) -> np.ndarray:
+        """Frame column of each pixel, ``(n_pixels,)``."""
+        return np.tile(self.axis_j, self.height)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +260,7 @@ class SupportTrace:
     """Per-frame support statistics of a coefficient sequence.
 
     ``add_frac`` / ``del_frac`` are NaN on the first frame (no predecessor);
-    frames whose support is empty report 0.0 ratios and set ``zero_support``.
+    frames whose support is empty report 0.0 ratios.
     """
 
     supports: list
@@ -271,7 +268,6 @@ class SupportTrace:
     supp_frac: np.ndarray
     add_frac: np.ndarray
     del_frac: np.ndarray
-    zero_support: np.ndarray
     n_lambda: int = field(default=0)
 
     def write_csv(self, path) -> None:
@@ -303,13 +299,11 @@ def support_trace(coeff_sequence: np.ndarray, fraction: float = 0.99) -> Support
     supp_frac = np.zeros(n_frames)
     add_frac = np.full(n_frames, np.nan)
     del_frac = np.full(n_frames, np.nan)
-    zero = np.zeros(n_frames, dtype=bool)
     for t in range(n_frames):
         supp, alpha = energy_support(seq[t], fraction)
         supports.append(supp)
         alphas[t] = alpha
         supp_frac[t] = len(supp) / n_lambda
-        zero[t] = len(supp) == 0
         if t == 0:
             continue
         if len(supp) == 0:
@@ -325,7 +319,6 @@ def support_trace(coeff_sequence: np.ndarray, fraction: float = 0.99) -> Support
         supp_frac=supp_frac,
         add_frac=add_frac,
         del_frac=del_frac,
-        zero_support=zero,
         n_lambda=n_lambda,
     )
 

@@ -107,7 +107,6 @@ class ParticleSet:
     log_weights: np.ndarray  # (n_pf,)
     streams: list
     resample_rng: np.random.Generator
-    step: int = 0
     last_stats: StepStats | None = None
 
     @classmethod
@@ -223,8 +222,7 @@ def _finish_step(proposed: ParticleSet, unconverged: int = 0) -> ParticleSet:
         unconverged_solves=unconverged,
     )
     order = systematic_resample(w, proposed.resample_rng)
-    kept = replace(proposed.select(order), log_weights=np.full(n, -math.log(n)))
-    return replace(kept, step=proposed.step + 1, last_stats=stats)
+    return replace(proposed.select(order), log_weights=np.full(n, -math.log(n)), last_stats=stats)
 
 
 class RunConstants(NamedTuple):

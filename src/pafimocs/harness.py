@@ -35,7 +35,7 @@ from .dictionary import (
     support_trace,
 )
 from .filters import FilterConfig, run_tracker
-from .models import FullState, ModelParams, MotionState, SupportSet, sample_coeff_transition, sample_motion_transition, sample_support_transition
+from .models import _PARAM_KEYS, FullState, ModelParams, MotionState, SupportSet, sample_coeff_transition, sample_motion_transition, sample_support_transition
 from .observation import NoiseModel, render_frame
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "nmse_components",
     "location_error",
     "parse_filter_labels",
+    "select_filters",
     "resolve_filter_config",
     "run_experiment",
     "analyze_support",
@@ -150,6 +151,8 @@ class SimConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.n_monte_carlo < 1 or self.n_jobs < 1:
             raise ValueError("n_monte_carlo and n_jobs must be >= 1")
+        if not self.filters:
+            raise ValueError("filters must name at least one tracker")
         labels = [spec.label for spec in self.filters]
         duplicated = sorted({label for label in labels if labels.count(label) > 1})
         if duplicated:
@@ -336,7 +339,6 @@ class MetricSeries:
 class ExperimentResult:
     metrics: dict
     n_runs: int
-    files: dict
 
 
 def _run_one(cfg: SimConfig, run_idx: int, run_ss: np.random.SeedSequence) -> dict:
@@ -418,15 +420,10 @@ def run_experiment(cfg: SimConfig, out_dir) -> ExperimentResult:
             lost=lost,
         )
 
-    files = {
-        "runs": os.path.join(out_dir, "runs.csv"),
-        "aggregate": os.path.join(out_dir, "aggregate.csv"),
-        "summary": os.path.join(out_dir, "summary.json"),
-    }
-    _write_runs_csv(files["runs"], cfg, run_rows)
-    _write_aggregate_csv(files["aggregate"], cfg, metrics)
-    _write_summary_json(files["summary"], cfg, metrics)
-    return ExperimentResult(metrics=metrics, n_runs=cfg.n_monte_carlo, files=files)
+    _write_runs_csv(os.path.join(out_dir, "runs.csv"), cfg, run_rows)
+    _write_aggregate_csv(os.path.join(out_dir, "aggregate.csv"), cfg, metrics)
+    _write_summary_json(os.path.join(out_dir, "summary.json"), cfg, metrics)
+    return ExperimentResult(metrics=metrics, n_runs=cfg.n_monte_carlo)
 
 
 def _write_runs_csv(path, cfg: SimConfig, run_rows) -> None:
@@ -543,6 +540,17 @@ def parse_filter_labels(text: str, default_d: int) -> tuple:
     return tuple(parse_filter_label(label, default_d) for label in labels if label)
 
 
+def select_filters(cfg: SimConfig, text: str | None) -> SimConfig:
+    """``cfg`` running the comma-separated filter labels of ``text`` (all of
+    its own when None); a label ``cfg`` already has keeps its spec, per-label
+    multiplier overrides included."""
+    if text is None:
+        return cfg
+    known = {spec.label: spec for spec in cfg.filters}
+    specs = parse_filter_labels(text, cfg.d)
+    return replace(cfg, filters=tuple(known.get(spec.label, spec) for spec in specs))
+
+
 def sim_config_to_kv(cfg: SimConfig) -> dict:
     """Flatten a simulation config for the key-value file format."""
     kv = dict(cfg.params.to_config())
@@ -559,21 +567,18 @@ def sim_config_to_kv(cfg: SimConfig) -> dict:
 def sim_config_from_kv(kv: dict) -> SimConfig:
     """Rebuild a simulation config from a flat key-value mapping.
 
-    Missing keys take the dataclass defaults; unknown keys (beyond the
-    per-filter ``<label>.gamma`` / ``<label>.beta`` overrides) are an error.
+    Missing keys take the dataclass defaults, except ``n_lambda``, which
+    follows ``d`` as ``2 d + 1``; unknown keys (beyond the per-filter
+    ``<label>.gamma`` / ``<label>.beta`` overrides) are an error.
     """
     kv = dict(kv)
-    param_keys = set(default_params().to_config())
-    param_kv = {k: kv.pop(k) for k in list(kv) if k in param_keys}
-    params = (
-        ModelParams.from_config({**default_params().to_config(), **param_kv})
-        if param_kv
-        else default_params()
-    )
-
     scalars = {
         name: type(f.default)(kv.pop(name)) for name, f in _SCALAR_FIELDS.items() if name in kv
     }
+    n_lambda = 2 * scalars.get("d", _SCALAR_FIELDS["d"].default) + 1
+    param_kv = {key: kv.pop(key) for key in _PARAM_KEYS if key in kv}
+    defaults = {**default_params().to_config(), "n_lambda": n_lambda}
+    params = ModelParams.from_config({**defaults, **param_kv})
     cfg = SimConfig(params=params, **scalars)  # the filter labels need its d
     specs = []
     for spec in parse_filter_labels(str(kv.pop("filters", "")), cfg.d) or default_filters(cfg.d):

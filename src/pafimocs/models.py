@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fileio
-
 __all__ = [
     "NEG_INF",
     "ZERO_VAR_ATOL",
@@ -84,9 +82,6 @@ class SupportSet:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def __contains__(self, idx) -> bool:
-        return idx in self.indices
 
     def as_array(self) -> np.ndarray:
         return np.array(self.indices, dtype=np.intp)
@@ -148,18 +143,19 @@ class FullState:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-# Config file keys; the diagonal motion covariance is flattened to three keys.
-_PARAM_KEYS = (
-    "n_lambda",
-    "s_expected",
-    "p_a",
-    "p_r",
-    "sigma_l_sq",
-    "sigma_u_xx",
-    "sigma_u_yy",
-    "sigma_u_ss",
-    "sigma_o_sq",
-)
+# Config file keys and their types; the diagonal motion covariance is
+# flattened to three keys.
+_PARAM_KEYS = {
+    "n_lambda": int,
+    "s_expected": int,
+    "p_a": float,
+    "p_r": float,
+    "sigma_l_sq": float,
+    "sigma_u_xx": float,
+    "sigma_u_yy": float,
+    "sigma_u_ss": float,
+    "sigma_o_sq": float,
+}
 
 
 @dataclass(frozen=True)
@@ -201,43 +197,17 @@ class ModelParams:
             raise ValueError("pixel_max must be positive")
 
     def to_config(self) -> dict:
-        return {
-            "n_lambda": self.n_lambda,
-            "s_expected": self.s_expected,
-            "p_a": float(self.p_a),
-            "p_r": float(self.p_r),
-            "sigma_l_sq": float(self.sigma_l_sq),
-            "sigma_u_xx": self.sigma_u[0],
-            "sigma_u_yy": self.sigma_u[1],
-            "sigma_u_ss": self.sigma_u[2],
-            "sigma_o_sq": float(self.sigma_o_sq),
-        }
+        values = (self.n_lambda, self.s_expected, self.p_a, self.p_r, self.sigma_l_sq,
+                  *self.sigma_u, self.sigma_o_sq)
+        return {key: kind(v) for (key, kind), v in zip(_PARAM_KEYS.items(), values)}
 
     @classmethod
     def from_config(cls, mapping: dict) -> "ModelParams":
         missing = [k for k in _PARAM_KEYS if k not in mapping]
         if missing:
             raise ValueError(f"config missing keys: {', '.join(missing)}")
-        return cls(
-            n_lambda=int(mapping["n_lambda"]),
-            s_expected=int(mapping["s_expected"]),
-            p_a=float(mapping["p_a"]),
-            p_r=float(mapping["p_r"]),
-            sigma_l_sq=float(mapping["sigma_l_sq"]),
-            sigma_u=(
-                float(mapping["sigma_u_xx"]),
-                float(mapping["sigma_u_yy"]),
-                float(mapping["sigma_u_ss"]),
-            ),
-            sigma_o_sq=float(mapping["sigma_o_sq"]),
-        )
-
-    def save(self, path) -> None:
-        fileio.write_kv(path, self.to_config())
-
-    @classmethod
-    def load(cls, path) -> "ModelParams":
-        return cls.from_config(fileio.read_kv(path))
+        values = [kind(mapping[key]) for key, kind in _PARAM_KEYS.items()]
+        return cls(*values[:5], sigma_u=tuple(values[5:8]), sigma_o_sq=values[8])
 
 
 def derive_pr_stationary(p_a: float, s: int, n_lambda: int) -> float:

@@ -36,6 +36,7 @@ computed from the full dictionary (not the search's cached Gram products).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -348,15 +349,15 @@ def _null_descent(point, pattern, weights, gram_big, rhs, mask):
     return moved
 
 
-def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start=None):
+def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start):
     """Feature-sign search: ``(candidate, kkt)`` of each round run.
 
     The objective is ``x' gram_big x / 2 - rhs' x + sum(weights |x|)``
     with ``weights`` zero on ``mask``; the coordinates off ``mask`` are the
     l1 ones. ``cost`` evaluates it (up to a constant) from its definition and
     ``certify`` returns the KKT residual of a point. Feature-sign search
-    (Lee, Battle, Raina & Ng 2007) runs from ``start``, by default the ridge
-    minimizer, or from zero when the ridge solve fails or when round 1 fails
+    (Lee, Battle, Raina & Ng 2007) runs from ``start`` (a ridge minimizer or
+    warm start from the caller), or from zero when round 1 fails
     and zero costs less. Each round solves the system on the current sign
     pattern and certifies the candidate. The search then moves to the
     cheapest of the candidate and the points on the way to it where an l1
@@ -370,14 +371,7 @@ def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start
     for ``n`` unknowns.
     """
     off = ~mask
-    if start is not None:
-        point = start
-    else:
-        try:
-            point = np.linalg.solve(gram_big, rhs)
-        except np.linalg.LinAlgError:
-            point = np.zeros_like(rhs)
-    pattern = point
+    point = pattern = start
     point_cost = None
     rounds = []
     for _ in range(2 * rhs.size + 3):
@@ -537,8 +531,11 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
             cand = ridge.copy()
             redo = ~np.all((target == rhs) & (rhs != 0.0), axis=1)
             cand[redo] = np.linalg.solve(gram_big[redo], target[redo][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            ridge = cand = np.zeros_like(x)
+        except np.linalg.LinAlgError:  # one singular row fails the stacked solve
+            ridge, cand = np.zeros_like(x), np.zeros_like(x)
+            for j in range(len(x)):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    ridge[j] = np.linalg.solve(gram_big[j], rhs[j])
             one_row[:] = True
         one_row |= np.any(~masks & (ridge == 0.0), axis=1)
         grad, _ = _gradient_rows(phi, y, prev, masks, rows.sigma_o_sq, c_prior, cand)
@@ -549,7 +546,7 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
         for j in np.flatnonzero(one_row):
             i = lo + j
             lam, out.kkt_residual[i], out.iterations[i], out.converged[i], trace = _solve_row(
-                rows.problem(i), gram_big[j], rhs[j], x[j], config
+                rows.problem(i), gram_big[j], rhs[j], x[j], ridge[j], config
             )
             out.lambda_opt[i] = lam
             if out.traces is not None:
@@ -557,8 +554,9 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     return out
 
 
-def _solve_row(problem, gram_big, rhs, x, config):
-    """One row of :func:`solve_rows` from its Gram system and warm start ``x``:
+def _solve_row(problem, gram_big, rhs, x, ridge, config):
+    """One row of :func:`solve_rows` from its Gram system, warm start ``x`` and
+    ridge point (zero where its solve fails):
     ``(lambda, kkt residual, iterations, converged, trace)``."""
     mask = problem.cond_support.mask()
     off = ~mask
@@ -582,7 +580,8 @@ def _solve_row(problem, gram_big, rhs, x, config):
                 trace.append((0, cost(x), direct))
             return x, direct, 0, True, trace
 
-    rounds = _sign_pattern_rounds(problem.gamma * off, gram_big, rhs, mask, cost, certify, tol)
+    weights = problem.gamma * off
+    rounds = _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, ridge)
     if trace is not None:
         trace.append((0, cost(x), certify(x)))
     if rounds[-1][1] <= tol:

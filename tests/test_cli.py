@@ -135,6 +135,21 @@ class TestTrack:
             == open(os.path.join(b, "estimates.csv"), "rb").read()
         )
 
+    def test_filters_option_keeps_config_overrides(self, tmp_path):
+        path = tmp_path / "gamma.cfg"
+        fileio.write_kv(path, {"pafimocs.gamma": 55.0, "n_pf": 4, "filters": "pafimocs,pf-mt-3"})
+        sim = str(tmp_path / "sim")
+        assert main(["simulate", "--config", str(path), "--out", sim, "--n-frames", "2"]) == 0
+        all_dir, one_dir = str(tmp_path / "all"), str(tmp_path / "one")
+        assert main(["track", "--sim", sim, "--out", all_dir]) == 0
+        assert main(["track", "--sim", sim, "--out", one_dir, "--filters", "pafimocs"]) == 0
+        # pafimocs comes first in both runs, so it gets the same seed
+        for name in ("estimates.csv", "metrics.csv", "tracker_log.csv"):
+            rows = read_csv_rows(os.path.join(all_dir, name))
+            assert [r for r in rows if r["filter"] == "pafimocs"] == read_csv_rows(
+                os.path.join(one_dir, name)
+            )
+
     def test_missing_sim_dir_fails_cleanly(self, tmp_path, capsys):
         rc = main(["track", "--sim", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -189,6 +204,38 @@ class TestExperiment:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(payload["final_nmse"]) == {"pf-gordon-3"}
+
+    # cut the paper-regime defaults down to one cheap run
+    CHEAP = ["--n-runs", "1", "--n-frames", "1", "--n-pf", "4"]
+
+    def echo(self, out):
+        return json.loads(open(os.path.join(out, "summary.json")).read())["config"]
+
+    def test_d_option_sets_n_lambda(self, tmp_path):
+        out = str(tmp_path / "exp")
+        argv = ["experiment", "--out", out, "--d", "3", "--filters", "pf-gordon-3"]
+        assert main(argv + self.CHEAP) == 0
+        echo = self.echo(out)
+        assert echo["d"] == 3 and echo["params"]["n_lambda"] == 7
+
+    def test_config_with_only_d(self, tmp_path):
+        path = tmp_path / "d3.cfg"
+        fileio.write_kv(path, {"d": 3})
+        out = str(tmp_path / "exp")
+        argv = ["experiment", "--config", str(path), "--out", out, "--filters", "pf-gordon-3"]
+        assert main(argv + self.CHEAP) == 0
+        echo = self.echo(out)
+        assert echo["d"] == 3 and echo["params"]["n_lambda"] == 7
+
+    def test_filters_option_keeps_config_overrides(self, tmp_path):
+        path = tmp_path / "gamma.cfg"
+        fileio.write_kv(path, {"pafimocs.gamma": 55.0})
+        out = str(tmp_path / "exp")
+        argv = ["experiment", "--config", str(path), "--out", out, "--filters", "pafimocs,pf-mt-3"]
+        assert main(argv + self.CHEAP) == 0
+        specs = {spec["label"]: spec for spec in self.echo(out)["filters"]}
+        assert specs["pafimocs"]["gamma"] == 55.0
+        assert specs["pf-mt-3"]["gamma"] is None
 
 
 class TestAnalyzeSupport:
@@ -300,6 +347,15 @@ class TestSolve:
         outliers, header = fileio.load_matrix(os.path.join(out, "outliers.mat"))
         assert header == (1, 12, 0)
 
+    def test_unknown_problem_key_fails_cleanly(self, tmp_path, capsys):
+        pdir = self._problem_dir(tmp_path)
+        kv = fileio.read_kv(os.path.join(pdir, "problem.cfg"))
+        fileio.write_kv(os.path.join(pdir, "problem.cfg"), {**kv, "gama": 5000.0})
+        rc = main(["solve", "--problem", pdir, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": "unknown problem keys: ['gama']", "type": "ValueError"}
+
     def test_missing_problem_fails_cleanly(self, tmp_path, capsys):
         rc = main(["solve", "--problem", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -333,4 +389,12 @@ class TestArgumentErrors:
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload == {"error": "duplicate filter labels: pf-gordon-3", "type": "ValueError"}
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_empty_filter_list_reports_json_error(self, tmp_path, capsys):
+        argv = ["experiment", "--out", str(tmp_path / "o"), "--filters", ","]
+        rc = main(argv + ["--n-runs", "1", "--n-frames", "1"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": "filters must name at least one tracker", "type": "ValueError"}
         assert not os.path.exists(tmp_path / "o")

@@ -125,18 +125,6 @@ def test_template_patch_geometry():
     assert np.array_equal(patch.axis_j, [20.0, 21.0, 22.0])
 
 
-def test_template_patch_rejects_coordinates_off_a_grid():
-    patch = TemplatePatch.from_image(np.arange(6.0).reshape(2, 3), origin=(10, 20))
-    grid = dict(pixels=patch.pixels, height=2, width=3)
-    TemplatePatch(coord_i=patch.coord_i, coord_j=patch.coord_j, **grid)  # the grid itself
-    swapped = patch.coord_i[[1, 0, 2, 3, 4, 5]], patch.coord_j[[1, 0, 2, 3, 4, 5]]
-    column_major = np.tile([10.0, 11.0], 3), np.repeat([20.0, 21.0, 22.0], 2)
-    scattered = np.array([10.0, 10.0, 10.0, 11.0, 11.0, 12.0]), patch.coord_j
-    for coord_i, coord_j in (swapped, column_major, scattered):
-        with pytest.raises(ValueError, match="grid"):
-            TemplatePatch(coord_i=coord_i, coord_j=coord_j, **grid)
-
-
 def test_ml_coeff_fit_round_trip():
     template = bumps_template()
     dictionary = build_dictionary(template, 3)

@@ -4,7 +4,7 @@ flat config format."""
 import json
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from pafimocs.harness import (
     parse_filter_labels,
     resolve_filter_config,
     run_experiment,
+    select_filters,
     sim_config_from_kv,
     sim_config_to_kv,
     write_membership_csv,
@@ -133,6 +134,12 @@ class TestSimConfigValidation:
         kv = {"filters": "pf-gordon-3,pf-gordon-3", "pf-gordon-3.gamma": "0.3"}
         with pytest.raises(ValueError, match="duplicate filter labels: pf-gordon-3"):
             sim_config_from_kv(kv)
+
+    def test_empty_filter_list_rejected(self):
+        # it would write header-only CSVs and an empty ``filters`` line,
+        # which reads back as the default trackers
+        with pytest.raises(ValueError, match="at least one tracker"):
+            SimConfig(filters=())
 
     def test_constant_pattern_with_positive_order_warns(self):
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
@@ -447,6 +454,26 @@ class TestConfigFormat:
         by_label = {spec.label: spec for spec in cfg.filters}
         assert by_label["pafimocs"].gamma == 0.55
         assert by_label["pafimocs-ssc"].gamma is None
+
+    def test_n_lambda_follows_d(self):
+        cfg = sim_config_from_kv({"d": "3"})
+        assert cfg.params.n_lambda == 7
+        assert cfg.params == replace(default_params(), n_lambda=7)
+        assert cfg.filters == default_filters(3)
+        assert sim_config_from_kv({"d": "3", "n_lambda": "7"}) == cfg
+        with pytest.raises(ValueError, match="n_lambda"):
+            sim_config_from_kv({"d": "3", "n_lambda": "41"})
+
+    def test_select_filters_keeps_overrides(self):
+        cfg = sim_config_from_kv({"pafimocs.gamma": "55.0", "pf-mt-3.beta": "0.25"})
+        chosen = select_filters(cfg, "pf-mt-20, pafimocs")
+        assert chosen.filters == (
+            FilterSpec("pf-mt-20", "pf-mt", 20),
+            FilterSpec("pafimocs", "pafimocs", 20, gamma=55.0),
+        )
+        assert select_filters(cfg, None) is cfg
+        with pytest.raises(ValueError, match="at least one tracker"):
+            select_filters(cfg, ",")
 
     def test_parse_filter_label(self):
         assert parse_filter_label("pf-mt-3", 20) == FilterSpec("pf-mt-3", "pf-mt", 3)
