@@ -24,10 +24,16 @@ PF-MT does), so each step starts from equal weights. The moves are:
   coefficient transition density, and for ``pafimocs-ssc`` also the support
   transition probability.
 
-The mode-tracking move runs stacked over the slots with a valid ROI: one
-:func:`solve_rows` call, then row-wise support thresholds
-(:func:`threshold_rows`) and transition densities (``stp_coeffs_rows``,
-``stp_support_rows``), each row computed with a lone slot's arithmetic.
+The mode-tracking move works per distinct (ROI, parent coefficients,
+conditioning support) row of the slots with a valid ROI, compared byte for
+byte: the ROI is rounded to whole pixels and resampling leaves few
+ancestors, so on the default scene only about 15% of the slots of
+``pafimocs-ssc`` and ``pf-mt`` hold a distinct row (``pafimocs``, which
+draws a support per slot, nearly all). Each distinct row is gathered,
+solved (one :func:`solve_rows` call), thresholded (:func:`threshold_rows`)
+and weighed (``log_likelihood``, ``stp_coeffs_rows``, ``stp_support_rows``)
+once, stacked, with a lone slot's arithmetic, and the results are copied to
+every slot that shares it.
 
 RNG stream rule: ``ParticleSet.initialize`` spawns ``n_pf + 1`` child
 streams from one seed; child ``i`` is pinned to particle slot ``i`` for the
@@ -59,7 +65,7 @@ from .models import (
     stp_coeffs_rows,
     stp_support_rows,
 )
-from .observation import Frame, NoiseModel, log_likelihood, mapped_rows
+from .observation import Frame, NoiseModel, gather_rows, grid_rows, log_likelihood
 from .solver import ModeTrackingRows, SolverConfig, power_iteration_lmax, solve_rows
 from .solver import solve  # noqa: F401  unused here; perfbench traces ``filters.solve``
 
@@ -288,39 +294,59 @@ def filter_step(
 def _first_stage(pset, frame, template, dictionary, run) -> np.ndarray:
     """``aux-pf``'s first-stage log-likelihood of every slot's current state.
 
-    It is evaluated once per distinct (motion, coefficients) row, compared
-    byte for byte, and scattered back; each row of :func:`log_likelihood` is
-    computed on its own, so duplicates get the same bits.
+    It is evaluated once per distinct (motion, coefficients) row and
+    scattered back; each row of :func:`log_likelihood` is computed on its
+    own, so duplicates get the same bits.
     """
-    states = np.concatenate([pset.motion, pset.coeffs], axis=1)
-    keys = states.view(np.dtype((np.void, states.itemsize * states.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first, inverse = _distinct_rows(pset.motion, pset.coeffs)
     unique_ll = log_likelihood(
         frame, pset.motion[first], pset.coeffs[first], template, dictionary, run.noise
     )
     return unique_ll[inverse]
 
 
+def _distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of 2-D ``arrays`` taken side by side, compared byte for byte.
+
+    Returns the index of each distinct row's first occurrence, in order of
+    first occurrence, and each row's position in that list.
+    """
+    keys = np.concatenate([np.ascontiguousarray(a).view(np.uint8) for a in arrays], axis=1)
+    seen = {}  # row bytes -> index of their first occurrence
+    firsts = np.array([seen.setdefault(k.tobytes(), i) for i, k in enumerate(keys)], dtype=np.intp)
+    first = np.flatnonzero(firsts == np.arange(firsts.size))
+    return first, np.searchsorted(first, firsts)
+
+
 def _mode_track(moved, frame, template, dictionary, params, cfg, run):
     """Mode-tracking move of ``moved`` (new motions, parents' states and base weights).
 
-    The solves, thresholds and transition densities run stacked over the
-    slots with a valid ROI. Returns the proposed set and the uncertified-solve
-    count; off-frame slots get weight 0.
+    Slots with a valid ROI are keyed on their ROI grid, parent coefficients
+    and conditioning mask. The gather, solve, threshold, likelihood and
+    transition densities run stacked, once per distinct key, and are
+    scattered back to the slots. Returns the proposed set and the number of
+    slots whose solve is uncertified; off-frame slots get weight 0.
     """
     if cfg.variant == "pafimocs":
         pairs = zip(moved.supports, moved.streams)
         conds = tuple(sample_support_transition(s, params, rng) for s, rng in pairs)
     else:
         conds = moved.supports if cfg.variant == "pafimocs-ssc" else (run.full,) * moved.n_pf
-    mapped, valid = mapped_rows(frame, moved.motion, template)
+    offsets, cols, valid = grid_rows(moved.motion, template, (frame.height, frame.width))
     live = np.flatnonzero(valid)
-    prev = moved.coeffs[live]
+    shared = {id(s): s for s in conds}  # resampled slots share their parents' supports
+    mask_of = {key: s.mask() for key, s in shared.items()}
+    cond_masks = np.array([mask_of[id(conds[i])] for i in live], dtype=bool)
+    cond_masks = cond_masks.reshape(live.size, dictionary.n_lambda)
+    first, inverse = _distinct_rows(offsets[live], cols[live], moved.coeffs[live], cond_masks)
+    slots = live[first]
+    mapped = gather_rows(frame, offsets[slots], cols[slots], template)
+    prev = moved.coeffs[slots]
     rows = ModeTrackingRows(
-        y_residual_base=mapped[live],
+        y_residual_base=mapped,
         dictionary=dictionary,
         lambda_prev=prev,
-        cond_supports=tuple(conds[i] for i in live),
+        cond_supports=tuple(conds[i] for i in slots),
         sigma_o_sq=run.sigma_o_sq,
         sigma_l_sq=run.sigma_l_sq,
         beta=cfg.beta,
@@ -331,24 +357,27 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
     lam = solved.lambda_opt
     if cfg.variant == "pf-mt":
         masks = np.ones(lam.shape, dtype=bool)
-        solved_supports = (run.full,) * live.size
+        solved_supports = (run.full,) * slots.size
     else:
         masks = threshold_rows(lam, cfg.support_threshold, cfg.alpha)
         lam = lam * masks  # states stay exactly sparse
         solved_supports = [SupportSet.from_mask(mask) for mask in masks]
     supports = list(conds)
-    for i, support in zip(live, solved_supports):
-        supports[i] = support
+    for i, k in zip(live, inverse):
+        supports[i] = solved_supports[k]
     coeffs = moved.coeffs.copy()
-    coeffs[live] = lam
-    log_w = moved.log_weights + log_likelihood(
-        frame, moved.motion, coeffs, template, dictionary, run.noise, (mapped, valid)
-    )
-    log_w[live] += stp_coeffs_rows(lam, prev, masks, params)
+    coeffs[live] = lam[inverse]
+    ll = np.full(moved.n_pf, NEG_INF)
+    gathered = (mapped, np.ones(slots.size, dtype=bool))  # overwrites the solved pixels
+    ll[live] = log_likelihood(
+        frame, moved.motion[slots], lam, template, dictionary, run.noise, gathered
+    )[inverse]
+    log_w = moved.log_weights + ll
+    log_w[live] += stp_coeffs_rows(lam, prev, masks, params)[inverse]
     if cfg.variant == "pafimocs-ssc":
-        log_w[live] += stp_support_rows(masks, rows.masks, params)
+        log_w[live] += stp_support_rows(masks, rows.masks, params)[inverse]
     proposed = replace(moved, coeffs=coeffs, supports=tuple(supports), log_weights=log_w)
-    return proposed, int(np.count_nonzero(~solved.converged))
+    return proposed, int(np.count_nonzero(~solved.converged[inverse]))
 
 
 @dataclass

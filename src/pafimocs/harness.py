@@ -568,16 +568,21 @@ def sim_config_from_kv(kv: dict) -> SimConfig:
     """Rebuild a simulation config from a flat key-value mapping.
 
     Missing keys take the dataclass defaults, except ``n_lambda``, which
-    follows ``d`` as ``2 d + 1``; unknown keys (beyond the per-filter
-    ``<label>.gamma`` / ``<label>.beta`` overrides) are an error.
+    follows ``d`` as ``2 d + 1``, and ``s_expected`` and
+    ``initial_support_size``, which are capped at that ``n_lambda``; unknown
+    keys (beyond the per-filter ``<label>.gamma`` / ``<label>.beta``
+    overrides) are an error.
     """
     kv = dict(kv)
     scalars = {
         name: type(f.default)(kv.pop(name)) for name, f in _SCALAR_FIELDS.items() if name in kv
     }
     n_lambda = 2 * scalars.get("d", _SCALAR_FIELDS["d"].default) + 1
+    initial_size = min(_SCALAR_FIELDS["initial_support_size"].default, n_lambda)
+    scalars.setdefault("initial_support_size", initial_size)
     param_kv = {key: kv.pop(key) for key in _PARAM_KEYS if key in kv}
-    defaults = {**default_params().to_config(), "n_lambda": n_lambda}
+    defaults = default_params().to_config()
+    defaults.update(n_lambda=n_lambda, s_expected=min(defaults["s_expected"], n_lambda))
     params = ModelParams.from_config({**defaults, **param_kv})
     cfg = SimConfig(params=params, **scalars)  # the filter labels need its d
     specs = []

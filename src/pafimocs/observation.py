@@ -31,8 +31,10 @@ __all__ = [
     "RoiIndexSet",
     "NoiseModel",
     "round_half_away",
+    "grid_rows",
     "roi_rows",
     "mapped_rows",
+    "gather_rows",
     "compute_roi",
     "render_frame",
     "residual_g",
@@ -121,7 +123,7 @@ def round_half_away(x):
     return np.sign(arr) * np.floor(np.abs(arr) + 0.5)
 
 
-def _grid_rows(motion: np.ndarray, template: TemplatePatch, frame_dims: tuple[int, int]):
+def grid_rows(motion: np.ndarray, template: TemplatePatch, frame_dims: tuple[int, int]):
     """Row offsets ``(n, height)``, columns ``(n, width)`` and validity ``(n,)`` of motion rows."""
     height, width = frame_dims
     ci, cj = template.centroid_i, template.centroid_j
@@ -141,21 +143,28 @@ def roi_rows(
     is its row's offset plus its column. A rounded coordinate outside the
     frame makes the row invalid, its indices still returned unclamped.
     """
-    offsets, cols, valid = _grid_rows(motion, template, frame_dims)
+    offsets, cols, valid = grid_rows(motion, template, frame_dims)
     return (offsets[:, :, None] + cols[:, None, :]).reshape(len(motion), -1), valid
 
 
 def mapped_rows(frame: Frame, motion: np.ndarray, template: TemplatePatch) -> tuple:
     """ROI pixels minus the template per motion row (pixel 0 if invalid), and validity."""
-    mapped, valid = np.empty((len(motion), template.n_pixels)), np.empty(len(motion), dtype=bool)
-    for lo in range(0, len(motion), ROW_BLOCK):  # a block of index rows at a time bounds memory
+    offsets, cols, valid = grid_rows(motion, template, (frame.height, frame.width))
+    offsets[~valid] = cols[~valid] = 0  # invalid rows read pixel 0
+    return gather_rows(frame, offsets, cols, template), valid
+
+
+def gather_rows(
+    frame: Frame, offsets: np.ndarray, cols: np.ndarray, template: TemplatePatch
+) -> np.ndarray:
+    """Frame pixels minus the template at in-frame :func:`grid_rows` offsets and columns."""
+    mapped = np.empty((len(offsets), template.n_pixels))
+    for lo in range(0, len(offsets), ROW_BLOCK):  # a block of index rows at a time bounds memory
         rows = slice(lo, lo + ROW_BLOCK)
-        offsets, cols, valid[rows] = _grid_rows(motion[rows], template, (frame.height, frame.width))
-        offsets[~valid[rows]] = cols[~valid[rows]] = 0  # invalid rows read pixel 0
-        indices = (offsets[:, :, None] + cols[:, None, :]).reshape(len(offsets), -1)
+        indices = (offsets[rows, :, None] + cols[rows, None, :]).reshape(-1, template.n_pixels)
         np.take(frame.pixels, indices, out=mapped[rows])
     mapped -= template.pixels
-    return mapped, valid
+    return mapped
 
 
 def compute_roi(

@@ -218,6 +218,16 @@ class TestExperiment:
         echo = self.echo(out)
         assert echo["d"] == 3 and echo["params"]["n_lambda"] == 7
 
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_low_order_d_caps_support_sizes(self, tmp_path, d):
+        out = str(tmp_path / "exp")
+        argv = ["experiment", "--out", out, "--d", str(d), "--filters", f"pf-gordon-{d}"]
+        assert main(argv + self.CHEAP) == 0
+        echo = self.echo(out)
+        n_lambda = 2 * d + 1
+        assert echo["params"]["n_lambda"] == echo["params"]["s_expected"] == n_lambda
+        assert echo["initial_support_size"] == n_lambda
+
     def test_config_with_only_d(self, tmp_path):
         path = tmp_path / "d3.cfg"
         fileio.write_kv(path, {"d": 3})

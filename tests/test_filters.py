@@ -356,6 +356,113 @@ def test_aux_first_stage_matches_every_row(monkeypatch, resample):
         assert distinct[1:] == [n_pf] * 4
 
 
+@st.composite
+def shared_parent_sets(draw):
+    """Particle sets whose slots share a few parents, with one slot off the frame.
+
+    Parents sit at whole and half pixel offsets with sparse or full
+    supports, near the coefficients ``(20, 0, -12)`` of the scene they are
+    tracked in; a still or a half-pixel walk then leaves several slots on
+    one ROI.
+    """
+    n_pf = draw(st.integers(2, 12))
+    bases = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, -0.5, 1.0]),
+                st.sampled_from([0.0, 0.25, -1.0]),
+                st.sampled_from([(0,), (0, 2), (0, 1, 2), ()]),
+                st.sampled_from([0.0, 0.5, -0.25]),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    parents = draw(st.lists(st.integers(0, len(bases) - 1), min_size=n_pf, max_size=n_pf))
+    off = draw(st.integers(0, n_pf - 1))
+    motion = np.array([[bases[b][0], bases[b][1], 1.0] for b in parents])
+    motion[off] = (30.0, 0.0, 1.0)
+    supports = tuple(SupportSet.from_indices(bases[b][2], 3) for b in parents)
+    masks = np.array([s.mask() for s in supports])
+    shifts = np.array([bases[b][3] for b in parents])
+    coeffs = (np.array([20.0, 0.0, -12.0]) + shifts[:, None]) * masks
+    return motion, coeffs, supports, off, draw(st.integers(0, 2**32 - 1))
+
+
+def step_recording(pset, frame, template, dictionary, params, cfg, every_row_distinct):
+    """One ``filter_step``: its proposed set, its result and the sampled conditioning supports.
+
+    The result is the ``ValueError`` of the resampler's weight-sum check
+    when the step raises one: live slots that tie for the top log weight
+    far below zero (a pixel off, over this scene's large dictionary
+    columns) normalize to weights whose sum misses 1 by more than it allows.
+    """
+    proposals, sampled = [], []
+    finish, draw_support = filters._finish_step, filters.sample_support_transition
+
+    def recording_finish(proposed, unconverged=0):
+        proposals.append(proposed)
+        return finish(proposed, unconverged)
+
+    def recording_draw(prev, params, rng):
+        sampled.append(draw_support(prev, params, rng))
+        return sampled[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filters, "_finish_step", recording_finish)
+        mp.setattr(filters, "sample_support_transition", recording_draw)
+        if every_row_distinct:
+            mp.setattr(filters, "_distinct_rows", lambda *a: (np.arange(len(a[0])),) * 2)
+        try:
+            out = take_step(pset, frame, template, dictionary, params, cfg)
+        except ValueError as error:
+            out = str(error)
+    return proposals[0], out, sampled
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shared_parent_sets(),
+    st.sampled_from(["pafimocs", "pafimocs-ssc", "pf-mt"]),
+    st.sampled_from([(0.0, 0.0, 0.0), (0.5, 0.5, 0.0)]),
+)
+def test_mode_track_per_distinct_row_matches_every_row(particles, variant, sigma_u):
+    motion, coeffs, supports, off, seed = particles
+    params = make_params(sigma_u=sigma_u)
+    template, dictionary, frame, truth = make_scene(
+        params, support=(0, 2), coeff_values=(20.0, -12.0)
+    )
+    cfg = FilterConfig(variant=variant, n_pf=len(motion), d=1)
+    results = []
+    for every_row_distinct in (False, True):
+        pset = ParticleSet.initialize(truth, len(motion), seed)
+        pset = replace(pset, motion=motion.copy(), coeffs=coeffs.copy(), supports=supports)
+        results.append(
+            step_recording(pset, frame, template, dictionary, params, cfg, every_row_distinct)
+        )
+    (proposed, out, sampled), (proposed_ref, out_ref, sampled_ref) = results
+    for name in ("motion", "coeffs", "log_weights"):
+        assert getattr(proposed, name).tobytes() == getattr(proposed_ref, name).tobytes()
+    assert proposed.supports == proposed_ref.supports
+    assert sampled == sampled_ref
+    # the off-frame slot is weighed out and keeps the support it was conditioned on
+    full = (SupportSet((0, 1, 2), 3),) * len(motion)
+    conds = {"pafimocs": sampled, "pafimocs-ssc": supports, "pf-mt": full}[variant]
+    assert proposed.log_weights[off] == NEG_INF
+    assert proposed.supports[off] == conds[off]
+    if isinstance(out_ref, str):
+        assert out == out_ref
+        return
+    for name in ("motion", "coeffs", "log_weights"):
+        assert getattr(out, name).tobytes() == getattr(out_ref, name).tobytes()
+    assert out.supports == out_ref.supports
+    stats, stats_ref = out.last_stats, out_ref.last_stats
+    assert (stats.ess, stats.max_log_weight) == (stats_ref.ess, stats_ref.max_log_weight)
+    for name in ("motion_mean", "coeff_mean", "support_sizes"):
+        assert getattr(stats, name).tobytes() == getattr(stats_ref, name).tobytes()
+    assert stats.unconverged_solves == stats_ref.unconverged_solves
+
+
 class TestDeterminism:
     def _track(self, seed, variant="pafimocs"):
         return track_six_frames(FilterConfig(variant=variant, n_pf=6, d=1), seed)
@@ -437,6 +544,30 @@ class TestUnconvergedSolves:
         cfg = FilterConfig(variant=variant, n_pf=6, d=1)
         result = track_six_frames(cfg, seed=4)
         assert 0 < result.unconverged_solves <= 5 * 6
+
+    @pytest.mark.parametrize("variant", ["pafimocs", "pafimocs-ssc", "pf-mt"])
+    def test_slots_sharing_one_solve_each_count(self, monkeypatch, variant):
+        # a still walk and a support kernel that moves nothing give every
+        # live slot one key, so one uncertified solve serves five slots
+        capped = functools.partial(SolverConfig, max_iterations=1, kkt_tolerance=1e-300)
+        monkeypatch.setattr(filters, "SolverConfig", capped)
+        stacks = []
+
+        def recording_solve_rows(rows, config=None):
+            stacks.append(len(rows.lambda_prev))
+            return solver.solve_rows(rows, config)
+
+        monkeypatch.setattr(filters, "solve_rows", recording_solve_rows)
+        params = make_params(sigma_u=(0.0, 0.0, 0.0), p_a=0.0, p_r=0.0)
+        template, dictionary, frame, truth = make_scene(
+            params, support=(0, 2), coeff_values=(20.0, -12.0)
+        )
+        pset = ParticleSet.initialize(truth, 6, 4)
+        pset.motion[3] = (500.0, 500.0, 1.0)  # off the frame: no solve, no count
+        cfg = FilterConfig(variant=variant, n_pf=6, d=1)
+        out = take_step(pset, frame, template, dictionary, params, cfg)
+        assert stacks == [1]
+        assert out.last_stats.unconverged_solves == 5
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_default_solver_leaves_none(self, variant):

@@ -464,6 +464,16 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match="n_lambda"):
             sim_config_from_kv({"d": "3", "n_lambda": "41"})
 
+    def test_support_sizes_follow_small_d(self):
+        cfg = sim_config_from_kv({"d": "1"})
+        assert (cfg.params.s_expected, cfg.initial_support_size) == (3, 3)
+        wide = sim_config_from_kv({"d": "3"})
+        assert (wide.params.s_expected, wide.initial_support_size) == (5, 5)
+        with pytest.raises(ValueError, match="s_expected"):
+            sim_config_from_kv({"d": "1", "s_expected": "5"})
+        with pytest.raises(ValueError, match="initial_support_size"):
+            sim_config_from_kv({"d": "1", "initial_support_size": "5"})
+
     def test_select_filters_keeps_overrides(self):
         cfg = sim_config_from_kv({"pafimocs.gamma": "55.0", "pf-mt-3.beta": "0.25"})
         chosen = select_filters(cfg, "pf-mt-20, pafimocs")
