@@ -28,32 +28,21 @@ import numpy as np
 
 from . import fileio
 from .dictionary import TemplatePatch, build_dictionary, load_dictionary
-from .filters import run_tracker
 from .harness import (
     GroundTruth,
     SimConfig,
     analyze_support,
     generate_sequence,
-    location_error,
-    nmse,
-    nmse_components,
-    resolve_filter_config,
     run_experiment,
     select_filters,
     sim_config_from_kv,
     sim_config_to_kv,
+    track_truth,
     write_membership_csv,
-    _pad_coeffs,
 )
 from .models import FullState, MotionState, SupportSet
 from .observation import Frame
-from .solver import (
-    ModeTrackingProblem,
-    SolverConfig,
-    solve,
-    solve_with_outliers,
-    write_trace_csv,
-)
+from .solver import ModeTrackingProblem, SolverConfig, solve, solve_with_outliers
 
 
 # the CLI options that set config keys, each stored under its key
@@ -94,6 +83,10 @@ def _read_template_dir(sim_dir) -> TemplatePatch:
     )
 
 
+def _lam_columns(cfg: SimConfig) -> list:
+    return [f"lam_{k}" for k in range(cfg.params.n_lambda)]
+
+
 def _support_field(support: SupportSet) -> str:
     return "|".join(str(i) for i in support.indices)
 
@@ -111,18 +104,13 @@ def cmd_simulate(args) -> int:
     truth = generate_sequence(cfg, rng)
     _write_template_dir(args.out, truth.template)
 
-    n_lambda = cfg.params.n_lambda
-    with open(os.path.join(args.out, "states.csv"), "w") as fh:
-        lam_cols = ",".join(f"lam_{k}" for k in range(n_lambda))
-        fh.write(f"frame,u_x,u_y,s,support,{lam_cols}\n")
-        for t, state in enumerate(truth.states):
-            lam = ",".join(fileio.fmt_float(v) for v in state.coeffs)
-            fh.write(
-                f"{t},{fileio.fmt_float(state.motion.u_x)},"
-                f"{fileio.fmt_float(state.motion.u_y)},"
-                f"{fileio.fmt_float(state.motion.s)},"
-                f"{_support_field(state.support)},{lam}\n"
-            )
+    fileio.write_csv(os.path.join(args.out, "states.csv"), [
+        ["frame", "u_x", "u_y", "s", "support", *_lam_columns(cfg)],
+        *(
+            [t, *s.motion.as_array().tolist(), _support_field(s.support), *s.coeffs.tolist()]
+            for t, s in enumerate(truth.states)
+        ),
+    ])
     for t, frame in enumerate(truth.frames):
         image = frame.image()
         fileio.save_matrix(
@@ -135,20 +123,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_states_csv(path, n_lambda: int):
-    motion = []
-    supports = []
-    coeffs = []
+def _read_states_csv(path, n_lambda: int) -> list:
+    states = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:5] != ["frame", "u_x", "u_y", "s", "support"]:
             raise ValueError(f"{path}: unexpected states header")
         for line in fh:
             parts = line.rstrip("\n").split(",")
-            motion.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            supports.append(_parse_support_field(parts[4], n_lambda))
-            coeffs.append([float(v) for v in parts[5 : 5 + n_lambda]])
-    return np.array(motion), supports, np.array(coeffs)
+            motion = MotionState(float(parts[1]), float(parts[2]), float(parts[3]))
+            support = _parse_support_field(parts[4], n_lambda)
+            coeffs = np.array([float(v) for v in parts[5 : 5 + n_lambda]])
+            states.append(FullState(motion, support, coeffs))
+    return states
 
 
 def cmd_track(args) -> int:
@@ -157,72 +144,53 @@ def cmd_track(args) -> int:
         sim_config_from_kv(fileio.read_kv(os.path.join(sim_dir, "config.cfg"))), args.filters
     )
     template = _read_template_dir(sim_dir)
-    t_motion, t_supports, t_coeffs = _read_states_csv(
-        os.path.join(sim_dir, "states.csv"), cfg.params.n_lambda
-    )
+    states = _read_states_csv(os.path.join(sim_dir, "states.csv"), cfg.params.n_lambda)
     frames = []
-    for t in range(len(t_motion)):
+    for t in range(len(states)):
         image, _ = fileio.load_matrix(os.path.join(sim_dir, f"frame_{t:04d}.mat"))
         frames.append(Frame.from_image(image))
-    states = [
-        FullState(MotionState.from_array(m), supp, c)
-        for m, supp, c in zip(t_motion, t_supports, t_coeffs)
-    ]
     truth = GroundTruth(states=states, frames=frames, template=template)
 
     os.makedirs(args.out, exist_ok=True)
     seed = cfg.seed if args.seed is None else args.seed
     # one spawned seed per tracker, in filter order
-    children = np.random.SeedSequence(seed).spawn(len(cfg.filters))
-
-    n_lambda = cfg.params.n_lambda
-    lam_cols = ",".join(f"lam_{k}" for k in range(n_lambda))
-    est_fh = open(os.path.join(args.out, "estimates.csv"), "w")
-    est_fh.write(f"filter,frame,u_x,u_y,s,{lam_cols}\n")
-    met_fh = open(os.path.join(args.out, "metrics.csv"), "w")
-    met_fh.write("filter,frame,err_sq,ref_sq,nmse,loc_err\n")
-    log_fh = open(os.path.join(args.out, "tracker_log.csv"), "w")
-    log_fh.write("filter,frame,ess,max_log_weight,mean_support_size\n")
-    summary = {}
-    try:
-        for k, spec in enumerate(cfg.filters):
-            fcfg = resolve_filter_config(spec, cfg)
-            result = run_tracker(
-                frames, template, cfg.params, fcfg, states[0], children[k]
+    runs = track_truth(cfg, truth, np.random.SeedSequence(seed).spawn(len(cfg.filters)))
+    fileio.write_csv(os.path.join(args.out, "estimates.csv"), [
+        ["filter", "frame", "u_x", "u_y", "s", *_lam_columns(cfg)],
+        *(
+            [label, t, *motion, *coeffs]
+            for label, run in runs.items()
+            for t, (motion, coeffs) in enumerate(
+                zip(run.result.motion.tolist(), run.coeffs.tolist())
             )
-            est_coeffs = _pad_coeffs(result.coeffs, n_lambda)
-            err, ref = nmse_components(truth, result.motion, est_coeffs)
-            ratio = nmse(truth, result.motion, est_coeffs)
-            le = np.asarray(location_error(t_motion, result.motion)).reshape(-1)
-            for t in range(len(frames)):
-                lam = ",".join(fileio.fmt_float(v) for v in est_coeffs[t])
-                est_fh.write(
-                    f"{spec.label},{t},{fileio.fmt_float(result.motion[t, 0])},"
-                    f"{fileio.fmt_float(result.motion[t, 1])},"
-                    f"{fileio.fmt_float(result.motion[t, 2])},{lam}\n"
-                )
-                met_fh.write(
-                    f"{spec.label},{t},{fileio.fmt_float(err[t])},"
-                    f"{fileio.fmt_float(ref[t])},{fileio.fmt_float(ratio[t])},"
-                    f"{fileio.fmt_float(le[t])}\n"
-                )
-                log_fh.write(
-                    f"{spec.label},{t},{fileio.fmt_float(result.ess[t])},"
-                    f"{fileio.fmt_float(result.max_log_weight[t])},"
-                    f"{fileio.fmt_float(np.mean(result.support_sizes[t]))}\n"
-                )
-            summary[spec.label] = {
-                "final_nmse": float(err[-1] / ref[-1]) if ref[-1] > 0 else None,
-                "final_loc_err": float(le[-1]),
-                "lost_at": result.lost_at,
-            }
-    finally:
-        est_fh.close()
-        met_fh.close()
-        log_fh.close()
-    with open(os.path.join(args.out, "track_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        ),
+    ])
+    fileio.write_csv(os.path.join(args.out, "metrics.csv"), [
+        ["filter", "frame", "err_sq", "ref_sq", "nmse", "loc_err"],
+        *(
+            [label, t, *row]
+            for label, run in runs.items()
+            for t, row in enumerate(zip(run.err_sq, run.ref_sq, run.nmse, run.le))
+        ),
+    ])
+    fileio.write_csv(os.path.join(args.out, "tracker_log.csv"), [
+        ["filter", "frame", "ess", "max_log_weight", "mean_support_size"],
+        *(
+            [label, t, *row]
+            for label, run in runs.items()
+            for t, row in enumerate(
+                zip(run.result.ess, run.result.max_log_weight, np.mean(run.result.support_sizes, 1))
+            )
+        ),
+    ])
+    fileio.write_json(os.path.join(args.out, "track_summary.json"), {
+        label: {
+            "final_nmse": float(run.nmse[-1]) if run.ref_sq[-1] > 0 else None,
+            "final_loc_err": float(run.le[-1]),
+            "lost_at": run.result.lost_at,
+        }
+        for label, run in runs.items()
+    })
     print(f"tracked {len(cfg.filters)} filters over {len(frames)} frames")
     return 0
 
@@ -300,11 +268,12 @@ def cmd_solve(args) -> int:
         "kkt_residual": float(result.kkt_residual),
         "objective": float(result.objective),
     }
-    with open(os.path.join(args.out, "result.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fileio.write_json(os.path.join(args.out, "result.json"), payload)
     if args.trace and result.trace is not None:
-        write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
+        fileio.write_csv(
+            os.path.join(args.out, "trace.csv"),
+            [["iteration", "objective", "kkt_residual"], *result.trace],
+        )
     print(json.dumps(payload, sort_keys=True))
     return 0
 

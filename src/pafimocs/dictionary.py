@@ -271,17 +271,20 @@ class SupportTrace:
     n_lambda: int = field(default=0)
 
     def write_csv(self, path) -> None:
-        def cell(x) -> str:
-            return "" if math.isnan(x) else fileio.fmt_float(x)
+        """One row per frame; NaN change ratios are left empty."""
 
-        with open(path, "w") as fh:
-            fh.write("frame,supp_frac,add_frac,del_frac,alpha\n")
-            for t in range(len(self.supports)):
-                fh.write(
-                    f"{t},{fileio.fmt_float(self.supp_frac[t])},"
-                    f"{cell(self.add_frac[t])},{cell(self.del_frac[t])},"
-                    f"{fileio.fmt_float(self.alphas[t])}\n"
+        def cell(x):
+            return "" if math.isnan(x) else x
+
+        fileio.write_csv(path, [
+            ["frame", "supp_frac", "add_frac", "del_frac", "alpha"],
+            *(
+                [t, supp, cell(add), cell(rem), alpha]
+                for t, (supp, add, rem, alpha) in enumerate(
+                    zip(self.supp_frac, self.add_frac, self.del_frac, self.alphas)
                 )
+            ),
+        ])
 
     def membership_matrix(self) -> np.ndarray:
         out = np.zeros((len(self.supports), self.n_lambda), dtype=int)

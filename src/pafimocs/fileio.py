@@ -1,17 +1,24 @@
 """Small file formats shared across the package.
 
-Three formats live here: flat key-value config text, a plain text matrix
-format with a 3-integer header line, and 8-bit binary PGM for visual dumps.
-All float emission goes through ``fmt_float`` (shortest round-trip repr of a
-builtin float) so that repeated runs write byte-identical files.
+Five formats live here: flat key-value config text, a plain text matrix
+format with a 3-integer header line, 8-bit binary PGM for visual dumps, and
+the two artifact writers every command uses: ``write_csv`` (comma-separated
+rows; a one-cell row such as ``# pafimocs-csv-v1 runs`` is written as is)
+and ``write_json`` (indent 2, sorted keys, final newline). All float
+emission goes through ``fmt_float`` (shortest round-trip repr of a builtin
+float) so that repeated runs write byte-identical files.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 __all__ = [
     "fmt_float",
+    "write_csv",
+    "write_json",
     "read_kv",
     "write_kv",
     "load_matrix",
@@ -26,16 +33,28 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
+def _cell(x) -> str:
+    return fmt_float(x) if isinstance(x, float) else str(x)
+
+
+def write_csv(path, rows) -> None:
+    """Write rows of cells, comma-separated: floats (``np.float64`` too)
+    through ``fmt_float``, every other cell through ``str``."""
+    with open(path, "w") as fh:
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def write_json(path, payload) -> None:
+    """Write a JSON document with indent 2, sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_kv(path, mapping: dict) -> None:
     """Write a flat key-value config file, keys sorted, one `key = value` per line."""
-    lines = []
-    for key in sorted(mapping):
-        value = mapping[key]
-        if isinstance(value, float):
-            value = fmt_float(value)
-        lines.append(f"{key} = {value}\n")
     with open(path, "w") as fh:
-        fh.writelines(lines)
+        fh.writelines(f"{key} = {_cell(mapping[key])}\n" for key in sorted(mapping))
 
 
 def read_kv(path) -> dict:

@@ -17,8 +17,8 @@ results are identical however runs are scheduled.
 
 from __future__ import annotations
 
-import json
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -34,7 +34,7 @@ from .dictionary import (
     ml_coeff_fit,
     support_trace,
 )
-from .filters import FilterConfig, run_tracker
+from .filters import FilterConfig, TrackResult, run_tracker
 from .models import _PARAM_KEYS, FullState, ModelParams, MotionState, SupportSet, sample_coeff_transition, sample_motion_transition, sample_support_transition
 from .observation import NoiseModel, render_frame
 
@@ -42,6 +42,7 @@ __all__ = [
     "FilterSpec",
     "SimConfig",
     "GroundTruth",
+    "FilterRun",
     "MetricSeries",
     "ExperimentResult",
     "default_params",
@@ -54,6 +55,7 @@ __all__ = [
     "parse_filter_labels",
     "select_filters",
     "resolve_filter_config",
+    "track_truth",
     "run_experiment",
     "analyze_support",
     "write_membership_csv",
@@ -290,13 +292,17 @@ def nmse_components(
     return err, ref
 
 
-def nmse(truth: GroundTruth, motion_est: np.ndarray, coeff_est: np.ndarray) -> np.ndarray:
-    """Per-frame normalized squared error of a single run (NaN where the
-    reference mass is zero)."""
-    err, ref = nmse_components(truth, motion_est, coeff_est)
+def _ratio(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``err / ref``, NaN where the reference mass is zero."""
     out = np.full(err.shape, np.nan)
     np.divide(err, ref, out=out, where=ref > 0.0)
     return out
+
+
+def nmse(truth: GroundTruth, motion_est: np.ndarray, coeff_est: np.ndarray) -> np.ndarray:
+    """Per-frame normalized squared error of a single run (NaN where the
+    reference mass is zero)."""
+    return _ratio(*nmse_components(truth, motion_est, coeff_est))
 
 
 def location_error(truth_motion, est_motion) -> np.ndarray:
@@ -305,8 +311,7 @@ def location_error(truth_motion, est_motion) -> np.ndarray:
     e = np.atleast_2d(np.asarray(est_motion, dtype=float))
     if t.shape != e.shape:
         raise ValueError("motion arrays must have matching shapes")
-    out = np.hypot(t[:, 0] - e[:, 0], t[:, 1] - e[:, 1])
-    return out if out.size > 1 else float(out[0])
+    return np.hypot(t[:, 0] - e[:, 0], t[:, 1] - e[:, 1])
 
 
 def resolve_filter_config(spec: FilterSpec, cfg: SimConfig) -> FilterConfig:
@@ -319,6 +324,41 @@ def resolve_filter_config(spec: FilterSpec, cfg: SimConfig) -> FilterConfig:
     return FilterConfig(
         variant=spec.variant, n_pf=cfg.n_pf, d=spec.d, gamma=gamma, beta=beta
     )
+
+
+@dataclass
+class FilterRun:
+    """One tracker's run over a ground-truth sequence, scored against it."""
+
+    result: TrackResult
+    coeffs: np.ndarray      # (n_frames + 1, n_lambda), zero-padded to the truth's width
+    err_sq: np.ndarray      # per frame, as nmse_components
+    ref_sq: np.ndarray
+    le: np.ndarray          # per-frame location error
+
+    @property
+    def nmse(self) -> np.ndarray:
+        """Per-frame ``err_sq / ref_sq``, NaN where the reference mass is zero."""
+        return _ratio(self.err_sq, self.ref_sq)
+
+
+def track_truth(cfg: SimConfig, truth: GroundTruth, seeds) -> dict:
+    """Run each of ``cfg.filters`` over ``truth`` from its first state and
+    score it; the k-th tracker is seeded by ``seeds[k]``. Returns
+    ``{label: FilterRun}`` in filter order."""
+    t_motion, _ = _truth_arrays(truth)
+    runs = {}
+    for spec, seed in zip(cfg.filters, seeds, strict=True):
+        fcfg = resolve_filter_config(spec, cfg)
+        result = run_tracker(
+            truth.frames, truth.template, cfg.params, fcfg, truth.states[0], seed
+        )
+        coeffs = _pad_coeffs(result.coeffs, cfg.params.n_lambda)
+        err, ref = nmse_components(truth, result.motion, coeffs)
+        runs[spec.label] = FilterRun(
+            result, coeffs, err, ref, location_error(t_motion, result.motion)
+        )
+    return runs
 
 
 @dataclass
@@ -341,26 +381,11 @@ class ExperimentResult:
     n_runs: int
 
 
-def _run_one(cfg: SimConfig, run_idx: int, run_ss: np.random.SeedSequence) -> dict:
-    """One Monte Carlo replication; returns per-filter raw metric rows."""
+def _run_one(cfg: SimConfig, run_ss: np.random.SeedSequence) -> dict:
+    """One Monte Carlo replication: ``{label: FilterRun}`` over a fresh scene."""
     children = run_ss.spawn(1 + len(cfg.filters))
     truth = generate_sequence(cfg, np.random.default_rng(children[0]))
-    t_motion, _ = _truth_arrays(truth)
-    out = {}
-    for k, spec in enumerate(cfg.filters):
-        fcfg = resolve_filter_config(spec, cfg)
-        result = run_tracker(
-            truth.frames, truth.template, cfg.params, fcfg, truth.states[0], children[1 + k]
-        )
-        err, ref = nmse_components(truth, result.motion, result.coeffs)
-        le = np.asarray(location_error(t_motion, result.motion)).reshape(-1)
-        out[spec.label] = {
-            "err_sq": err,
-            "ref_sq": ref,
-            "le": le,
-            "lost": result.lost_at is not None,
-        }
-    return out
+    return track_truth(cfg, truth, children[1:])
 
 
 def _spawn_run_seeds(cfg: SimConfig) -> list:
@@ -377,42 +402,30 @@ def run_experiment(cfg: SimConfig, out_dir) -> ExperimentResult:
     filter, frame), and ``summary.json``. Byte-identical outputs for
     identical (config, seed) regardless of ``n_jobs``.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     run_seeds = _spawn_run_seeds(cfg)
     if cfg.n_jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.n_jobs) as pool:
-            futures = [
-                pool.submit(_run_one, cfg, r, run_seeds[r]) for r in range(cfg.n_monte_carlo)
-            ]
-            run_rows = [f.result() for f in futures]
+            filter_runs = list(pool.map(_run_one, [cfg] * len(run_seeds), run_seeds))
     else:
-        run_rows = [_run_one(cfg, r, run_seeds[r]) for r in range(cfg.n_monte_carlo)]
+        filter_runs = [_run_one(cfg, run_ss) for run_ss in run_seeds]
 
-    n_frames = cfg.n_frames + 1
     metrics = {}
     for spec in cfg.filters:
-        err = np.stack([run_rows[r][spec.label]["err_sq"] for r in range(cfg.n_monte_carlo)])
-        ref = np.stack([run_rows[r][spec.label]["ref_sq"] for r in range(cfg.n_monte_carlo)])
-        le = np.stack([run_rows[r][spec.label]["le"] for r in range(cfg.n_monte_carlo)])
-        lost = np.array(
-            [run_rows[r][spec.label]["lost"] for r in range(cfg.n_monte_carlo)], dtype=bool
-        )
-        mean_err = np.mean(err, axis=0)
-        mean_ref = np.mean(ref, axis=0)
-        agg = np.full(n_frames, np.nan)
-        np.divide(mean_err, mean_ref, out=agg, where=mean_ref > 0.0)
-        le_mean = np.mean(le, axis=0)
+        runs = [rows[spec.label] for rows in filter_runs]
+        err = np.stack([run.err_sq for run in runs])
+        ref = np.stack([run.ref_sq for run in runs])
+        le = np.stack([run.le for run in runs])
+        lost = np.array([run.result.lost_at is not None for run in runs], dtype=bool)
         le_stderr = (
             np.std(le, axis=0, ddof=1) / math.sqrt(cfg.n_monte_carlo)
             if cfg.n_monte_carlo > 1
-            else np.zeros(n_frames)
+            else np.zeros(cfg.n_frames + 1)
         )
         metrics[spec.label] = MetricSeries(
             label=spec.label,
-            nmse=agg,
-            le_mean=le_mean,
+            nmse=_ratio(np.mean(err, axis=0), np.mean(ref, axis=0)),
+            le_mean=np.mean(le, axis=0),
             le_stderr=le_stderr,
             err_sq=err,
             ref_sq=ref,
@@ -420,40 +433,37 @@ def run_experiment(cfg: SimConfig, out_dir) -> ExperimentResult:
             lost=lost,
         )
 
-    _write_runs_csv(os.path.join(out_dir, "runs.csv"), cfg, run_rows)
+    _write_runs_csv(os.path.join(out_dir, "runs.csv"), filter_runs)
     _write_aggregate_csv(os.path.join(out_dir, "aggregate.csv"), cfg, metrics)
     _write_summary_json(os.path.join(out_dir, "summary.json"), cfg, metrics)
     return ExperimentResult(metrics=metrics, n_runs=cfg.n_monte_carlo)
 
 
-def _write_runs_csv(path, cfg: SimConfig, run_rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# {CSV_SCHEMA} runs\n")
-        fh.write("run,filter,frame,err_sq,ref_sq,loc_err,lost\n")
-        for r in range(cfg.n_monte_carlo):
-            for spec in cfg.filters:
-                rows = run_rows[r][spec.label]
-                lost = 1 if rows["lost"] else 0
-                for t in range(cfg.n_frames + 1):
-                    fh.write(
-                        f"{r},{spec.label},{t},{fileio.fmt_float(rows['err_sq'][t])},"
-                        f"{fileio.fmt_float(rows['ref_sq'][t])},"
-                        f"{fileio.fmt_float(rows['le'][t])},{lost}\n"
-                    )
+def _write_runs_csv(path, filter_runs) -> None:
+    fileio.write_csv(path, [
+        [f"# {CSV_SCHEMA} runs"],
+        ["run", "filter", "frame", "err_sq", "ref_sq", "loc_err", "lost"],
+        *(
+            [r, label, t, err, ref, le, int(run.result.lost_at is not None)]
+            for r, runs in enumerate(filter_runs)
+            for label, run in runs.items()
+            for t, (err, ref, le) in enumerate(zip(run.err_sq, run.ref_sq, run.le))
+        ),
+    ])
 
 
 def _write_aggregate_csv(path, cfg: SimConfig, metrics) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# {CSV_SCHEMA} aggregate\n")
-        fh.write("filter,frame,nmse,le_mean,le_stderr,n_runs\n")
-        for spec in cfg.filters:
-            series = metrics[spec.label]
-            for t in range(cfg.n_frames + 1):
-                fh.write(
-                    f"{spec.label},{t},{fileio.fmt_float(series.nmse[t])},"
-                    f"{fileio.fmt_float(series.le_mean[t])},"
-                    f"{fileio.fmt_float(series.le_stderr[t])},{cfg.n_monte_carlo}\n"
-                )
+    fileio.write_csv(path, [
+        [f"# {CSV_SCHEMA} aggregate"],
+        ["filter", "frame", "nmse", "le_mean", "le_stderr", "n_runs"],
+        *(
+            [label, t, ratio, le_mean, le_stderr, cfg.n_monte_carlo]
+            for label, series in metrics.items()
+            for t, (ratio, le_mean, le_stderr) in enumerate(
+                zip(series.nmse, series.le_mean, series.le_stderr)
+            )
+        ),
+    ])
 
 
 def _config_echo(cfg: SimConfig) -> dict:
@@ -479,9 +489,7 @@ def _write_summary_json(path, cfg: SimConfig, metrics) -> None:
             for label, series in metrics.items()
         },
     }
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fileio.write_json(path, summary)
 
 
 def analyze_support(
@@ -513,11 +521,10 @@ def analyze_support(
 
 def write_membership_csv(trace: SupportTrace, path) -> None:
     """0/1 matrix of support membership, frames down, indices across."""
-    matrix = trace.membership_matrix()
-    with open(path, "w") as fh:
-        fh.write("frame," + ",".join(f"idx_{k}" for k in range(trace.n_lambda)) + "\n")
-        for t, row in enumerate(matrix):
-            fh.write(f"{t}," + ",".join(str(int(v)) for v in row) + "\n")
+    fileio.write_csv(path, [
+        ["frame", *(f"idx_{k}" for k in range(trace.n_lambda))],
+        *([t, *row] for t, row in enumerate(trace.membership_matrix().tolist())),
+    ])
 
 
 def parse_filter_label(label: str, default_d: int) -> FilterSpec:

@@ -64,7 +64,6 @@ __all__ = [
     "brute_force_ssc_oracle",
     "power_iteration_lmax",
     "soft_threshold",
-    "write_trace_csv",
 ]
 
 # enumeration guard for the brute-force support oracle
@@ -767,13 +766,3 @@ def brute_force_ssc_oracle(
         removed=SupportSet.from_indices(removed, n),
         objective=objective,
     )
-
-
-def write_trace_csv(trace, path) -> None:
-    """Dump a recorded per-iteration trace as CSV."""
-    from . import fileio
-
-    with open(path, "w") as fh:
-        fh.write("iteration,objective,kkt_residual\n")
-        for it, obj, kkt in trace:
-            fh.write(f"{it},{fileio.fmt_float(obj)},{fileio.fmt_float(kkt)}\n")

@@ -348,7 +348,8 @@ class TestSolve:
         assert solution.shape == (1, 4)
         trace_lines = open(os.path.join(out, "trace.csv")).read().splitlines()
         assert trace_lines[0] == "iteration,objective,kkt_residual"
-        assert len(trace_lines) >= 2
+        # the header, the warm start, then one row per round or iteration
+        assert len(trace_lines) == file_payload["iterations"] + 2
 
     def test_solve_with_outliers_writes_outlier_matrix(self, tmp_path):
         pdir = self._problem_dir(tmp_path, with_outliers=True)

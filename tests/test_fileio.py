@@ -35,6 +35,33 @@ def test_kv_comments_and_errors(tmp_path):
         fileio.read_kv(path)
 
 
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    fileio.write_csv(
+        path,
+        [
+            ["# pafimocs-csv-v1 runs"],
+            ("label", "value"),
+            [0.1, np.float64(1e-05), 3, np.int64(-4)],
+            ["pf-mt-3", math.nan, np.float64(math.nan), 1.0, ""],
+        ],
+    )
+    assert path.read_text().splitlines() == [
+        "# pafimocs-csv-v1 runs",
+        "label,value",
+        f"{fileio.fmt_float(0.1)},{fileio.fmt_float(1e-05)},3,-4",
+        "pf-mt-3,nan,nan,1.0,",
+    ]
+
+
+def test_write_json_layout(tmp_path):
+    path = tmp_path / "s.json"
+    fileio.write_json(path, {"b": {"y": 1, "x": None}, "a": [1.5]})
+    assert path.read_text() == (
+        '{\n  "a": [\n    1.5\n  ],\n  "b": {\n    "x": null,\n    "y": 1\n  }\n}\n'
+    )
+
+
 def test_matrix_round_trip(tmp_path):
     path = tmp_path / "m.mat"
     rng = np.random.default_rng(3)

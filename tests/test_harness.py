@@ -392,6 +392,15 @@ class TestRunExperiment:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_n_jobs_does_not_change_the_artifacts(self, tmp_path):
+        cfg = self._config(n_frames=2, n_monte_carlo=3)
+        run_experiment(cfg, tmp_path / "serial")
+        run_experiment(replace(cfg, n_jobs=2), tmp_path / "pool")
+        for name in ("runs.csv", "aggregate.csv", "summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "pool" / name
+            ).read_bytes()
+
     def test_matches_direct_tracker_run(self, tmp_path):
         # the harness must add nothing beyond the documented seed spawning:
         # replaying the same stream assignments by hand gives the same rows
