@@ -220,7 +220,7 @@ def cmd_analyze_support(args) -> int:
 
 # problem.cfg keys besides ``cond_support``; a key left out takes the field's default
 _PROBLEM_KEYS = ("sigma_o_sq", "sigma_l_sq", "beta", "gamma", "gamma_outlier")
-_SOLVER_KEYS = {"max_iterations": int, "kkt_tolerance": float}
+_SOLVER_KEYS = ("kkt_tolerance",)
 
 
 def _load_problem_dir(problem_dir):
@@ -239,7 +239,7 @@ def _load_problem_dir(problem_dir):
         cond_support=support,
         **{key: float(kv[key]) for key in _PROBLEM_KEYS if key in kv},
     )
-    config = SolverConfig(**{key: kind(kv[key]) for key, kind in _SOLVER_KEYS.items() if key in kv})
+    config = SolverConfig(**{key: float(kv[key]) for key in _SOLVER_KEYS if key in kv})
     return problem, config
 
 

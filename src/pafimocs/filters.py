@@ -66,8 +66,8 @@ from .models import (
     stp_support_rows,
 )
 from .observation import Frame, NoiseModel, gather_rows, grid_rows, log_likelihood
-from .solver import ModeTrackingRows, SolverConfig, power_iteration_lmax, solve_rows
-from .solver import solve  # noqa: F401  unused here; perfbench traces ``filters.solve``
+from .solver import ModeTrackingRows, SolverConfig, solve_rows
+from .solver import power_iteration_lmax, solve  # noqa: F401  perfbench binds both (ROADMAP 1)
 
 __all__ = [
     "TrackerLostError",
@@ -236,21 +236,17 @@ class RunConstants(NamedTuple):
 
     noise: NoiseModel
     full: SupportSet
-    lmax: float | None  # spectral bound of the Gram matrix; mode-tracking variants only
     sigma_o_sq: float  # mode-tracking cost variances; 1.0 stands in for a zero,
     sigma_l_sq: float  # whose cost weight degenerates
 
     @classmethod
-    def for_run(
-        cls, dictionary: Dictionary, params: ModelParams, cfg: FilterConfig
-    ) -> "RunConstants":
+    def for_run(cls, dictionary: Dictionary, params: ModelParams) -> "RunConstants":
         n_lambda = dictionary.n_lambda
         return cls(
             noise=NoiseModel(
                 kind="pure-gaussian", sigma_sq=params.sigma_o_sq, pixel_max=params.pixel_max
             ),
             full=SupportSet(tuple(range(n_lambda)), n_lambda),
-            lmax=None if cfg.variant in _PRIOR_MOVE else power_iteration_lmax(dictionary.gram),
             sigma_o_sq=params.sigma_o_sq if params.sigma_o_sq > 0.0 else 1.0,
             sigma_l_sq=params.sigma_l_sq if params.sigma_l_sq > 0.0 else 1.0,
         )
@@ -334,9 +330,7 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
         conds = moved.supports if cfg.variant == "pafimocs-ssc" else (run.full,) * moved.n_pf
     offsets, cols, valid = grid_rows(moved.motion, template, (frame.height, frame.width))
     live = np.flatnonzero(valid)
-    shared = {id(s): s for s in conds}  # resampled slots share their parents' supports
-    mask_of = {key: s.mask() for key, s in shared.items()}
-    cond_masks = np.array([mask_of[id(conds[i])] for i in live], dtype=bool)
+    cond_masks = np.array([conds[i].mask() for i in live], dtype=bool)
     cond_masks = cond_masks.reshape(live.size, dictionary.n_lambda)
     first, inverse = _distinct_rows(offsets[live], cols[live], moved.coeffs[live], cond_masks)
     slots = live[first]
@@ -351,7 +345,6 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
         sigma_l_sq=run.sigma_l_sq,
         beta=cfg.beta,
         gamma=cfg.gamma,
-        gram_lmax=run.lmax,
     )
     solved = solve_rows(rows, SolverConfig(warm_start=prev))
     lam = solved.lambda_opt
@@ -423,7 +416,7 @@ def run_tracker(
     init = _coerce_state(init_state, dictionary.n_lambda)
     pset = ParticleSet.initialize(init, cfg.n_pf, seed)
     tracker_params = replace_params_ambient(params, dictionary.n_lambda)
-    run = RunConstants.for_run(dictionary, tracker_params, cfg)
+    run = RunConstants.for_run(dictionary, tracker_params)
 
     sizes = np.full(cfg.n_pf, len(init.support))
     steps = [StepStats(float(cfg.n_pf), 0.0, init.motion.as_array(), init.coeffs, sizes)]  # row 0

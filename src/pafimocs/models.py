@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,9 +88,15 @@ class SupportSet:
         return np.array(self.indices, dtype=np.intp)
 
     def mask(self) -> np.ndarray:
+        """Boolean membership row; built once per set, read-only and shared."""
+        return self._mask
+
+    @cached_property
+    def _mask(self) -> np.ndarray:
         m = np.zeros(self.ambient_size, dtype=bool)
         if self.indices:
             m[np.array(self.indices, dtype=np.intp)] = True
+        m.flags.writeable = False
         return m
 
     def complement(self) -> "SupportSet":
@@ -184,16 +191,16 @@ class ModelParams:
             raise ValueError("p_a must lie in [0, 0.5)")
         if not 0.0 <= self.p_r < 0.5:
             raise ValueError("p_r must lie in [0, 0.5)")
-        if self.sigma_l_sq < 0.0 or self.sigma_o_sq < 0.0:
+        if not (self.sigma_l_sq >= 0.0 and self.sigma_o_sq >= 0.0):  # NaN fails too
             raise ValueError("variances must be nonnegative")
         sigma_u = tuple(float(v) + 0.0 for v in self.sigma_u)  # + 0.0 turns -0.0 into 0.0
-        if len(sigma_u) != 3 or any(v < 0.0 for v in sigma_u):
+        if len(sigma_u) != 3 or not all(v >= 0.0 for v in sigma_u):
             raise ValueError("sigma_u must be three nonnegative diagonal entries")
         object.__setattr__(self, "sigma_u", sigma_u)
         for name in ("sigma_l_sq", "sigma_o_sq"):  # sqrt(-0.0) = -0.0 is no Gaussian scale
             if getattr(self, name) == 0.0:
                 object.__setattr__(self, name, 0.0)
-        if self.pixel_max <= 0.0:
+        if not self.pixel_max > 0.0:
             raise ValueError("pixel_max must be positive")
 
     def to_config(self) -> dict:

@@ -106,11 +106,11 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind != "pure-gaussian":
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma_sq < 0.0:
+        if not self.sigma_sq >= 0.0:  # NaN fails too
             raise ValueError("sigma_sq must be nonnegative")
         if self.sigma_sq == 0.0:  # -0.0 would draw noise with scale sqrt(-0.0) = -0.0
             object.__setattr__(self, "sigma_sq", 0.0)
-        if self.pixel_max <= 0.0:
+        if not self.pixel_max > 0.0:
             raise ValueError("pixel_max must be positive")
 
 

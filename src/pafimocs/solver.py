@@ -22,10 +22,12 @@ optimality most. At image data scales the optimal sign pattern is almost
 always that of the ridge solution, so one round usually suffices, and that
 round runs stacked over the rows; the rest go on one row at a time. With
 dependent dictionary columns the search may restart from zero, and it steps
-along null directions of singular systems. When no round certifies,
-accelerated proximal gradient iterations run from the warm start (soft
-threshold only on off-support coordinates, so they carry exact zeros) with
-adaptive restart.
+along null directions of singular systems.
+
+Every solve ends the same way: a start point that certifies is returned
+after 0 rounds; otherwise the round with the smallest KKT residual is
+returned, flagged ``converged`` only when that residual meets the
+tolerance; the trackers count the results without that flag.
 
 :func:`solve_with_outliers` runs the same search on the joint problem, a
 lasso over ``(lam, o)`` with dictionary ``[Phi I]`` (minimizing over ``o``
@@ -63,7 +65,6 @@ __all__ = [
     "solve_with_outliers",
     "brute_force_ssc_oracle",
     "power_iteration_lmax",
-    "soft_threshold",
 ]
 
 # enumeration guard for the brute-force support oracle
@@ -86,9 +87,10 @@ def _checked_rows(owner, y, prev, supports) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("problem data must be finite")
     if any(s.ambient_size != dictionary.n_lambda for s in supports):
         raise ValueError("cond_support ambient size must match the dictionary columns")
-    if owner.sigma_o_sq <= 0.0 or owner.sigma_l_sq <= 0.0:
+    # written so that NaN fails each check
+    if not (owner.sigma_o_sq > 0.0 and owner.sigma_l_sq > 0.0):
         raise ValueError("sigma_o_sq and sigma_l_sq must be positive")
-    if owner.beta < 0.0 or owner.gamma < 0.0:
+    if not (owner.beta >= 0.0 and owner.gamma >= 0.0):
         raise ValueError("beta and gamma must be nonnegative")
     return y, prev
 
@@ -106,7 +108,6 @@ class ModeTrackingProblem:
     beta: float = 1.0
     gamma: float = 0.7
     gamma_outlier: float | None = None
-    gram_lmax: float | None = None  # optional cached spectral bound of Phi^T Phi
 
     def __post_init__(self):
         y, prev = _checked_rows(
@@ -115,7 +116,7 @@ class ModeTrackingProblem:
             np.asarray(self.lambda_prev, dtype=float)[None],
             (self.cond_support,),
         )
-        if self.gamma_outlier is not None and self.gamma_outlier < 0.0:
+        if self.gamma_outlier is not None and not self.gamma_outlier >= 0.0:
             raise ValueError("gamma_outlier must be nonnegative")
         object.__setattr__(self, "y_residual_base", y[0])
         object.__setattr__(self, "lambda_prev", prev[0])
@@ -138,7 +139,6 @@ class ModeTrackingRows:
     sigma_l_sq: float
     beta: float = 1.0
     gamma: float = 0.7
-    gram_lmax: float | None = None
     masks: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -159,21 +159,17 @@ class ModeTrackingRows:
             sigma_l_sq=self.sigma_l_sq,
             beta=self.beta,
             gamma=self.gamma,
-            gram_lmax=self.gram_lmax,
         )
 
 
 @dataclass
 class SolverConfig:
-    max_iterations: int = 2000
     kkt_tolerance: float = 1e-6
     warm_start: np.ndarray | None = None
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.kkt_tolerance <= 0.0:
+        if not self.kkt_tolerance > 0.0:
             raise ValueError("kkt_tolerance must be positive")
 
 
@@ -204,10 +200,6 @@ class SscOracleResult:
     added: SupportSet
     removed: SupportSet
     objective: float
-
-
-def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 def power_iteration_lmax(mat: np.ndarray, iters: int = 20) -> float:
@@ -440,14 +432,11 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
 
     A warm start that already certifies is returned with ``iterations`` 0.
     Otherwise feature-sign search runs from the ridge minimizer (see the
-    module docstring); when one of its rounds certifies, ``iterations`` is
-    the number of rounds and the trace holds the warm start (row 0) and
-    each round's candidate. Otherwise accelerated proximal gradient runs
-    from the warm start in the Gram domain (all per-iteration work is
-    n_lambda sized) for at most ``config.max_iterations`` iterations, with
-    the step 1/L from a power-iteration spectral bound; ``iterations`` and
-    trace rows then count its iterations only. Every result is certified
-    with :func:`kkt_residual` on the full dictionary.
+    module docstring) and ``iterations`` counts its rounds; the trace holds
+    the warm start (row 0) and each round's candidate. When no round
+    certifies, the candidate with the smallest KKT residual is returned
+    with ``converged = False``. Every result is certified with
+    :func:`kkt_residual` on the full dictionary.
     """
     if config is None:
         config = SolverConfig()
@@ -460,7 +449,6 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
         sigma_l_sq=problem.sigma_l_sq,
         beta=problem.beta,
         gamma=problem.gamma,
-        gram_lmax=problem.gram_lmax,
     )
     warm = _warm_start(config, problem.dictionary.n_lambda)
     out = solve_rows(rows, replace(config, warm_start=warm[None]))
@@ -555,14 +543,9 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
 
 def _solve_row(problem, gram_big, rhs, x, ridge, config):
     """One row of :func:`solve_rows` from its Gram system, warm start ``x`` and
-    ridge point (zero where its solve fails):
-    ``(lambda, kkt residual, iterations, converged, trace)``."""
+    ridge point (zero where its solve fails), searched from the ridge point:
+    ``(lambda, kkt residual, rounds, converged, trace)``."""
     mask = problem.cond_support.mask()
-    off = ~mask
-    tol = config.kkt_tolerance
-
-    def gram_kkt(point, grad):
-        return _kkt_rows(grad[None], point[None], mask[None], problem.gamma)[0]
 
     def cost(point):
         return evaluate_cost(problem, point)
@@ -570,64 +553,27 @@ def _solve_row(problem, gram_big, rhs, x, ridge, config):
     def certify(point):
         return kkt_residual(problem, point)
 
-    trace = [] if config.record_trace else None
+    weights = problem.gamma * ~mask
+    return _exact_search(x, ridge, weights, gram_big, rhs, mask, cost, certify, config)
 
-    if gram_kkt(x, gram_big @ x - rhs) <= tol:
-        direct = certify(x)
-        if direct <= tol:
-            if trace is not None:
-                trace.append((0, cost(x), direct))
-            return x, direct, 0, True, trace
 
-    weights = problem.gamma * off
-    rounds = _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, ridge)
-    if trace is not None:
-        trace.append((0, cost(x), certify(x)))
-    if rounds[-1][1] <= tol:
-        if trace is not None:
-            trace.extend((r, cost(c), k) for r, (c, k) in enumerate(rounds, 1))
-        return *rounds[-1], len(rounds), True, trace
-
-    lmax = problem.gram_lmax
-    if lmax is None:
-        lmax = power_iteration_lmax(problem.dictionary.gram)
-    # 2 percent headroom: power iteration approaches lmax from below
-    step_l = 1.02 * (1.0 / problem.sigma_o_sq) * lmax + problem.beta / problem.sigma_l_sq
-    if step_l <= 0.0:
-        step_l = 1.0
-
-    z = x.copy()
-    t_momentum = 1.0
-    iterations = 0
-
-    for it in range(1, config.max_iterations + 1):
-        iterations = it
-        grad_z = gram_big @ z - rhs
-        x_new = z - grad_z / step_l
-        x_new[off] = soft_threshold(x_new[off], problem.gamma / step_l)
-        grad_new = gram_big @ x_new - rhs
-        kkt_now = gram_kkt(x_new, grad_new)
-        if trace is not None:
-            trace.append((it, cost(x_new), certify(x_new)))
-
-        if kkt_now <= tol:
-            direct = certify(x_new)
-            if direct <= config.kkt_tolerance:
-                return x_new, direct, it, True, trace
-            # Gram and direct residuals disagree at float noise level; tighten
-            tol *= 0.5
-
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-        z = x_new + (t_momentum - 1.0) / t_next * (x_new - x)
-        # adaptive restart on the momentum direction turning uphill
-        if float(grad_new @ (x_new - x)) > 0.0:
-            z = x_new.copy()
-            t_next = 1.0
-        t_momentum = t_next
-        x = x_new
-
-    direct = certify(x)
-    return x, direct, iterations, direct <= config.kkt_tolerance, trace
+def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, config):
+    """The one exit policy of every solve: ``start`` if it certifies (0
+    rounds), else the round of :func:`_sign_pattern_rounds` from ``origin``
+    with the smallest KKT residual. Returns ``(point, kkt residual, rounds,
+    converged, trace)``; the trace holds ``start`` (row 0) and each round's
+    candidate when ``config.record_trace`` is set."""
+    tol = config.kkt_tolerance
+    kkt_start = certify(start)
+    rounds = []
+    if not kkt_start <= tol:
+        rounds = _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, origin)
+    point, kkt = min(rounds, key=lambda r: r[1], default=(start, kkt_start))
+    trace = None
+    if config.record_trace:
+        trace = [(0, cost(start), kkt_start)]
+        trace.extend((r, cost(c), k) for r, (c, k) in enumerate(rounds, 1))
+    return point, kkt, len(rounds), kkt <= tol, trace
 
 
 def solve_with_outliers(
@@ -642,9 +588,9 @@ def solve_with_outliers(
     ``(warm start or 0, o = 0)``; the ridge point would start it from an
     ``o`` that is dense at rounding level. ``iterations`` counts its rounds
     (0 when the start already certifies) and the trace holds the start and
-    each round's candidate. When no round certifies within the round cap,
-    the candidate with the smallest KKT residual is returned flagged
-    ``converged = False``; ``config.max_iterations`` does not apply.
+    each round's candidate. When no round certifies, the candidate with the
+    smallest KKT residual is returned with ``converged = False``, as in
+    :func:`solve`.
     """
     if problem.gamma_outlier is None:
         raise ValueError("solve_with_outliers requires gamma_outlier")
@@ -671,20 +617,10 @@ def solve_with_outliers(
     def certify(point):
         return kkt_residual(problem, point[:n], point[n:])
 
-    kkt_start = certify(start)
-    rounds = []
-    if kkt_start > config.kkt_tolerance:
-        rounds = _sign_pattern_rounds(
-            weights, gram_big, rhs, mask, cost, certify, config.kkt_tolerance, start
-        )
-    z, kkt_now = min(rounds, key=lambda r: r[1], default=(start, kkt_start))
-    trace = None
-    if config.record_trace:
-        trace = [(0, cost(start), kkt_start)]
-        trace.extend((r, cost(c), k) for r, (c, k) in enumerate(rounds, 1))
-    return SolverResult(
-        z[:n], z[n:], cost(z), kkt_now, len(rounds), kkt_now <= config.kkt_tolerance, trace
+    z, kkt, rounds, converged, trace = _exact_search(
+        start, start, weights, gram_big, rhs, mask, cost, certify, config
     )
+    return SolverResult(z[:n], z[n:], cost(z), kkt, rounds, converged, trace)
 
 
 def _log_odds(p: float) -> float:

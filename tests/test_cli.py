@@ -348,7 +348,7 @@ class TestSolve:
         assert solution.shape == (1, 4)
         trace_lines = open(os.path.join(out, "trace.csv")).read().splitlines()
         assert trace_lines[0] == "iteration,objective,kkt_residual"
-        # the header, the warm start, then one row per round or iteration
+        # the header, the warm start, then one row per round
         assert len(trace_lines) == file_payload["iterations"] + 2
 
     def test_solve_with_outliers_writes_outlier_matrix(self, tmp_path):
@@ -366,6 +366,28 @@ class TestSolve:
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload == {"error": "unknown problem keys: ['gama']", "type": "ValueError"}
+
+    def test_max_iterations_is_not_a_problem_key(self, tmp_path, capsys):
+        # every solve stops by its own round cap; there is no iteration budget
+        pdir = self._problem_dir(tmp_path)
+        kv = fileio.read_kv(os.path.join(pdir, "problem.cfg"))
+        fileio.write_kv(os.path.join(pdir, "problem.cfg"), {**kv, "max_iterations": 5})
+        assert main(["solve", "--problem", pdir, "--out", str(tmp_path / "o")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "unknown problem keys: ['max_iterations']"
+
+    @pytest.mark.parametrize(
+        "key",
+        ["sigma_o_sq", "sigma_l_sq", "beta", "gamma", "gamma_outlier", "kkt_tolerance"],
+    )
+    def test_nan_parameter_fails_cleanly(self, tmp_path, capsys, key):
+        pdir = self._problem_dir(tmp_path)
+        kv = fileio.read_kv(os.path.join(pdir, "problem.cfg"))
+        fileio.write_kv(os.path.join(pdir, "problem.cfg"), {**kv, key: "nan"})
+        assert main(["solve", "--problem", pdir, "--out", str(tmp_path / "o")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["type"] == "ValueError"
+        assert key in payload["error"]
 
     def test_missing_problem_fails_cleanly(self, tmp_path, capsys):
         rc = main(["solve", "--problem", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])

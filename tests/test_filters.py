@@ -235,7 +235,7 @@ class TestPosteriorEstimate:
 
 def take_step(pset, frame, template, dictionary, params, cfg):
     """One ``filter_step`` with the run constants built for it."""
-    run = RunConstants.for_run(dictionary, params, cfg)
+    run = RunConstants.for_run(dictionary, params)
     return filter_step(pset, frame, template, dictionary, params, cfg, run)
 
 
@@ -539,8 +539,8 @@ class TestDegenerateExactness:
 class TestUnconvergedSolves:
     @pytest.mark.parametrize("variant", ["pafimocs", "pafimocs-ssc", "pf-mt"])
     def test_capped_solves_are_counted(self, monkeypatch, variant):
-        capped = functools.partial(SolverConfig, max_iterations=1, kkt_tolerance=1e-300)
-        monkeypatch.setattr(filters, "SolverConfig", capped)
+        strict = functools.partial(SolverConfig, kkt_tolerance=1e-300)  # no solve certifies
+        monkeypatch.setattr(filters, "SolverConfig", strict)
         cfg = FilterConfig(variant=variant, n_pf=6, d=1)
         result = track_six_frames(cfg, seed=4)
         assert 0 < result.unconverged_solves <= 5 * 6
@@ -549,8 +549,8 @@ class TestUnconvergedSolves:
     def test_slots_sharing_one_solve_each_count(self, monkeypatch, variant):
         # a still walk and a support kernel that moves nothing give every
         # live slot one key, so one uncertified solve serves five slots
-        capped = functools.partial(SolverConfig, max_iterations=1, kkt_tolerance=1e-300)
-        monkeypatch.setattr(filters, "SolverConfig", capped)
+        strict = functools.partial(SolverConfig, kkt_tolerance=1e-300)  # no solve certifies
+        monkeypatch.setattr(filters, "SolverConfig", strict)
         stacks = []
 
         def recording_solve_rows(rows, config=None):
@@ -573,21 +573,6 @@ class TestUnconvergedSolves:
     def test_default_solver_leaves_none(self, variant):
         result = track_six_frames(FilterConfig(variant=variant, n_pf=6, d=1), seed=4)
         assert result.unconverged_solves == 0
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_spectral_bound_computed_once_per_run(monkeypatch, variant):
-    # the Gram spectral bound is a per-run constant of the solver variants;
-    # the bootstrap variants never solve
-    calls = []
-
-    def counting_lmax(mat, iters=20):
-        calls.append(mat.shape)
-        return solver.power_iteration_lmax(mat, iters)
-
-    monkeypatch.setattr(filters, "power_iteration_lmax", counting_lmax)
-    track_six_frames(FilterConfig(variant=variant, n_pf=4, d=1), seed=4)
-    assert len(calls) == (0 if variant in ("pf-gordon", "aux-pf") else 1)
 
 
 class TestSscCoincidence:

@@ -456,6 +456,13 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match="unknown config keys"):
             sim_config_from_kv({"bananas": "1"})
 
+    @pytest.mark.parametrize(
+        "key", ["p_a", "p_r", "sigma_l_sq", "sigma_u_xx", "sigma_u_yy", "sigma_u_ss", "sigma_o_sq"]
+    )
+    def test_nan_model_value_rejected(self, key):
+        with pytest.raises(ValueError):
+            sim_config_from_kv({key: "nan"})
+
     def test_filter_overrides_from_kv(self):
         kv = sim_config_to_kv(SimConfig())
         kv["pafimocs.gamma"] = "0.55"

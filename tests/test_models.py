@@ -65,6 +65,14 @@ def test_support_set_basics():
     assert s.difference(other).indices == (0, 3)
 
 
+def test_support_mask_is_built_once_and_read_only():
+    s = SupportSet.from_indices([1, 3], 5)
+    assert s.mask() is s.mask()
+    with pytest.raises(ValueError):
+        s.mask()[0] = True
+    assert np.array_equal(SupportSet((), 3).mask(), [False, False, False])
+
+
 def test_support_set_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         SupportSet((1, 1), 4)
@@ -93,6 +101,13 @@ def test_params_validation():
         make_params(sigma_u=(1.0, -1.0, 0.0))
     with pytest.raises(ValueError, match="variances"):
         make_params(sigma_o_sq=-1.0)
+    # NaN fails every range check
+    with pytest.raises(ValueError, match="variances"):
+        make_params(sigma_l_sq=math.nan)
+    with pytest.raises(ValueError, match="sigma_u"):
+        make_params(sigma_u=(1.0, math.nan, 1.0))
+    with pytest.raises(ValueError, match="pixel_max"):
+        make_params(pixel_max=math.nan)
 
 
 def test_negative_zero_variances_walk_as_zero():

@@ -280,6 +280,10 @@ def test_noise_model_validation():
         NoiseModel(kind="pure-gaussian", sigma_sq=-1.0)
     with pytest.raises(ValueError):
         NoiseModel(kind="laplace", sigma_sq=1.0)
+    with pytest.raises(ValueError, match="sigma_sq"):
+        NoiseModel(sigma_sq=math.nan)
+    with pytest.raises(ValueError, match="pixel_max"):
+        NoiseModel(pixel_max=math.nan)
 
 
 def test_negative_zero_noise_variance_renders_exactly():

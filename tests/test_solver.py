@@ -22,7 +22,6 @@ from pafimocs.solver import (
     kkt_residual,
     power_iteration_lmax,
     smooth_gradient,
-    soft_threshold,
     solve,
     solve_rows,
     solve_with_outliers,
@@ -146,12 +145,6 @@ def test_smooth_gradient_finite_difference():
         # gamma=0 makes the full cost smooth, so central differences apply
         fd = (evaluate_cost(problem, lam + e) - evaluate_cost(problem, lam - e)) / (2 * eps)
         assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-7)
-
-
-def test_soft_threshold_values():
-    v = np.array([3.0, -0.2, 0.5, -2.0])
-    assert np.allclose(soft_threshold(v, 0.5), [2.5, 0.0, 0.0, -1.5])
-    assert soft_threshold(np.array([0.4]), 0.5)[0] == 0.0
 
 
 def test_power_iteration_matches_eigh():
@@ -286,23 +279,47 @@ def test_solve_certifies_the_enumerated_minimum(problem, warm):
     assert best - 1e-9 <= result.objective <= best + 1e-6
 
 
-def test_uncertified_exact_phase_falls_back_to_apg():
-    # no candidate meets a tolerance below rounding error, so APG runs to its
-    # cap from the warm start and the result is flagged, not raised
+@pytest.mark.parametrize("outliers", [False, True])
+def test_uncertified_solve_returns_its_best_round(outliers):
+    # no candidate meets a tolerance below rounding error, so the search runs
+    # until no move lowers the cost and the round with the smallest residual
+    # is returned, flagged, not raised; the start (trace row 0) is not a
+    # round, and in the outlier case it has the smaller residual but the
+    # higher cost
     rng = np.random.default_rng(12)
     problem = random_problem(rng, n_lambda=8, n_pixels=60, support_size=3)
-    config = SolverConfig(max_iterations=40, kkt_tolerance=1e-300, record_trace=True)
-    result = solve(problem, config)
+    config = SolverConfig(kkt_tolerance=1e-300, record_trace=True)
+    if outliers:
+        problem = dataclasses.replace(problem, gamma_outlier=0.5)
+        result = solve_with_outliers(problem, config)
+    else:
+        result = solve(problem, config)
     assert not result.converged
-    assert result.iterations == 40
-    assert len(result.trace) == 41 and result.trace[0][0] == 0
+    assert result.iterations == len(result.trace) - 1 >= 1
+    assert result.trace[0][0] == 0
+    assert result.kkt_residual == min(kkt for _, _, kkt in result.trace[1:])
+    assert result.objective == next(c for _, c, k in result.trace[1:] if k == result.kkt_residual)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_problems(), st.sampled_from([1e-6, 1e-300]), st.none() | WEIGHTS)
+def test_each_result_carries_its_kkt_certificate(problem, tol, gamma_outlier):
+    config = SolverConfig(kkt_tolerance=tol)
+    if gamma_outlier is not None:
+        problem = dataclasses.replace(problem, gamma_outlier=gamma_outlier)
+        result = solve_with_outliers(problem, config)
+        certificate = kkt_residual(problem, result.lambda_opt, result.outlier_opt)
+    else:
+        result = solve(problem, config)
+        certificate = kkt_residual(problem, result.lambda_opt)
+    assert result.kkt_residual == certificate
+    assert result.converged == (result.kkt_residual <= tol)
 
 
 def test_tracker_solves_certify_in_the_exact_phase(monkeypatch):
     """Guard on the fast path: every solve the mode-tracking trackers make on
     the default 96x96 scene with the d = 20 Legendre dictionary certifies
-    within three rounds of the exact phase, without falling back to APG.
-    Each step makes one stacked call, which holds no row twice."""
+    within three feature-sign rounds. Each step makes one stacked call, which holds no row twice."""
     cfg = harness.SimConfig(n_frames=3)
     truth = harness.generate_sequence(cfg, np.random.default_rng(0))
     results = []
@@ -519,9 +536,8 @@ def test_scaling_consistency():
 def test_unconverged_reports_flag_not_exception():
     rng = np.random.default_rng(12)
     problem = random_problem(rng, n_lambda=8, n_pixels=60, support_size=3)
-    result = solve(problem, SolverConfig(max_iterations=1, kkt_tolerance=1e-300))
+    result = solve(problem, SolverConfig(kkt_tolerance=1e-300))
     assert not result.converged
-    assert result.iterations == 1
 
 
 def test_trace_holds_start_and_each_iteration():
@@ -553,7 +569,7 @@ def test_outlier_free_instance_matches_plain_solve():
         gamma=problem.gamma,
         gamma_outlier=high,
     )
-    joint = solve_with_outliers(joint_problem, SolverConfig(max_iterations=5000))
+    joint = solve_with_outliers(joint_problem)
     assert joint.converged
     assert np.all(joint.outlier_opt == 0.0)
     assert np.linalg.norm(joint.lambda_opt - plain.lambda_opt) <= 1e-6 * max(
@@ -584,7 +600,7 @@ def test_outlier_spike_recovery_with_shrinkage():
         gamma=0.0,
         gamma_outlier=gamma_out,
     )
-    result = solve_with_outliers(problem, SolverConfig(max_iterations=5000))
+    result = solve_with_outliers(problem)
     assert result.converged
     found = np.flatnonzero(result.outlier_opt)
     assert np.array_equal(np.sort(found), np.sort(spikes))
