@@ -1,12 +1,13 @@
 """Small file formats shared across the package.
 
 Five formats live here: flat key-value config text, a plain text matrix
-format with a 3-integer header line, 8-bit binary PGM for visual dumps, and
-the two artifact writers every command uses: ``write_csv`` (comma-separated
-rows; a one-cell row such as ``# pafimocs-csv-v1 runs`` is written as is)
-and ``write_json`` (indent 2, sorted keys, final newline). All float
-emission goes through ``fmt_float`` (shortest round-trip repr of a builtin
-float) so that repeated runs write byte-identical files.
+format with a 3-integer header line, 8-bit binary PGM previews (written for
+people, never read back), and the two artifact writers every command uses:
+``write_csv`` (comma-separated rows; a one-cell row such as
+``# pafimocs-csv-v1 runs`` is written as is) and ``write_json`` (indent 2,
+sorted keys, final newline). All float emission goes through ``fmt_float``
+(shortest round-trip repr of a builtin float) so that repeated runs write
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "write_kv",
     "load_matrix",
     "save_matrix",
-    "read_pgm",
     "write_pgm",
 ]
 
@@ -118,30 +118,3 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pix.tobytes())
 
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary 8-bit PGM into a 2-D float array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    # header: magic, width, height, maxval; comments start with '#'
-    tokens = []
-    i = 0
-    while len(tokens) < 4:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i : i + 1].isspace():
-            i += 1
-        tokens.append(data[start:i])
-    if tokens[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
-        raise ValueError(f"{path}: expected maxval 255, got {maxval}")
-    i += 1  # single whitespace after maxval
-    pix = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=i)
-    return pix.reshape(h, w).astype(float)

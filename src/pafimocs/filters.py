@@ -1,7 +1,7 @@
 """Particle filter variants over the motion + support + coefficients state.
 
-A :class:`ParticleSet` holds arrays with one row per slot (motions,
-coefficients, log weights) and one ``SupportSet`` per slot. Every tracker
+A :class:`ParticleSet` holds arrays with one row per slot: motions,
+coefficients, supports (as boolean mask rows) and log weights. Every tracker
 runs one skeleton (:func:`filter_step`): each slot importance-samples its
 motion from the random walk, moves its coefficient block, and is weighted,
 with the observation model run once over all slots; :func:`_finish_step`
@@ -33,7 +33,8 @@ draws a support per slot, nearly all). Each distinct row is gathered,
 solved (one :func:`solve_rows` call), thresholded (:func:`threshold_rows`)
 and weighed (``log_likelihood``, ``stp_coeffs_rows``, ``stp_support_rows``)
 once, stacked, with a lone slot's arithmetic, and the results are copied to
-every slot that shares it.
+every slot that shares it. ``pafimocs`` draws every slot's support at once
+(:func:`sample_support_rows`), each row from its slot's stream.
 
 RNG stream rule: ``ParticleSet.initialize`` spawns ``n_pf + 1`` child
 streams from one seed; child ``i`` is pinned to particle slot ``i`` for the
@@ -60,7 +61,8 @@ from .models import (
     FullState,
     ModelParams,
     SupportSet,
-    sample_support_transition,
+    sample_support_rows,
+    sample_support_transition,  # noqa: F401  perfbench binds it (ROADMAP 1)
     sample_walk_rows,
     stp_coeffs_rows,
     stp_support_rows,
@@ -109,7 +111,7 @@ class ParticleSet:
 
     motion: np.ndarray  # (n_pf, 3): u_x, u_y, s
     coeffs: np.ndarray  # (n_pf, n_lambda)
-    supports: tuple  # one SupportSet per slot
+    supports: np.ndarray  # (n_pf, n_lambda) bool
     log_weights: np.ndarray  # (n_pf,)
     streams: list
     resample_rng: np.random.Generator
@@ -129,7 +131,7 @@ class ParticleSet:
         return cls(
             motion=np.tile(state.motion.as_array(), (n_pf, 1)),
             coeffs=np.tile(state.coeffs, (n_pf, 1)),
-            supports=(state.support,) * n_pf,
+            supports=np.tile(state.support.mask(), (n_pf, 1)),
             log_weights=np.full(n_pf, -math.log(n_pf)),
             streams=[np.random.default_rng(c) for c in children[:n_pf]],
             resample_rng=np.random.default_rng(children[n_pf]),
@@ -141,8 +143,8 @@ class ParticleSet:
 
     def select(self, slots) -> "ParticleSet":
         """The particles of ``slots``, in that order, over the same streams."""
-        rows = {name: getattr(self, name)[slots] for name in ("motion", "coeffs", "log_weights")}
-        return replace(self, supports=tuple(self.supports[i] for i in slots), **rows)
+        names = ("motion", "coeffs", "supports", "log_weights")
+        return replace(self, **{name: getattr(self, name)[slots] for name in names})
 
 
 @dataclass
@@ -166,6 +168,8 @@ class FilterConfig:
             raise ValueError("d must be nonnegative")
         if self.support_threshold not in ("energy-99", "fixed-alpha"):
             raise ValueError(f"unknown support threshold rule {self.support_threshold!r}")
+        if not (self.gamma >= 0.0 and self.beta >= 0.0 and self.alpha >= 0.0):  # NaN fails too
+            raise ValueError(f"{self.variant}: gamma, beta and alpha must be nonnegative")
 
 
 def threshold_support(coeffs: np.ndarray, rule: str = "energy-99", alpha: float = 0.0) -> SupportSet:
@@ -224,7 +228,7 @@ def _finish_step(proposed: ParticleSet, unconverged: int = 0) -> ParticleSet:
         max_log_weight=float(np.max(log_ws)),
         motion_mean=_weighted_sum(w, proposed.motion),
         coeff_mean=_weighted_sum(w, proposed.coeffs),
-        support_sizes=np.array([len(s) for s in proposed.supports]),
+        support_sizes=np.count_nonzero(proposed.supports, axis=1),
         unconverged_solves=unconverged,
     )
     order = systematic_resample(w, proposed.resample_rng)
@@ -235,18 +239,15 @@ class RunConstants(NamedTuple):
     """What every step of one tracker run shares."""
 
     noise: NoiseModel
-    full: SupportSet
     sigma_o_sq: float  # mode-tracking cost variances; 1.0 stands in for a zero,
     sigma_l_sq: float  # whose cost weight degenerates
 
     @classmethod
     def for_run(cls, dictionary: Dictionary, params: ModelParams) -> "RunConstants":
-        n_lambda = dictionary.n_lambda
         return cls(
             noise=NoiseModel(
                 kind="pure-gaussian", sigma_sq=params.sigma_o_sq, pixel_max=params.pixel_max
             ),
-            full=SupportSet(tuple(range(n_lambda)), n_lambda),
             sigma_o_sq=params.sigma_o_sq if params.sigma_o_sq > 0.0 else 1.0,
             sigma_l_sq=params.sigma_l_sq if params.sigma_l_sq > 0.0 else 1.0,
         )
@@ -282,7 +283,7 @@ def filter_step(
         return _finish_step(proposed, unconverged)
     coeffs = sample_walk_rows(moved.coeffs, params.sigma_l_sq, pset.streams)  # the prior move
     ll = log_likelihood(frame, moved.motion, coeffs, template, dictionary, run.noise)
-    supports = (run.full,) * pset.n_pf
+    supports = np.ones(moved.supports.shape, dtype=bool)
     proposed = replace(moved, coeffs=coeffs, supports=supports, log_weights=moved.log_weights + ll)
     return _finish_step(proposed)
 
@@ -324,15 +325,14 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
     slots whose solve is uncertified; off-frame slots get weight 0.
     """
     if cfg.variant == "pafimocs":
-        pairs = zip(moved.supports, moved.streams)
-        conds = tuple(sample_support_transition(s, params, rng) for s, rng in pairs)
+        conds = sample_support_rows(moved.supports, params, moved.streams)
+    elif cfg.variant == "pafimocs-ssc":
+        conds = moved.supports
     else:
-        conds = moved.supports if cfg.variant == "pafimocs-ssc" else (run.full,) * moved.n_pf
+        conds = np.ones(moved.supports.shape, dtype=bool)
     offsets, cols, valid = grid_rows(moved.motion, template, (frame.height, frame.width))
     live = np.flatnonzero(valid)
-    cond_masks = np.array([conds[i].mask() for i in live], dtype=bool)
-    cond_masks = cond_masks.reshape(live.size, dictionary.n_lambda)
-    first, inverse = _distinct_rows(offsets[live], cols[live], moved.coeffs[live], cond_masks)
+    first, inverse = _distinct_rows(offsets[live], cols[live], moved.coeffs[live], conds[live])
     slots = live[first]
     mapped = gather_rows(frame, offsets[slots], cols[slots], template)
     prev = moved.coeffs[slots]
@@ -340,24 +340,19 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
         y_residual_base=mapped,
         dictionary=dictionary,
         lambda_prev=prev,
-        cond_supports=tuple(conds[i] for i in slots),
+        masks=conds[slots],
         sigma_o_sq=run.sigma_o_sq,
         sigma_l_sq=run.sigma_l_sq,
         beta=cfg.beta,
         gamma=cfg.gamma,
     )
     solved = solve_rows(rows, SolverConfig(warm_start=prev))
-    lam = solved.lambda_opt
-    if cfg.variant == "pf-mt":
-        masks = np.ones(lam.shape, dtype=bool)
-        solved_supports = (run.full,) * slots.size
-    else:
+    lam, masks = solved.lambda_opt, rows.masks  # pf-mt keeps its full supports
+    if cfg.variant != "pf-mt":
         masks = threshold_rows(lam, cfg.support_threshold, cfg.alpha)
         lam = lam * masks  # states stay exactly sparse
-        solved_supports = [SupportSet.from_mask(mask) for mask in masks]
-    supports = list(conds)
-    for i, k in zip(live, inverse):
-        supports[i] = solved_supports[k]
+    supports = conds.copy()
+    supports[live] = masks[inverse]
     coeffs = moved.coeffs.copy()
     coeffs[live] = lam[inverse]
     ll = np.full(moved.n_pf, NEG_INF)
@@ -369,7 +364,7 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
     log_w[live] += stp_coeffs_rows(lam, prev, masks, params)[inverse]
     if cfg.variant == "pafimocs-ssc":
         log_w[live] += stp_support_rows(masks, rows.masks, params)[inverse]
-    proposed = replace(moved, coeffs=coeffs, supports=tuple(supports), log_weights=log_w)
+    proposed = replace(moved, coeffs=coeffs, supports=supports, log_weights=log_w)
     return proposed, int(np.count_nonzero(~solved.converged[inverse]))
 
 

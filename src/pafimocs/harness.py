@@ -159,6 +159,8 @@ class SimConfig:
         duplicated = sorted({label for label in labels if labels.count(label) > 1})
         if duplicated:
             raise ValueError(f"duplicate filter labels: {', '.join(duplicated)}")
+        for spec in self.filters:  # a bad multiplier fails here, not at a run's first solve
+            resolve_filter_config(spec, self)
         if self.template_pattern == "constant" and self.d > 0:
             warnings.warn(
                 "constant template with d > 0 risks an ill-conditioned dictionary",

@@ -35,14 +35,13 @@ __all__ = [
     "ModelParams",
     "derive_pr_stationary",
     "sample_support_transition",
+    "sample_support_rows",
     "stp_support_log",
     "stp_support_rows",
     "sample_coeff_transition",
-    "stp_coeffs_log",
     "stp_coeffs_rows",
     "sample_motion_transition",
     "sample_walk_rows",
-    "diag_gaussian_log_density",
     "diag_gaussian_log_rows",
 ]
 
@@ -235,21 +234,28 @@ def derive_pr_stationary(p_a: float, s: int, n_lambda: int) -> float:
 
 
 def sample_support_transition(prev: SupportSet, params: ModelParams, rng) -> SupportSet:
-    """Draw the next support: Bernoulli additions then Bernoulli removals.
+    """Draw the next support: the one-row case of :func:`sample_support_rows`."""
+    return SupportSet.from_mask(sample_support_rows(prev.mask()[None], params, [rng])[0])
 
-    Draw order is fixed: one uniform per complement index (ascending) decides
-    additions, then one uniform per support index (ascending) decides
-    removals. Callers relying on reproducibility get identical streams for
-    identical inputs.
+
+def sample_support_rows(masks: np.ndarray, params: ModelParams, rngs) -> np.ndarray:
+    """Next support of each boolean mask row: Bernoulli additions then removals.
+
+    Row ``i`` draws from ``rngs[i]`` in a fixed order: one uniform per index
+    outside its support (ascending) decides additions, then one uniform per
+    index inside it (ascending) decides removals. Callers relying on
+    reproducibility get identical streams for identical inputs.
     """
-    if prev.ambient_size != params.n_lambda:
+    masks = np.asarray(masks, dtype=bool)
+    if masks.ndim != 2 or masks.shape[1] != params.n_lambda:
         raise ValueError("support ambient size does not match params.n_lambda")
-    inside = prev.as_array()
-    comp = np.flatnonzero(~prev.mask())
-    adds = comp[rng.random(comp.size) < params.p_a]
-    keeps = inside[rng.random(inside.size) >= params.p_r]
-    merged = np.sort(np.concatenate([keeps, adds]))
-    return SupportSet(tuple(int(i) for i in merged), params.n_lambda)
+    # one call draws what consecutive calls would; order: outside, then inside
+    u = np.array([rng.random(params.n_lambda) for rng in rngs]).reshape(masks.shape)
+    order = np.argsort(masks, axis=1, kind="stable")
+    inside = np.take_along_axis(masks, order, axis=1)
+    out = np.empty_like(masks)
+    np.put_along_axis(out, order, np.where(inside, u >= params.p_r, u < params.p_a), axis=1)
+    return out
 
 
 def _count_log_rows(counts: np.ndarray, p: float) -> np.ndarray:
@@ -281,21 +287,13 @@ def stp_support_rows(new: np.ndarray, prev: np.ndarray, params: ModelParams) -> 
     )
 
 
-def diag_gaussian_log_density(dev, var) -> float:
-    """Normalized log-density of a diagonal Gaussian evaluated at ``dev``.
-
-    ``var`` broadcasts against ``dev``. Zero-variance components are point
-    masses: they contribute 0.0 when ``|dev| <= ZERO_VAR_ATOL`` else ``-inf``.
-    """
-    dev = np.atleast_1d(np.asarray(dev, dtype=float))
-    return float(diag_gaussian_log_rows(dev[None], var)[0])
-
-
 def diag_gaussian_log_rows(dev: np.ndarray, var) -> np.ndarray:
-    """:func:`diag_gaussian_log_density` of each row of ``dev`` ``(n, k)``.
+    """Normalized log-density of a diagonal Gaussian at each row of ``dev`` ``(n, k)``.
 
     ``var`` is shared by the rows: a scalar or one variance per column. Each
-    row's terms are summed as a lone row's would be.
+    row's terms are summed as a lone row's would be. Zero-variance components
+    are point masses: they contribute 0.0 when ``|dev| <= ZERO_VAR_ATOL``
+    else ``-inf``.
     """
     dev = np.ascontiguousarray(dev, dtype=float)
     var = np.broadcast_to(np.asarray(var, dtype=float), dev.shape[1:])
@@ -326,27 +324,16 @@ def sample_coeff_transition(
     return new
 
 
-def stp_coeffs_log(
-    new: np.ndarray, prev: np.ndarray, support: SupportSet, params: ModelParams
-) -> float:
-    """Log transition density of the on-support coefficient random walk.
-
-    ``new`` must be exactly zero off ``support``; both vectors have length
-    ``n_lambda``. Empty support gives 0.0 (the move is the deterministic
-    all-zero vector).
-    """
-    new = np.asarray(new, dtype=float)
-    prev = np.asarray(prev, dtype=float)
-    return float(stp_coeffs_rows(new[None], prev[None], support.mask()[None], params)[0])
-
-
 def stp_coeffs_rows(
     new: np.ndarray, prev: np.ndarray, masks: np.ndarray, params: ModelParams
 ) -> np.ndarray:
-    """:func:`stp_coeffs_log` of each row: coefficients ``(n, n_lambda)``, support masks alike.
+    """Log transition density of the on-support coefficient random walk, per row.
 
-    Rows are grouped by support size, so each row's on-support terms are
-    summed as one contiguous row, as a lone vector's are.
+    Coefficients are ``(n, n_lambda)``, support masks alike; each row of
+    ``new`` must be exactly zero off its support. An empty support gives 0.0
+    (the move is the deterministic all-zero vector). Rows are grouped by
+    support size, so each row's on-support terms are summed as one
+    contiguous row, as a lone vector's are.
     """
     shape = (len(new), params.n_lambda)
     if new.shape != shape or prev.shape != shape:

@@ -10,9 +10,10 @@ marked invalid rather than clamped. The template's coordinates form a grid,
 so only its ``height`` row and ``width`` column coordinates are mapped and
 rounded; a pixel's index is its row's offset plus its column's.
 
-Hypotheses are evaluated in stacks, one per row (:func:`roi_rows`,
-:func:`log_likelihood`); :func:`compute_roi` and :func:`residual_g` are the
-one-row case. Each row is computed exactly as a lone hypothesis would be.
+Hypotheses are evaluated in stacks, one per row (:func:`grid_rows`,
+:func:`mapped_rows`, :func:`log_likelihood`); :func:`compute_roi` and
+:func:`residual_g` are the one-row case. Each row is computed exactly as a
+lone hypothesis would be.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "NoiseModel",
     "round_half_away",
     "grid_rows",
-    "roi_rows",
     "mapped_rows",
     "gather_rows",
     "compute_roi",
@@ -133,20 +133,6 @@ def grid_rows(motion: np.ndarray, template: TemplatePatch, frame_dims: tuple[int
     return (rows * width).astype(np.intp), cols.astype(np.intp), valid
 
 
-def roi_rows(
-    motion: np.ndarray, template: TemplatePatch, frame_dims: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frame pixel indices ``(n, n_l)`` and validity ``(n,)`` of motion rows ``(n, 3)``.
-
-    Scaling is about the template centroid; translation follows. Only the
-    template's row and column coordinates are mapped, and each pixel's index
-    is its row's offset plus its column. A rounded coordinate outside the
-    frame makes the row invalid, its indices still returned unclamped.
-    """
-    offsets, cols, valid = grid_rows(motion, template, frame_dims)
-    return (offsets[:, :, None] + cols[:, None, :]).reshape(len(motion), -1), valid
-
-
 def mapped_rows(frame: Frame, motion: np.ndarray, template: TemplatePatch) -> tuple:
     """ROI pixels minus the template per motion row (pixel 0 if invalid), and validity."""
     offsets, cols, valid = grid_rows(motion, template, (frame.height, frame.width))
@@ -170,9 +156,10 @@ def gather_rows(
 def compute_roi(
     motion: MotionState, template: TemplatePatch, frame_dims: tuple[int, int]
 ) -> RoiIndexSet:
-    """Frame pixel indices of each template pixel under ``motion`` (see :func:`roi_rows`)."""
-    indices, valid = roi_rows(motion.as_array()[None], template, frame_dims)
-    return RoiIndexSet(indices=indices[0], valid=bool(valid[0]))
+    """Frame pixel indices of each template pixel under ``motion``: its row's
+    :func:`grid_rows` offset plus its column; unclamped when the ROI is invalid."""
+    offsets, cols, valid = grid_rows(motion.as_array()[None], template, frame_dims)
+    return RoiIndexSet(indices=(offsets[0][:, None] + cols[0]).ravel(), valid=bool(valid[0]))
 
 
 def render_frame(
@@ -238,7 +225,7 @@ def log_likelihood(
     for row, c in zip(r, np.asarray(coeffs, dtype=float)):
         row -= dictionary.matrix @ c  # one matrix-vector product per row fixes its bits
     clutter = -(frame.n_pixels - template.n_pixels) * math.log(noise.pixel_max)
-    if noise.sigma_sq == 0.0:  # point mass, as in diag_gaussian_log_density
+    if noise.sigma_sq == 0.0:  # point mass, as in models.diag_gaussian_log_rows
         out = np.where(np.any(np.abs(r) > ZERO_VAR_ATOL, axis=1), NEG_INF, 0.0) + clutter
     else:  # the Gaussian constant is computed once, the rest in place
         r *= r

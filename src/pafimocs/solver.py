@@ -41,7 +41,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -71,28 +71,30 @@ __all__ = [
 _ORACLE_MAX_AMBIENT = 12
 # eigenvalue ratio below which a Gram system counts as singular
 _SINGULAR_RATIO = 1e-12
+_EPS = np.finfo(float).eps
 
 
-def _checked_rows(owner, y, prev, supports) -> tuple[np.ndarray, np.ndarray]:
-    """``y`` and ``prev`` as float stacks, one problem per row, after validating
-    them and the dictionary and cost weights of ``owner``."""
+def _checked_rows(owner, y, prev, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``y``, ``prev`` and the support ``masks`` as stacks, one problem per row,
+    after validating them and the dictionary and cost weights of ``owner``."""
     y = np.ascontiguousarray(y, dtype=float)
     prev = np.ascontiguousarray(prev, dtype=float)
+    masks = np.ascontiguousarray(masks, dtype=bool)
     dictionary = owner.dictionary
-    if y.shape != (len(supports), dictionary.n_pixels):
+    if masks.ndim != 2 or masks.shape[1] != dictionary.n_lambda:
+        raise ValueError("cond_support ambient size must match the dictionary columns")
+    if y.shape != (len(masks), dictionary.n_pixels):
         raise ValueError("y_residual_base length must match the dictionary rows")
-    if prev.shape != (len(supports), dictionary.n_lambda):
+    if prev.shape != masks.shape:
         raise ValueError("lambda_prev length must match the dictionary columns")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(prev))):
         raise ValueError("problem data must be finite")
-    if any(s.ambient_size != dictionary.n_lambda for s in supports):
-        raise ValueError("cond_support ambient size must match the dictionary columns")
     # written so that NaN fails each check
     if not (owner.sigma_o_sq > 0.0 and owner.sigma_l_sq > 0.0):
         raise ValueError("sigma_o_sq and sigma_l_sq must be positive")
     if not (owner.beta >= 0.0 and owner.gamma >= 0.0):
         raise ValueError("beta and gamma must be nonnegative")
-    return y, prev
+    return y, prev, masks
 
 
 @dataclass(eq=False)
@@ -110,11 +112,11 @@ class ModeTrackingProblem:
     gamma_outlier: float | None = None
 
     def __post_init__(self):
-        y, prev = _checked_rows(
+        y, prev, _ = _checked_rows(
             self,
             np.asarray(self.y_residual_base, dtype=float)[None],
             np.asarray(self.lambda_prev, dtype=float)[None],
-            (self.cond_support,),
+            self.cond_support.mask()[None],
         )
         if self.gamma_outlier is not None and not self.gamma_outlier >= 0.0:
             raise ValueError("gamma_outlier must be nonnegative")
@@ -126,27 +128,23 @@ class ModeTrackingProblem:
 class ModeTrackingRows:
     """Mode-tracking problems sharing one dictionary and one set of cost weights.
 
-    Row ``i`` of ``y_residual_base`` and ``lambda_prev`` with
-    ``cond_supports[i]`` is problem ``i`` (:meth:`problem`); ``masks`` holds
-    the supports as boolean rows. The data are validated once per stack.
+    Row ``i`` of ``y_residual_base``, ``lambda_prev`` and ``masks`` (the
+    conditioning supports as boolean rows) is problem ``i`` (:meth:`problem`).
+    The data are validated once per stack.
     """
 
     y_residual_base: np.ndarray  # (n, n_pixels)
     dictionary: Dictionary
     lambda_prev: np.ndarray  # (n, n_lambda)
-    cond_supports: tuple  # one SupportSet per row
+    masks: np.ndarray  # (n, n_lambda) bool
     sigma_o_sq: float
     sigma_l_sq: float
     beta: float = 1.0
     gamma: float = 0.7
-    masks: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.y_residual_base, self.lambda_prev = _checked_rows(
-            self, self.y_residual_base, self.lambda_prev, self.cond_supports
-        )
-        self.masks = np.array([s.mask() for s in self.cond_supports], dtype=bool).reshape(
-            self.lambda_prev.shape
+        self.y_residual_base, self.lambda_prev, self.masks = _checked_rows(
+            self, self.y_residual_base, self.lambda_prev, self.masks
         )
 
     def problem(self, i: int) -> ModeTrackingProblem:
@@ -154,7 +152,7 @@ class ModeTrackingRows:
             y_residual_base=self.y_residual_base[i],
             dictionary=self.dictionary,
             lambda_prev=self.lambda_prev[i],
-            cond_support=self.cond_supports[i],
+            cond_support=SupportSet.from_mask(self.masks[i]),
             sigma_o_sq=self.sigma_o_sq,
             sigma_l_sq=self.sigma_l_sq,
             beta=self.beta,
@@ -353,13 +351,14 @@ def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start
     pattern and certifies the candidate. The search then moves to the
     cheapest of the candidate and the points on the way to it where an l1
     coordinate changes sign (that coordinate set to zero). A candidate whose
-    signs match the pattern that produced it and that is stationary on it is
-    optimal there, so the zero l1 coordinate with the largest subgradient
-    violation joins the next pattern. Otherwise, when the cost does not
-    fall, the pattern's system is singular and the search moves along its
-    null direction (:func:`_null_descent`). Stops at the first certified
-    candidate, when no move lowers the cost, or after ``2 n + 3`` rounds
-    for ``n`` unknowns.
+    signs match the pattern that produced it and that is stationary on it
+    (within ``tol`` or the rounding level of the pattern's system, whichever
+    is larger) is optimal there, so the zero l1 coordinate with the largest
+    subgradient violation joins the next pattern. Otherwise, when the cost
+    does not fall, the pattern's system is singular and the search moves
+    along its null direction (:func:`_null_descent`). Stops at the first
+    certified candidate, when no move lowers the cost, or after ``2 n + 3``
+    rounds for ``n`` unknowns.
     """
     off = ~mask
     point = pattern = start
@@ -400,8 +399,10 @@ def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start
             at_zero = off & (cand == 0.0)
             violation = np.where(at_zero, np.abs(grad) - weights, 0.0)
             k = int(np.argmax(violation))
-            stationary = np.abs(grad + weights * np.sign(cand))[~at_zero]
-            if violation[k] > 0.0 and np.all(stationary <= tol):
+            stationary = np.abs(grad + weights * np.sign(cand))
+            # the pattern system is solved only to the rounding level of its terms
+            rounding = 64.0 * _EPS * (np.abs(gram_big) @ np.abs(cand) + np.abs(rhs) + weights)
+            if violation[k] > 0.0 and np.all((stationary <= np.maximum(tol, rounding))[~at_zero]):
                 pattern = cand.copy()
                 pattern[k] = -np.sign(grad[k])
                 continue
@@ -444,7 +445,7 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
         y_residual_base=problem.y_residual_base[None],
         dictionary=problem.dictionary,
         lambda_prev=problem.lambda_prev[None],
-        cond_supports=(problem.cond_support,),
+        masks=problem.cond_support.mask()[None],
         sigma_o_sq=problem.sigma_o_sq,
         sigma_l_sq=problem.sigma_l_sq,
         beta=problem.beta,

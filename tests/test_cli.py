@@ -416,6 +416,17 @@ class TestArgumentErrors:
         assert payload["type"] == "ValueError"
         assert "bananas" in payload["error"]
 
+    def test_bad_filter_multiplier_reports_json_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("pafimocs.gamma = nan\npf-mt-3.beta = -1\n")
+        argv = ["experiment", "--config", str(path), "--out", str(tmp_path / "o")]
+        rc = main(argv + ["--n-runs", "1", "--n-frames", "1"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["type"] == "ValueError"
+        assert "gamma, beta and alpha must be nonnegative" in payload["error"]
+        assert not os.path.exists(tmp_path / "o")
+
     def test_duplicate_filter_labels_report_json_error(self, tmp_path, capsys):
         argv = ["experiment", "--out", str(tmp_path / "o"), "--filters", "pf-gordon-3,pf-gordon-3"]
         rc = main(argv + ["--n-runs", "1", "--n-frames", "2"])

@@ -102,20 +102,16 @@ def test_matrix_ragged_rejected(tmp_path):
         fileio.load_matrix(path)
 
 
-def test_pgm_round_trip(tmp_path):
+def test_pgm_bytes(tmp_path):
+    # header "P5\n<w> <h>\n255\n", then one byte per pixel, row-major,
+    # clamped to 0..255 and rounded half to even
     path = tmp_path / "img.pgm"
-    rng = np.random.default_rng(5)
-    image = rng.integers(0, 256, size=(6, 9)).astype(float)
+    image = np.array([[-5.0, 300.0, 12.4], [12.5, 12.6, 13.5]])
     fileio.write_pgm(path, image)
-    back = fileio.read_pgm(path)
-    assert np.array_equal(back, image)
-
-
-def test_pgm_clamps_and_skips_comments(tmp_path):
-    path = tmp_path / "c.pgm"
-    fileio.write_pgm(path, np.array([[-5.0, 300.0], [12.4, 12.6]]))
-    assert np.array_equal(fileio.read_pgm(path), [[0.0, 255.0], [12.0, 13.0]])
-    raw = path.read_bytes()
-    with_comment = raw[:3] + b"# a comment\n" + raw[3:]
-    path.write_bytes(with_comment)
-    assert np.array_equal(fileio.read_pgm(path), [[0.0, 255.0], [12.0, 13.0]])
+    assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 255, 12, 12, 13, 14])
+    rng = np.random.default_rng(5)
+    pixels = rng.integers(0, 256, size=(6, 9))
+    fileio.write_pgm(path, pixels.astype(float))
+    assert path.read_bytes() == b"P5\n9 6\n255\n" + pixels.astype(np.uint8).tobytes()
+    with pytest.raises(ValueError, match="2-D"):
+        fileio.write_pgm(path, np.zeros(4))

@@ -175,7 +175,7 @@ class TestPosteriorEstimate:
             pset,
             motion=np.array([s.motion.as_array() for s in states]),
             coeffs=np.array([s.coeffs for s in states]),
-            supports=tuple(s.support for s in states),
+            supports=np.array([s.support.mask() for s in states]),
             log_weights=np.array(log_weights, dtype=float),
         )
         stats = _finish_step(proposed).last_stats
@@ -293,8 +293,7 @@ class TestWeightBookkeeping:
     def test_pafimocs_states_stay_exactly_sparse(self, monkeypatch):
         keep_proposals(monkeypatch)
         pset = run_one_step("pafimocs")
-        for coeffs, support in zip(pset.coeffs, pset.supports):
-            mask = support.mask()
+        for coeffs, mask in zip(pset.coeffs, pset.supports):
             assert np.all(coeffs[~mask] == 0.0)
             assert np.all(coeffs[mask] != 0.0)
 
@@ -382,15 +381,14 @@ def shared_parent_sets(draw):
     off = draw(st.integers(0, n_pf - 1))
     motion = np.array([[bases[b][0], bases[b][1], 1.0] for b in parents])
     motion[off] = (30.0, 0.0, 1.0)
-    supports = tuple(SupportSet.from_indices(bases[b][2], 3) for b in parents)
-    masks = np.array([s.mask() for s in supports])
+    masks = np.array([SupportSet.from_indices(bases[b][2], 3).mask() for b in parents])
     shifts = np.array([bases[b][3] for b in parents])
     coeffs = (np.array([20.0, 0.0, -12.0]) + shifts[:, None]) * masks
-    return motion, coeffs, supports, off, draw(st.integers(0, 2**32 - 1))
+    return motion, coeffs, masks, off, draw(st.integers(0, 2**32 - 1))
 
 
 def step_recording(pset, frame, template, dictionary, params, cfg, every_row_distinct):
-    """One ``filter_step``: its proposed set, its result and the sampled conditioning supports.
+    """One ``filter_step``: its proposed set, its result and the sampled conditioning masks.
 
     The result is the ``ValueError`` of the resampler's weight-sum check
     when the step raises one: live slots that tie for the top log weight
@@ -398,19 +396,19 @@ def step_recording(pset, frame, template, dictionary, params, cfg, every_row_dis
     columns) normalize to weights whose sum misses 1 by more than it allows.
     """
     proposals, sampled = [], []
-    finish, draw_support = filters._finish_step, filters.sample_support_transition
+    finish, draw_supports = filters._finish_step, filters.sample_support_rows
 
     def recording_finish(proposed, unconverged=0):
         proposals.append(proposed)
         return finish(proposed, unconverged)
 
-    def recording_draw(prev, params, rng):
-        sampled.append(draw_support(prev, params, rng))
+    def recording_draw(masks, params, rngs):
+        sampled.append(draw_supports(masks, params, rngs))
         return sampled[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(filters, "_finish_step", recording_finish)
-        mp.setattr(filters, "sample_support_transition", recording_draw)
+        mp.setattr(filters, "sample_support_rows", recording_draw)
         if every_row_distinct:
             mp.setattr(filters, "_distinct_rows", lambda *a: (np.arange(len(a[0])),) * 2)
         try:
@@ -443,19 +441,19 @@ def test_mode_track_per_distinct_row_matches_every_row(particles, variant, sigma
     (proposed, out, sampled), (proposed_ref, out_ref, sampled_ref) = results
     for name in ("motion", "coeffs", "log_weights"):
         assert getattr(proposed, name).tobytes() == getattr(proposed_ref, name).tobytes()
-    assert proposed.supports == proposed_ref.supports
-    assert sampled == sampled_ref
+    assert proposed.supports.tobytes() == proposed_ref.supports.tobytes()
+    assert [m.tobytes() for m in sampled] == [m.tobytes() for m in sampled_ref]
     # the off-frame slot is weighed out and keeps the support it was conditioned on
-    full = (SupportSet((0, 1, 2), 3),) * len(motion)
-    conds = {"pafimocs": sampled, "pafimocs-ssc": supports, "pf-mt": full}[variant]
+    full = np.ones(supports.shape, dtype=bool)
+    conds = {"pafimocs": sampled, "pafimocs-ssc": [supports], "pf-mt": [full]}[variant]
+    assert len(conds) == 1  # pafimocs draws every slot's support in one call
     assert proposed.log_weights[off] == NEG_INF
-    assert proposed.supports[off] == conds[off]
+    assert np.array_equal(proposed.supports[off], conds[0][off])
     if isinstance(out_ref, str):
         assert out == out_ref
         return
-    for name in ("motion", "coeffs", "log_weights"):
+    for name in ("motion", "coeffs", "supports", "log_weights"):
         assert getattr(out, name).tobytes() == getattr(out_ref, name).tobytes()
-    assert out.supports == out_ref.supports
     stats, stats_ref = out.last_stats, out_ref.last_stats
     assert (stats.ess, stats.max_log_weight) == (stats_ref.ess, stats_ref.max_log_weight)
     for name in ("motion_mean", "coeff_mean", "support_sizes"):
@@ -593,9 +591,9 @@ class TestSscCoincidence:
         set_b = ParticleSet.initialize(truth, 6, 21)
         out_a = take_step(set_a, frame, template, dictionary, params, cfg_a)
         out_b = take_step(set_b, frame, template, dictionary, params, cfg_b)
-        assert all(s == truth.support for s in out_a.supports)  # scene precondition
+        assert np.all(out_a.supports == truth.support.mask())  # scene precondition
         assert np.array_equal(out_a.motion, out_b.motion)
-        assert out_a.supports == out_b.supports
+        assert np.array_equal(out_a.supports, out_b.supports)
         assert np.array_equal(out_a.coeffs, out_b.coeffs)
         assert np.array_equal(weights[0], weights[1])
         assert out_a.last_stats.max_log_weight == out_b.last_stats.max_log_weight
@@ -614,7 +612,7 @@ class TestPfMtDenseSolutions:
         cfg = FilterConfig(variant="pf-mt", n_pf=8, d=3)
         pset = ParticleSet.initialize(truth, 8, 33)
         out = take_step(pset, frame, template, dictionary, params, cfg)
-        assert all(s.indices == tuple(range(7)) for s in out.supports)
+        assert out.supports.shape == (8, 7) and out.supports.all()
         assert np.all(out.coeffs != 0.0)
 
 
@@ -697,6 +695,12 @@ class TestConfigValidation:
             (dict(n_pf=0), "n_pf"),
             (dict(d=-1), "d must"),
             (dict(support_threshold="topk"), "threshold"),
+            (dict(gamma=float("nan")), "gamma, beta and alpha"),
+            (dict(gamma=-0.1), "gamma, beta and alpha"),
+            (dict(beta=float("nan")), "gamma, beta and alpha"),
+            (dict(beta=-1.0), "gamma, beta and alpha"),
+            (dict(alpha=float("nan")), "gamma, beta and alpha"),
+            (dict(alpha=-1e-9), "gamma, beta and alpha"),
         ],
     )
     def test_bad_config_rejected(self, kw, message):

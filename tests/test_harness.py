@@ -463,6 +463,20 @@ class TestConfigFormat:
         with pytest.raises(ValueError):
             sim_config_from_kv({key: "nan"})
 
+    @pytest.mark.parametrize(
+        "kv",
+        [
+            {"pafimocs.gamma": "nan"},
+            {"pf-mt-3.beta": "-1"},
+            {"pafimocs.gamma": "nan", "pf-mt-3.beta": "-1"},
+            {"pf-gordon-3.beta": "-1"},  # a prior-move tracker never solves
+            {"aux-pf-20.gamma": "-0.5"},
+        ],
+    )
+    def test_bad_filter_multiplier_rejected(self, kv):
+        with pytest.raises(ValueError, match="gamma, beta and alpha must be nonnegative"):
+            sim_config_from_kv(kv)
+
     def test_filter_overrides_from_kv(self):
         kv = sim_config_to_kv(SimConfig())
         kv["pafimocs.gamma"] = "0.55"
@@ -538,7 +552,7 @@ class TestConfigFormat:
 
 UNIT = st.floats(0.0, 0.5, exclude_max=True)
 VARIANCE = st.floats(0.0, 1e6)
-MULTIPLIER = st.none() | st.floats(allow_nan=False)
+MULTIPLIER = st.none() | st.floats(min_value=0.0)  # NaN and negative values are rejected
 
 
 @st.composite

@@ -20,12 +20,12 @@ from pafimocs.models import (
     MotionState,
     SupportSet,
     derive_pr_stationary,
-    diag_gaussian_log_density,
+    diag_gaussian_log_rows,
     sample_coeff_transition,
     sample_motion_transition,
+    sample_support_rows,
     sample_support_transition,
     sample_walk_rows,
-    stp_coeffs_log,
     stp_coeffs_rows,
     stp_support_log,
     stp_support_rows,
@@ -174,11 +174,9 @@ def test_sample_support_single_step_mean():
     params = make_params(n_lambda=41, s_expected=5, p_a=0.03, p_r=0.216)
     prev = SupportSet.from_indices(range(5), 41)
     rng = np.random.default_rng(7)
-    sizes = np.fromiter(
-        (len(sample_support_transition(prev, params, rng)) for _ in range(100_000)),
-        dtype=float,
-    )
-    assert 4.95 <= sizes.mean() <= 5.05
+    n = 100_000  # one stream listed n times: row k takes the k-th move's draws
+    moves = sample_support_rows(np.tile(prev.mask(), (n, 1)), params, [rng] * n)
+    assert 4.95 <= np.count_nonzero(moves) / n <= 5.05
 
 
 def test_support_chain_stationary_mean():
@@ -233,11 +231,9 @@ def test_sample_support_frequency_matches_stp():
     p = math.exp(stp_support_log(target, prev, params))
     rng = np.random.default_rng(11)
     n = 1_000_000
-    hits = sum(
-        1
-        for _ in range(n)
-        if sample_support_transition(prev, params, rng).indices == target.indices
-    )
+    # one stream listed n times: row k takes the k-th move's draws
+    moves = sample_support_rows(np.tile(prev.mask(), (n, 1)), params, [rng] * n)
+    hits = int(np.count_nonzero(np.all(moves == target.mask(), axis=1)))
     se = math.sqrt(p * (1.0 - p) / n)
     assert abs(hits / n - p) <= 3.0 * se
 
@@ -284,20 +280,25 @@ def test_sample_coeff_variance():
     assert np.var(draws - 1.0) == pytest.approx(0.04, rel=0.02)
 
 
+def coeff_walk_row(new, prev, support, params):
+    """The coefficient walk density of one row, through the stacked function."""
+    return float(stp_coeffs_rows(new[None], prev[None], support.mask()[None], params)[0])
+
+
 def test_stp_coeffs_hand_values():
     params = make_params(n_lambda=3, s_expected=3, sigma_l_sq=1.0)
     support = SupportSet.from_indices([0, 1, 2], 3)
     peak = np.array([0.3, -0.2, 1.0])
-    assert stp_coeffs_log(peak, peak, support, params) == pytest.approx(
+    assert coeff_walk_row(peak, peak, support, params) == pytest.approx(
         -1.5 * math.log(2.0 * math.pi), abs=1e-14
     )
 
     empty = SupportSet.from_indices([], 3)
-    assert stp_coeffs_log(np.zeros(3), peak, empty, params) == 0.0
+    assert coeff_walk_row(np.zeros(3), peak, empty, params) == 0.0
 
     params1 = make_params(n_lambda=3, s_expected=1, sigma_l_sq=4.0)
     single = SupportSet.from_indices([1], 3)
-    value = stp_coeffs_log(
+    value = coeff_walk_row(
         np.array([0.0, 2.0, 0.0]), np.zeros(3), single, params1
     )
     assert value == pytest.approx(-0.5 * math.log(8.0 * math.pi) - 0.5, abs=1e-14)
@@ -307,7 +308,7 @@ def test_stp_coeffs_rejects_mass_off_support():
     params = make_params(n_lambda=3, s_expected=1)
     support = SupportSet.from_indices([0], 3)
     with pytest.raises(ValueError, match="off the support"):
-        stp_coeffs_log(np.array([1.0, 0.1, 0.0]), np.zeros(3), support, params)
+        coeff_walk_row(np.array([1.0, 0.1, 0.0]), np.zeros(3), support, params)
 
 
 def test_stp_coeffs_matches_reference_density():
@@ -324,7 +325,7 @@ def test_stp_coeffs_matches_reference_density():
         idx = support.as_array()
         new[idx] = rng.standard_normal(idx.size)
         expected = gaussian_log_density(new[idx] - prev[idx], params.sigma_l_sq)
-        assert stp_coeffs_log(new, prev, support, params) == pytest.approx(
+        assert coeff_walk_row(new, prev, support, params) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -388,7 +389,7 @@ def test_stacked_coefficient_walk_matches_each_row(drawn, sigma_l_sq, near):
     for i in range(n):
         support = SupportSet.from_indices(np.flatnonzero(masks[i]), n_lambda)
         assert values[i] == coeff_walk_reference(new[i], prev[i], support, sigma_l_sq)
-        assert values[i] == stp_coeffs_log(new[i], prev[i], support, params)
+        assert values[i] == coeff_walk_row(new[i], prev[i], support, params)
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,6 +406,44 @@ def test_stacked_support_move_matches_each_row(drawn, p_a, p_r):
         b = SupportSet.from_indices(np.flatnonzero(prev[i]), n_lambda)
         assert values[i] == support_move_reference(a, b, params)
         assert values[i] == stp_support_log(a, b, params)
+
+
+def support_draw_reference(mask, p_a, p_r, rng):
+    """One support move drawn index by index in the documented order."""
+    new = mask.copy()
+    for i in np.flatnonzero(~mask):  # additions first, ascending
+        new[i] = rng.random() < p_a
+    for i in np.flatnonzero(mask):  # then removals, ascending
+        new[i] = rng.random() >= p_r
+    return new
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    support_rows(),
+    st.sampled_from([0.0, 0.03, 0.4]),
+    st.sampled_from([0.0, 0.216, 0.45]),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_support_draw_matches_each_row(drawn, p_a, p_r, seed):
+    _, masks = drawn
+    n, n_lambda = masks.shape
+    params = make_params(n_lambda=n_lambda, s_expected=1, p_a=p_a, p_r=p_r)
+
+    def streams():  # fresh copies of the same n streams
+        return [np.random.default_rng([seed, i]) for i in range(n)]
+
+    stacked_rngs, lone_rngs, hand_rngs = streams(), streams(), streams()
+    stacked = sample_support_rows(masks, params, stacked_rngs)
+    assert stacked.shape == masks.shape and stacked.dtype == bool
+    for i in range(n):
+        lone = sample_support_transition(SupportSet.from_mask(masks[i]), params, lone_rngs[i])
+        assert np.array_equal(stacked[i], lone.mask())
+        assert np.array_equal(stacked[i], support_draw_reference(masks[i], p_a, p_r, hand_rngs[i]))
+        states = (r[i].bit_generator.state for r in (stacked_rngs, lone_rngs, hand_rngs))
+        assert len({repr(state) for state in states}) == 1
+    with pytest.raises(ValueError, match="ambient"):
+        sample_support_rows(np.zeros((n, n_lambda + 1), dtype=bool), params, streams())
 
 
 def test_stacked_coefficient_walk_checks_the_stack():
@@ -475,11 +514,11 @@ def test_motion_sample_variances():
 
 
 def test_degenerate_gaussian_convention():
-    assert diag_gaussian_log_density(np.zeros(3), 0.0) == 0.0
-    assert diag_gaussian_log_density(np.array([ZERO_VAR_ATOL]), 0.0) == 0.0
-    assert diag_gaussian_log_density(np.array([2e-6]), 0.0) == NEG_INF
+    assert diag_gaussian_log_rows(np.zeros((1, 3)), 0.0)[0] == 0.0
+    single = diag_gaussian_log_rows(np.array([[ZERO_VAR_ATOL], [2e-6]]), 0.0)
+    assert list(single) == [0.0, NEG_INF]
     # mixed: degenerate coordinate drops out, live coordinate keeps its density
-    mixed = diag_gaussian_log_density(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    mixed = diag_gaussian_log_rows(np.array([[0.0, 1.0]]), np.array([0.0, 1.0]))[0]
     assert mixed == pytest.approx(gaussian_log_density(np.array([1.0]), 1.0), abs=1e-12)
     with pytest.raises(ValueError, match="nonnegative"):
-        diag_gaussian_log_density(np.array([1.0]), -1.0)
+        diag_gaussian_log_rows(np.array([[1.0]]), -1.0)

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from helpers import gaussian_log_density
 from pafimocs.dictionary import TemplatePatch, build_dictionary
-from pafimocs.models import NEG_INF, MotionState, diag_gaussian_log_density
+from pafimocs.models import NEG_INF, MotionState, diag_gaussian_log_rows
 from pafimocs.observation import (
     Frame,
     InvalidRoiError,
     NoiseModel,
     compute_roi,
+    grid_rows,
     log_likelihood,
     render_frame,
-    roi_rows,
     round_half_away,
 )
 from pafimocs.observation import residual_g
@@ -336,7 +336,7 @@ def reference_row(frame, motion, coeffs, template, dictionary, noise):
         return indices, valid, NEG_INF
     r = frame.pixels[indices] - template.pixels - dictionary.matrix @ coeffs
     clutter = -(frame.n_pixels - template.n_pixels) * math.log(noise.pixel_max)
-    return indices, valid, diag_gaussian_log_density(r, noise.sigma_sq) + clutter
+    return indices, valid, diag_gaussian_log_rows(r[None], noise.sigma_sq)[0] + clutter
 
 
 @pytest.mark.parametrize("kind", sorted(NOISE_KINDS))
@@ -365,7 +365,8 @@ def test_batched_rows_match_single_hypothesis_reference(
         motion = np.vstack([motion, truth_motion.as_array()])
         coeffs = np.vstack([coeffs, truth_coeffs])
 
-    indices, valid = roi_rows(motion, template, FRAME_DIMS)
+    offsets, cols, valid = grid_rows(motion, template, FRAME_DIMS)
+    indices = (offsets[:, :, None] + cols[:, None, :]).reshape(len(motion), -1)
     values = log_likelihood(frame, motion, coeffs, template, dictionary, noise)
     assert indices.shape == (len(motion), template.n_pixels)
     assert values.shape == valid.shape == (len(motion),)
@@ -374,6 +375,8 @@ def test_batched_rows_match_single_hypothesis_reference(
             frame, motion[k], coeffs[k], template, dictionary, noise
         )
         assert np.array_equal(indices[k], ref_indices)
+        roi = compute_roi(MotionState.from_array(motion[k]), template, FRAME_DIMS)
+        assert np.array_equal(roi.indices, ref_indices) and roi.valid == ref_valid
         assert valid[k] == ref_valid
         assert values[k] == ref_value  # bit for bit, or both -inf
     if with_truth:

@@ -283,9 +283,7 @@ def test_solve_certifies_the_enumerated_minimum(problem, warm):
 def test_uncertified_solve_returns_its_best_round(outliers):
     # no candidate meets a tolerance below rounding error, so the search runs
     # until no move lowers the cost and the round with the smallest residual
-    # is returned, flagged, not raised; the start (trace row 0) is not a
-    # round, and in the outlier case it has the smaller residual but the
-    # higher cost
+    # is returned, flagged, not raised; the start (trace row 0) is not a round
     rng = np.random.default_rng(12)
     problem = random_problem(rng, n_lambda=8, n_pixels=60, support_size=3)
     config = SolverConfig(kkt_tolerance=1e-300, record_trace=True)
@@ -299,6 +297,23 @@ def test_uncertified_solve_returns_its_best_round(outliers):
     assert result.trace[0][0] == 0
     assert result.kkt_residual == min(kkt for _, _, kkt in result.trace[1:])
     assert result.objective == next(c for _, c, k in result.trace[1:] if k == result.kkt_residual)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-14, 1e-300])
+def test_search_below_rounding_level_still_reaches_the_minimum(tol):
+    # a candidate counts as stationary on its sign pattern within the rounding
+    # level of the pattern's system, so a tolerance below that level changes
+    # only the converged flag; here the outliers vanish at the minimum, which
+    # is then the plain solve's
+    rng = np.random.default_rng(12)
+    problem = random_problem(rng, n_lambda=8, n_pixels=60, support_size=3, gamma_outlier=0.5)
+    plain = solve(dataclasses.replace(problem, gamma_outlier=None))
+    result = solve_with_outliers(problem, SolverConfig(kkt_tolerance=tol))
+    assert plain.converged and np.all(result.outlier_opt == 0.0)
+    assert result.kkt_residual < 1e-12
+    assert result.objective == pytest.approx(plain.objective, rel=1e-12)
+    assert np.allclose(result.lambda_opt, plain.lambda_opt, rtol=0.0, atol=1e-12)
+    assert result.converged == (result.kkt_residual <= tol)
 
 
 @settings(max_examples=100, deadline=None)
@@ -363,18 +378,17 @@ def solve_stacks(draw, max_lambda=6, max_pixels=12, max_rows=20):
     if draw(st.booleans()) and n_lambda > 1:
         phi[:, 1] = phi[:, 0]
     n = draw(st.integers(1, max_rows))
-    supports = []
+    masks = np.zeros((n, n_lambda), dtype=bool)
     kinds = draw(st.lists(st.sampled_from(["empty", "full", "random"]), min_size=n, max_size=n))
-    for kind in kinds:
+    for mask, kind in zip(masks, kinds):
         size = {"empty": 0, "full": n_lambda}.get(kind, int(rng.integers(0, n_lambda + 1)))
-        indices = rng.choice(n_lambda, size, replace=False)
-        supports.append(SupportSet.from_indices(indices, n_lambda))
+        mask[rng.choice(n_lambda, size, replace=False)] = True
     lam_true = rng.standard_normal((n, n_lambda))
     rows = ModeTrackingRows(
         y_residual_base=lam_true @ phi.T + 0.1 * rng.standard_normal((n, n_pixels)),
         dictionary=custom_dictionary(phi),
         lambda_prev=rng.standard_normal((n, n_lambda)),
-        cond_supports=tuple(supports),
+        masks=masks,
         sigma_o_sq=draw(st.sampled_from([0.5, 1.0, 4.0])),
         sigma_l_sq=draw(st.sampled_from([0.1, 1.0, 10.0])),
         beta=draw(st.sampled_from([0.5, 1.0])),
@@ -420,7 +434,7 @@ def test_stack_of_repeated_rows_matches_each_lone_solve(stack, data):
         base,
         y_residual_base=base.y_residual_base[picks],
         lambda_prev=base.lambda_prev[picks],
-        cond_supports=tuple(base.cond_supports[i] for i in picks),
+        masks=base.masks[picks],
     )
     assert_rows_match_lone_solves(rows, warm[picks])
 
@@ -431,15 +445,14 @@ def test_stacked_solve_covers_every_path():
     rng = np.random.default_rng(21)
     n, n_lambda, n_pixels = 24, 6, 30
     phi = rng.standard_normal((n_pixels, n_lambda))
-    supports = [
-        SupportSet.from_indices(rng.choice(n_lambda, i % (n_lambda + 1), replace=False), n_lambda)
-        for i in range(n)
-    ]
+    masks = np.zeros((n, n_lambda), dtype=bool)
+    for i, mask in enumerate(masks):
+        mask[rng.choice(n_lambda, i % (n_lambda + 1), replace=False)] = True
     rows = ModeTrackingRows(
         y_residual_base=rng.standard_normal((n, n_lambda)) @ phi.T,
         dictionary=custom_dictionary(phi),
         lambda_prev=rng.standard_normal((n, n_lambda)),
-        cond_supports=tuple(supports),
+        masks=masks,
         sigma_o_sq=1.0,
         sigma_l_sq=1.0,
         gamma=3.0,
@@ -458,7 +471,7 @@ def test_stacked_solve_checks_the_stack_once():
         y_residual_base=np.zeros((2, 10)),
         dictionary=custom_dictionary(phi),
         lambda_prev=np.zeros((2, 3)),
-        cond_supports=(full_support(3), SupportSet.from_indices([], 3)),
+        masks=np.array([[True, True, True], [False, False, False]]),
         sigma_o_sq=1.0,
         sigma_l_sq=1.0,
     )
@@ -468,12 +481,15 @@ def test_stacked_solve_checks_the_stack_once():
         ModeTrackingRows(**{**good, "y_residual_base": y})
     with pytest.raises(ValueError, match="length"):
         ModeTrackingRows(**{**good, "lambda_prev": np.zeros((3, 3))})
-    with pytest.raises(ValueError, match="ambient"):
-        ModeTrackingRows(**{**good, "cond_supports": (full_support(3), full_support(4))})
+    for masks in (np.ones((2, 4)), np.ones((2, 2)), np.ones(3), np.ones((2, 3, 1))):
+        with pytest.raises(ValueError, match="cond_support ambient size"):
+            ModeTrackingRows(**{**good, "masks": masks.astype(bool)})
+    with pytest.raises(ValueError, match="length"):  # one mask per row
+        ModeTrackingRows(**{**good, "masks": np.ones((3, 3), dtype=bool)})
     with pytest.raises(ValueError, match="warm_start"):
         solve_rows(ModeTrackingRows(**good), SolverConfig(warm_start=np.zeros(3)))
     empty = ModeTrackingRows(**{**good, "y_residual_base": np.zeros((0, 10)),
-                                "lambda_prev": np.zeros((0, 3)), "cond_supports": ()})
+                                "lambda_prev": np.zeros((0, 3)), "masks": np.zeros((0, 3))})
     assert solve_rows(empty).lambda_opt.shape == (0, 3)
 
 
