@@ -7,6 +7,9 @@ artifacts. The runs are:
   (``runs.csv``, ``aggregate.csv``, ``summary.json``);
 - ``experiment-seed-202``: the held-out seed,
   ``run_experiment(SimConfig(n_frames=6, n_monte_carlo=1, seed=202, n_pf=30))``;
+- ``experiment-d1``: the low-order dictionary (orders 0 and 1) over the
+  default filters, configured as ``pafimocs experiment --d 1 --n-runs 1
+  --n-frames 6 --n-pf 30`` configures it, through ``sim_config_from_kv``;
 - ``simulate``: ``pafimocs simulate --n-frames 10`` (every file it writes);
 - ``track-config-seed`` and ``track-seed-7``: ``pafimocs track`` over the
   default eight filters on that simulated directory, with the config seed
@@ -92,13 +95,15 @@ def write_problem(pdir: str) -> dict:
 
 def write_artifacts(out: str, inputs: str) -> None:
     from pafimocs import cli, fileio
-    from pafimocs.harness import SimConfig, run_experiment
+    from pafimocs.harness import SimConfig, run_experiment, sim_config_from_kv
 
     run_experiment(SimConfig(n_frames=10, n_monte_carlo=2), os.path.join(out, "experiment"))
     run_experiment(
         SimConfig(n_frames=6, n_monte_carlo=1, seed=202, n_pf=30),
         os.path.join(out, "experiment-seed-202"),
     )
+    low_order = {"d": 1, "n_monte_carlo": 1, "n_frames": 6, "n_pf": 30}
+    run_experiment(sim_config_from_kv(low_order), os.path.join(out, "experiment-d1"))
     sim = os.path.join(out, "simulate")
     runs = (
         ["simulate", "--out", sim, "--n-frames", "10"],

@@ -47,14 +47,16 @@ def legendre_eval(k: int, x):
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > 1.0):
         raise ValueError("legendre_eval is defined on [-1, 1]")
-    p_prev = np.ones_like(arr)
-    if k == 0:
-        return p_prev if arr.ndim else float(p_prev)
-    p_cur = arr.copy()
+    p_k = _legendre_orders(k, arr)[k]
+    return p_k if arr.ndim else float(p_k)
+
+
+def _legendre_orders(k: int, arr: np.ndarray) -> list:
+    """``[p_0(arr), ..., p_k(arr)]``, one pass of the three-term recurrence."""
+    orders = [np.ones_like(arr), arr.copy()]
     for n in range(1, k):
-        p_next = ((2 * n + 1) * arr * p_cur - n * p_prev) / (n + 1)
-        p_prev, p_cur = p_cur, p_next
-    return p_cur if arr.ndim else float(p_cur)
+        orders.append(((2 * n + 1) * arr * orders[n] - n * orders[n - 1]) / (n + 1))
+    return orders[: k + 1]
 
 
 def _axis_coords(n: int) -> np.ndarray:
@@ -192,11 +194,14 @@ def build_dictionary(template: TemplatePatch, d: int) -> Dictionary:
     if d < 0:
         raise ValueError("dictionary order must be nonnegative")
     h, w = template.height, template.width
-    cols = [
-        (template.image() * build_basis_image(k, h, w)).ravel()
-        for k in range(2 * d + 1)
-    ]
-    return Dictionary(matrix=np.column_stack(cols), order=d, kind="legendre")
+    if h < 2 or w < 2:
+        raise ValueError("basis images need at least a 2 x 2 grid")
+    # p_0 .. p_d along the rows, (h, d + 1), and along the columns, (w, d + 1)
+    along_i, along_j = (np.stack(_legendre_orders(d, _axis_coords(n)), axis=1) for n in (h, w))
+    matrix = np.empty((h, w, 2 * d + 1))  # row-major pixels, one column per basis image
+    matrix[:, :, 0::2] = template.image()[:, :, None] * along_j  # k = 0 (p_0 = 1), even k
+    matrix[:, :, 1::2] = template.image()[:, :, None] * along_i[:, None, 1:]  # odd k
+    return Dictionary(matrix=matrix.reshape(h * w, 2 * d + 1), order=d, kind="legendre")
 
 
 def ml_coeff_fit(patch: np.ndarray, template: TemplatePatch, dictionary: Dictionary) -> np.ndarray:

@@ -29,8 +29,9 @@ conditioning support) row of the slots with a valid ROI, compared byte for
 byte: the ROI is rounded to whole pixels and resampling leaves few
 ancestors, so on the default scene only about 15% of the slots of
 ``pafimocs-ssc`` and ``pf-mt`` hold a distinct row (``pafimocs``, which
-draws a support per slot, nearly all). Each distinct row is gathered,
-solved (one :func:`solve_rows` call), thresholded (:func:`threshold_rows`)
+draws a support per slot, nearly all, but only about 16% of its ROIs).
+Each distinct ROI is gathered and projected (``Phi' y``) once; each distinct row
+is solved (one :func:`solve_rows` call), thresholded (:func:`threshold_rows`)
 and weighed (``log_likelihood``, ``stp_coeffs_rows``, ``stp_support_rows``)
 once, stacked, with a lone slot's arithmetic, and the results are copied to
 every slot that shares it. ``pafimocs`` draws every slot's support at once
@@ -67,7 +68,7 @@ from .models import (
     stp_coeffs_rows,
     stp_support_rows,
 )
-from .observation import Frame, NoiseModel, gather_rows, grid_rows, log_likelihood
+from .observation import Frame, NoiseModel, distinct_rows, gather_rows, grid_rows, log_likelihood
 from .solver import ModeTrackingRows, SolverConfig, solve_rows
 from .solver import power_iteration_lmax, solve  # noqa: F401  perfbench binds both (ROADMAP 1)
 
@@ -168,8 +169,9 @@ class FilterConfig:
             raise ValueError("d must be nonnegative")
         if self.support_threshold not in ("energy-99", "fixed-alpha"):
             raise ValueError(f"unknown support threshold rule {self.support_threshold!r}")
-        if not (self.gamma >= 0.0 and self.beta >= 0.0 and self.alpha >= 0.0):  # NaN fails too
-            raise ValueError(f"{self.variant}: gamma, beta and alpha must be nonnegative")
+        rule = "gamma, beta and alpha must be nonnegative and finite"  # NaN fails the check
+        if not all(0.0 <= x < math.inf for x in (self.gamma, self.beta, self.alpha)):
+            raise ValueError(f"{self.variant}: {rule}")
 
 
 def threshold_support(coeffs: np.ndarray, rule: str = "energy-99", alpha: float = 0.0) -> SupportSet:
@@ -295,34 +297,22 @@ def _first_stage(pset, frame, template, dictionary, run) -> np.ndarray:
     scattered back; each row of :func:`log_likelihood` is computed on its
     own, so duplicates get the same bits.
     """
-    first, inverse = _distinct_rows(pset.motion, pset.coeffs)
+    first, inverse = distinct_rows(pset.motion, pset.coeffs)
     unique_ll = log_likelihood(
         frame, pset.motion[first], pset.coeffs[first], template, dictionary, run.noise
     )
     return unique_ll[inverse]
 
 
-def _distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of 2-D ``arrays`` taken side by side, compared byte for byte.
-
-    Returns the index of each distinct row's first occurrence, in order of
-    first occurrence, and each row's position in that list.
-    """
-    keys = np.concatenate([np.ascontiguousarray(a).view(np.uint8) for a in arrays], axis=1)
-    seen = {}  # row bytes -> index of their first occurrence
-    firsts = np.array([seen.setdefault(k.tobytes(), i) for i, k in enumerate(keys)], dtype=np.intp)
-    first = np.flatnonzero(firsts == np.arange(firsts.size))
-    return first, np.searchsorted(first, firsts)
-
-
 def _mode_track(moved, frame, template, dictionary, params, cfg, run):
     """Mode-tracking move of ``moved`` (new motions, parents' states and base weights).
 
     Slots with a valid ROI are keyed on their ROI grid, parent coefficients
-    and conditioning mask. The gather, solve, threshold, likelihood and
-    transition densities run stacked, once per distinct key, and are
-    scattered back to the slots. Returns the proposed set and the number of
-    slots whose solve is uncertified; off-frame slots get weight 0.
+    and conditioning mask. The gather runs once per distinct grid; the
+    solve, threshold, likelihood and transition densities run stacked, once
+    per distinct key, and are scattered back to the slots. Returns the
+    proposed set and the number of slots whose solve is uncertified;
+    off-frame slots get weight 0.
     """
     if cfg.variant == "pafimocs":
         conds = sample_support_rows(moved.supports, params, moved.streams)
@@ -332,12 +322,12 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
         conds = np.ones(moved.supports.shape, dtype=bool)
     offsets, cols, valid = grid_rows(moved.motion, template, (frame.height, frame.width))
     live = np.flatnonzero(valid)
-    first, inverse = _distinct_rows(offsets[live], cols[live], moved.coeffs[live], conds[live])
-    slots = live[first]
-    mapped = gather_rows(frame, offsets[slots], cols[slots], template)
+    roi_first, roi_of = distinct_rows(offsets[live], cols[live])
+    first, inverse = distinct_rows(roi_of[:, None], moved.coeffs[live], conds[live])
+    slots, roi_slots = live[first], live[roi_first]
     prev = moved.coeffs[slots]
     rows = ModeTrackingRows(
-        y_residual_base=mapped,
+        y_residual_base=gather_rows(frame, offsets[roi_slots], cols[roi_slots], template),
         dictionary=dictionary,
         lambda_prev=prev,
         masks=conds[slots],
@@ -345,6 +335,7 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
         sigma_l_sq=run.sigma_l_sq,
         beta=cfg.beta,
         gamma=cfg.gamma,
+        rois=roi_of[first],
     )
     solved = solve_rows(rows, SolverConfig(warm_start=prev))
     lam, masks = solved.lambda_opt, rows.masks  # pf-mt keeps its full supports
@@ -356,7 +347,7 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
     coeffs = moved.coeffs.copy()
     coeffs[live] = lam[inverse]
     ll = np.full(moved.n_pf, NEG_INF)
-    gathered = (mapped, np.ones(slots.size, dtype=bool))  # overwrites the solved pixels
+    gathered = (rows.y_residual_base[rows.rois], np.ones(slots.size, dtype=bool))
     ll[live] = log_likelihood(
         frame, moved.motion[slots], lam, template, dictionary, run.noise, gathered
     )[inverse]

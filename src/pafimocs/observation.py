@@ -13,7 +13,8 @@ rounded; a pixel's index is its row's offset plus its column's.
 Hypotheses are evaluated in stacks, one per row (:func:`grid_rows`,
 :func:`mapped_rows`, :func:`log_likelihood`); :func:`compute_roi` and
 :func:`residual_g` are the one-row case. Each row is computed exactly as a
-lone hypothesis would be.
+lone hypothesis would be, though :func:`mapped_rows` gathers each distinct
+grid once (:func:`distinct_rows`): rounding sends nearby motions to one grid.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "round_half_away",
     "grid_rows",
     "mapped_rows",
+    "distinct_rows",
     "gather_rows",
     "compute_roi",
     "render_frame",
@@ -137,7 +139,21 @@ def mapped_rows(frame: Frame, motion: np.ndarray, template: TemplatePatch) -> tu
     """ROI pixels minus the template per motion row (pixel 0 if invalid), and validity."""
     offsets, cols, valid = grid_rows(motion, template, (frame.height, frame.width))
     offsets[~valid] = cols[~valid] = 0  # invalid rows read pixel 0
-    return gather_rows(frame, offsets, cols, template), valid
+    first, inverse = distinct_rows(offsets, cols)
+    return gather_rows(frame, offsets[first], cols[first], template)[inverse], valid
+
+
+def distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of 2-D ``arrays`` taken side by side, compared byte for byte.
+
+    Returns the index of each distinct row's first occurrence, in order of
+    first occurrence, and each row's position in that list.
+    """
+    keys = np.concatenate([np.ascontiguousarray(a).view(np.uint8) for a in arrays], axis=1)
+    seen = {}  # row bytes -> index of their first occurrence
+    firsts = np.array([seen.setdefault(k.tobytes(), i) for i, k in enumerate(keys)], dtype=np.intp)
+    first = np.flatnonzero(firsts == np.arange(firsts.size))
+    return first, np.searchsorted(first, firsts)
 
 
 def gather_rows(

@@ -74,17 +74,20 @@ _SINGULAR_RATIO = 1e-12
 _EPS = np.finfo(float).eps
 
 
-def _checked_rows(owner, y, prev, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``y``, ``prev`` and the support ``masks`` as stacks, one problem per row,
-    after validating them and the dictionary and cost weights of ``owner``."""
+def _checked_rows(owner, y, prev, masks, rois=None) -> tuple:
+    """The stacks ``y``, ``prev``, ``masks`` and ``rois`` (problem ``i`` reads row
+    ``rois[i]`` of ``y``) after validating them and the dictionary and weights of ``owner``."""
     y = np.ascontiguousarray(y, dtype=float)
     prev = np.ascontiguousarray(prev, dtype=float)
     masks = np.ascontiguousarray(masks, dtype=bool)
+    index = np.arange(len(y)) if rois is None else np.asarray(rois)
     dictionary = owner.dictionary
     if masks.ndim != 2 or masks.shape[1] != dictionary.n_lambda:
         raise ValueError("cond_support ambient size must match the dictionary columns")
-    if y.shape != (len(masks), dictionary.n_pixels):
+    if y.ndim != 2 or y.shape[1] != dictionary.n_pixels or index.shape != (len(masks),):
         raise ValueError("y_residual_base length must match the dictionary rows")
+    if index.dtype.kind not in "iu" or np.any((index < 0) | (index >= len(y))):
+        raise ValueError("rois must index rows of y_residual_base")
     if prev.shape != masks.shape:
         raise ValueError("lambda_prev length must match the dictionary columns")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(prev))):
@@ -92,9 +95,9 @@ def _checked_rows(owner, y, prev, masks) -> tuple[np.ndarray, np.ndarray, np.nda
     # written so that NaN fails each check
     if not (owner.sigma_o_sq > 0.0 and owner.sigma_l_sq > 0.0):
         raise ValueError("sigma_o_sq and sigma_l_sq must be positive")
-    if not (owner.beta >= 0.0 and owner.gamma >= 0.0):
-        raise ValueError("beta and gamma must be nonnegative")
-    return y, prev, masks
+    if not (0.0 <= owner.beta < math.inf and 0.0 <= owner.gamma < math.inf):
+        raise ValueError("beta and gamma must be nonnegative and finite")
+    return y, prev, masks, None if rois is None else index
 
 
 @dataclass(eq=False)
@@ -112,14 +115,14 @@ class ModeTrackingProblem:
     gamma_outlier: float | None = None
 
     def __post_init__(self):
-        y, prev, _ = _checked_rows(
+        y, prev, _, _ = _checked_rows(
             self,
             np.asarray(self.y_residual_base, dtype=float)[None],
             np.asarray(self.lambda_prev, dtype=float)[None],
             self.cond_support.mask()[None],
         )
-        if self.gamma_outlier is not None and not self.gamma_outlier >= 0.0:
-            raise ValueError("gamma_outlier must be nonnegative")
+        if self.gamma_outlier is not None and not 0.0 <= self.gamma_outlier < math.inf:
+            raise ValueError("gamma_outlier must be nonnegative and finite")
         object.__setattr__(self, "y_residual_base", y[0])
         object.__setattr__(self, "lambda_prev", prev[0])
 
@@ -128,12 +131,13 @@ class ModeTrackingProblem:
 class ModeTrackingRows:
     """Mode-tracking problems sharing one dictionary and one set of cost weights.
 
-    Row ``i`` of ``y_residual_base``, ``lambda_prev`` and ``masks`` (the
-    conditioning supports as boolean rows) is problem ``i`` (:meth:`problem`).
-    The data are validated once per stack.
+    Problem ``i`` (:meth:`problem`) is row ``i`` of ``lambda_prev`` and
+    ``masks`` (the conditioning supports as boolean rows) with row
+    ``rois[i]`` of ``y_residual_base`` (row ``i`` when ``rois`` is None), so
+    problems on one ROI share its row. The data are validated once per stack.
     """
 
-    y_residual_base: np.ndarray  # (n, n_pixels)
+    y_residual_base: np.ndarray  # (n_rois, n_pixels)
     dictionary: Dictionary
     lambda_prev: np.ndarray  # (n, n_lambda)
     masks: np.ndarray  # (n, n_lambda) bool
@@ -141,15 +145,16 @@ class ModeTrackingRows:
     sigma_l_sq: float
     beta: float = 1.0
     gamma: float = 0.7
+    rois: np.ndarray | None = None  # (n,) ints, or None for one row each
 
     def __post_init__(self):
-        self.y_residual_base, self.lambda_prev, self.masks = _checked_rows(
-            self, self.y_residual_base, self.lambda_prev, self.masks
+        self.y_residual_base, self.lambda_prev, self.masks, self.rois = _checked_rows(
+            self, self.y_residual_base, self.lambda_prev, self.masks, self.rois
         )
 
     def problem(self, i: int) -> ModeTrackingProblem:
         return ModeTrackingProblem(
-            y_residual_base=self.y_residual_base[i],
+            y_residual_base=self.y_residual_base[i if self.rois is None else self.rois[i]],
             dictionary=self.dictionary,
             lambda_prev=self.lambda_prev[i],
             cond_support=SupportSet.from_mask(self.masks[i]),
@@ -468,7 +473,8 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
 def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> RowSolutions:
     """Solve each row's problem as :func:`solve` would, with its bits.
 
-    ``config.warm_start`` is ``(n, n_lambda)``, zeros when None. Rows run in
+    ``config.warm_start`` is ``(n, n_lambda)``, zeros when None. ``Phi' y``
+    is formed once per ROI (row of ``rows.y_residual_base``); rows run in
     blocks of ``ROW_BLOCK``, which bounds the stacked temporaries. A block
     builds every row's Gram system, checks the warm starts, solves for the
     ridge points and the first sign-pattern candidates, and certifies those
@@ -493,6 +499,8 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     c_data = 1.0 / rows.sigma_o_sq
     c_prior = rows.beta / rows.sigma_l_sq
     gram_data = c_data * rows.dictionary.gram
+    data_rhs = c_data * _matvec_rows(phi.T, rows.y_residual_base)  # once per ROI
+    rois = np.arange(n) if rows.rois is None else rows.rois
     diagonal = np.arange(k)
     out = RowSolutions(
         np.empty((n, k)),
@@ -503,12 +511,12 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     )
     for lo in range(0, n, ROW_BLOCK):
         block = slice(lo, lo + ROW_BLOCK)
-        y, prev, x = rows.y_residual_base[block], rows.lambda_prev[block], warm[block]
+        y, prev, x = rows.y_residual_base[rois[block]], rows.lambda_prev[block], warm[block]
         masks = rows.masks[block]
         gram_big = np.zeros((len(x), k, k))
         gram_big[:, diagonal, diagonal] = c_prior * masks
         gram_big += gram_data
-        rhs = c_data * _matvec_rows(phi.T, y) + c_prior * (prev * masks)
+        rhs = data_rhs[rois[block]] + c_prior * (prev * masks)
         grad = _matvec_rows(gram_big, x) - rhs
         one_row = (_kkt_rows(grad, x, masks, rows.gamma) <= tol) | config.record_trace
         try:

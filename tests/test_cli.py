@@ -389,6 +389,17 @@ class TestSolve:
         assert payload["type"] == "ValueError"
         assert key in payload["error"]
 
+    @pytest.mark.parametrize("key", ["beta", "gamma", "gamma_outlier"])
+    def test_infinite_multiplier_fails_cleanly(self, tmp_path, capsys, key):
+        pdir = self._problem_dir(tmp_path)
+        kv = fileio.read_kv(os.path.join(pdir, "problem.cfg"))
+        fileio.write_kv(os.path.join(pdir, "problem.cfg"), {**kv, key: "inf"})
+        assert main(["solve", "--problem", pdir, "--out", str(tmp_path / "o")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["type"] == "ValueError"
+        assert key in payload["error"] and "must be nonnegative and finite" in payload["error"]
+        assert not os.path.exists(tmp_path / "o")
+
     def test_missing_problem_fails_cleanly(self, tmp_path, capsys):
         rc = main(["solve", "--problem", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert rc == 1

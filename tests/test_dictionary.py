@@ -113,6 +113,23 @@ def test_build_dictionary_shapes_and_columns():
     assert np.array_equal(big.matrix[:, k], template.pixels * basis)
 
 
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 20])
+def test_dictionary_columns_are_the_basis_images_bit_for_bit(d):
+    """One recurrence pass per axis gives each column the bits of its own basis image."""
+    template = bumps_template(9, 14, seed=3)
+    h, w = template.height, template.width
+    columns = [(template.image() * build_basis_image(k, h, w)).ravel() for k in range(2 * d + 1)]
+    matrix = build_dictionary(template, d).matrix
+    assert matrix.flags.c_contiguous
+    assert matrix.tobytes() == np.column_stack(columns).tobytes()
+
+
+def test_dictionary_needs_a_two_by_two_grid():
+    for image in (np.ones((1, 5)), np.ones((5, 1))):
+        with pytest.raises(ValueError, match="2 x 2 grid"):
+            build_dictionary(TemplatePatch.from_image(image), 0)
+
+
 def test_template_patch_geometry():
     image = np.arange(6.0).reshape(2, 3)
     patch = TemplatePatch.from_image(image, origin=(10, 20))

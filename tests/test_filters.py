@@ -34,7 +34,7 @@ from pafimocs.models import (
     MotionState,
     SupportSet,
 )
-from pafimocs.observation import Frame, NoiseModel, render_frame
+from pafimocs.observation import Frame, NoiseModel, grid_rows, mapped_rows, render_frame
 from pafimocs.solver import SolverConfig
 
 FRAME_DIMS = (20, 20)
@@ -388,15 +388,20 @@ def shared_parent_sets(draw):
 
 
 def step_recording(pset, frame, template, dictionary, params, cfg, every_row_distinct):
-    """One ``filter_step``: its proposed set, its result and the sampled conditioning masks.
+    """One ``filter_step``: its proposed set, its result, the sampled
+    conditioning masks, the stack it solved and the (motion, pixels) rows
+    its likelihood scored. ``every_row_distinct`` switches off both sharing
+    levels of the mode-tracking move: every live slot is then its own row
+    and its own ROI, gathered and projected alone.
 
     The result is the ``ValueError`` of the resampler's weight-sum check
     when the step raises one: live slots that tie for the top log weight
     far below zero (a pixel off, over this scene's large dictionary
     columns) normalize to weights whose sum misses 1 by more than it allows.
     """
-    proposals, sampled = [], []
+    proposals, sampled, stacks, scored = [], [], [], []
     finish, draw_supports = filters._finish_step, filters.sample_support_rows
+    solve, likelihood = filters.solve_rows, filters.log_likelihood
 
     def recording_finish(proposed, unconverged=0):
         proposals.append(proposed)
@@ -406,16 +411,26 @@ def step_recording(pset, frame, template, dictionary, params, cfg, every_row_dis
         sampled.append(draw_supports(masks, params, rngs))
         return sampled[-1]
 
+    def recording_solve(rows, config=None):
+        stacks.append(rows)
+        return solve(rows, config)
+
+    def recording_likelihood(frame, motion, *args):
+        scored.append((motion, args[-1][0].copy()))  # the move passes its gathered pixels
+        return likelihood(frame, motion, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(filters, "_finish_step", recording_finish)
         mp.setattr(filters, "sample_support_rows", recording_draw)
+        mp.setattr(filters, "solve_rows", recording_solve)
+        mp.setattr(filters, "log_likelihood", recording_likelihood)
         if every_row_distinct:
-            mp.setattr(filters, "_distinct_rows", lambda *a: (np.arange(len(a[0])),) * 2)
+            mp.setattr(filters, "distinct_rows", lambda *a: (np.arange(len(a[0])),) * 2)
         try:
             out = take_step(pset, frame, template, dictionary, params, cfg)
         except ValueError as error:
             out = str(error)
-    return proposals[0], out, sampled
+    return proposals[0], out, sampled, stacks, scored
 
 
 @settings(max_examples=60, deadline=None)
@@ -438,7 +453,14 @@ def test_mode_track_per_distinct_row_matches_every_row(particles, variant, sigma
         results.append(
             step_recording(pset, frame, template, dictionary, params, cfg, every_row_distinct)
         )
-    (proposed, out, sampled), (proposed_ref, out_ref, sampled_ref) = results
+    proposed, out, sampled, (rows,), scored = results[0]
+    proposed_ref, out_ref, sampled_ref, (ref,), scored_ref = results[1]
+    live = np.count_nonzero(grid_rows(proposed.motion, template, (frame.height, frame.width))[2])
+    assert len(ref.y_residual_base) == len(ref.lambda_prev) == live  # no row shares a solve
+    assert ref.rois.tolist() == list(range(live))  # or a gather and projection
+    assert len(rows.y_residual_base) <= len(rows.lambda_prev) <= live
+    for motions, pixels in scored + scored_ref:  # each row is scored on its own ROI
+        assert pixels.tobytes() == mapped_rows(frame, motions, template)[0].tobytes()
     for name in ("motion", "coeffs", "log_weights"):
         assert getattr(proposed, name).tobytes() == getattr(proposed_ref, name).tobytes()
     assert proposed.supports.tobytes() == proposed_ref.supports.tobytes()
@@ -701,6 +723,9 @@ class TestConfigValidation:
             (dict(beta=-1.0), "gamma, beta and alpha"),
             (dict(alpha=float("nan")), "gamma, beta and alpha"),
             (dict(alpha=-1e-9), "gamma, beta and alpha"),
+            (dict(gamma=float("inf")), "gamma, beta and alpha must be nonnegative and finite"),
+            (dict(beta=float("inf")), "gamma, beta and alpha must be nonnegative and finite"),
+            (dict(alpha=float("inf")), "gamma, beta and alpha must be nonnegative and finite"),
         ],
     )
     def test_bad_config_rejected(self, kw, message):

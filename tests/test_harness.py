@@ -471,6 +471,9 @@ class TestConfigFormat:
             {"pafimocs.gamma": "nan", "pf-mt-3.beta": "-1"},
             {"pf-gordon-3.beta": "-1"},  # a prior-move tracker never solves
             {"aux-pf-20.gamma": "-0.5"},
+            {"filters": "pafimocs", "pafimocs.gamma": "inf", "n_frames": "3", "n_pf": "10"},
+            {"pf-mt-3.beta": "inf"},
+            {"pf-gordon-20.gamma": "-inf"},
         ],
     )
     def test_bad_filter_multiplier_rejected(self, kv):
@@ -552,7 +555,7 @@ class TestConfigFormat:
 
 UNIT = st.floats(0.0, 0.5, exclude_max=True)
 VARIANCE = st.floats(0.0, 1e6)
-MULTIPLIER = st.none() | st.floats(min_value=0.0)  # NaN and negative values are rejected
+MULTIPLIER = st.none() | st.floats(min_value=0.0, allow_infinity=False)  # the rest are rejected
 
 
 @st.composite

@@ -18,6 +18,7 @@ from pafimocs.observation import (
     compute_roi,
     grid_rows,
     log_likelihood,
+    mapped_rows,
     render_frame,
     round_half_away,
 )
@@ -381,3 +382,45 @@ def test_batched_rows_match_single_hypothesis_reference(
         assert values[k] == ref_value  # bit for bit, or both -inf
     if with_truth:
         assert values[-1] > NEG_INF
+
+
+IN_FRAME_OR_OFF = st.lists(
+    st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.5, 1.5))
+    | st.just((30.0, 0.0, 1.0)),
+    min_size=2,
+    max_size=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bases=IN_FRAME_OR_OFF,
+    picks=st.lists(st.integers(0, 5), min_size=4, max_size=12),
+    nudges=st.lists(st.sampled_from([0.0, 0.0, 0.2, -0.2, 0.7]), min_size=12, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(NOISE_KINDS)),
+)
+def test_shared_grids_match_a_gather_per_row(bases, picks, nudges, seed, kind):
+    """Stacks whose rows repeat a grid (the same motion, or a nudge that
+    rounds to the same pixels), hold distinct ones and leave the frame:
+    each grid is gathered once, yet every row equals its own gather."""
+    noise = NOISE_KINDS[kind]
+    template = small_template(height=4, width=5)
+    dictionary = build_dictionary(template, 1)
+    rng = np.random.default_rng(seed)
+    frame = Frame(pixels=rng.uniform(0.0, 255.0, 24 * 24), height=24, width=24)
+    motion = np.array(bases)[[p % len(bases) for p in picks]]
+    motion[:, 0] += nudges[: len(picks)]
+    coeffs = rng.normal(0.0, 0.1, (len(motion), 3))
+    mapped, valid = mapped_rows(frame, motion, template)
+    values = log_likelihood(frame, motion, coeffs, template, dictionary, noise)
+    offsets, cols, _ = grid_rows(motion, template, FRAME_DIMS)
+    for k in range(len(motion)):
+        indices = (offsets[k][:, None] + cols[k]).ravel()
+        alone = frame.pixels[indices] if valid[k] else np.full(template.n_pixels, frame.pixels[0])
+        assert mapped[k].tobytes() == (alone - template.pixels).tobytes()
+        row = slice(k, k + 1)
+        lone_mapped, lone_valid = mapped_rows(frame, motion[row], template)
+        assert mapped[k].tobytes() == lone_mapped[0].tobytes() and valid[k] == lone_valid[0]
+        lone = log_likelihood(frame, motion[row], coeffs[row], template, dictionary, noise)
+        assert values[k] == lone[0]  # bit for bit, or both -inf

@@ -127,6 +127,9 @@ def test_problem_validation():
         ModeTrackingProblem(**{**good, "sigma_o_sq": 0.0})
     with pytest.raises(ValueError, match="nonnegative"):
         ModeTrackingProblem(**{**good, "gamma": -0.1})
+    for key in ("beta", "gamma", "gamma_outlier"):  # inf * 0 would be NaN in the cost
+        with pytest.raises(ValueError, match=f"{key}.*nonnegative and finite"):
+            ModeTrackingProblem(**{**good, key: math.inf})
 
 
 # ---------------------------------------------------------------- gradients
@@ -334,17 +337,19 @@ def test_each_result_carries_its_kkt_certificate(problem, tol, gamma_outlier):
 def test_tracker_solves_certify_in_the_exact_phase(monkeypatch):
     """Guard on the fast path: every solve the mode-tracking trackers make on
     the default 96x96 scene with the d = 20 Legendre dictionary certifies
-    within three feature-sign rounds. Each step makes one stacked call, which holds no row twice."""
+    within three feature-sign rounds. Each step makes one stacked call,
+    which holds no row twice and gathers no ROI twice."""
     cfg = harness.SimConfig(n_frames=3)
     truth = harness.generate_sequence(cfg, np.random.default_rng(0))
     results = []
 
     def recording_solve_rows(rows, config=None):
+        y = rows.y_residual_base
         keys = np.concatenate(
-            [rows.y_residual_base.view(np.uint8), rows.lambda_prev.view(np.uint8), rows.masks],
-            axis=1,
+            [y[rows.rois].view(np.uint8), rows.lambda_prev.view(np.uint8), rows.masks], axis=1
         )
         assert len(np.unique(keys, axis=0)) == len(keys)
+        assert len(np.unique(y, axis=0)) == len(y) == len(np.unique(rows.rois))
         result = solver.solve_rows(rows, config)
         results.append(result)
         return result
@@ -439,6 +444,24 @@ def test_stack_of_repeated_rows_matches_each_lone_solve(stack, data):
     assert_rows_match_lone_solves(rows, warm[picks])
 
 
+@settings(max_examples=100, deadline=None)
+@given(solve_stacks(), st.data())
+def test_rows_sharing_an_roi_match_each_lone_solve(stack, data):
+    """Several problems per observation row, as when particles share an ROI:
+    ``Phi' y`` is formed once per ROI, and every problem still gets the bits
+    of a lone solve on its own copy of that row."""
+    base, warm = stack
+    n = len(warm)
+    n_rois = data.draw(st.integers(1, n))
+    rois = data.draw(st.lists(st.integers(0, n_rois - 1), min_size=n, max_size=n))
+    rows = dataclasses.replace(
+        base, y_residual_base=base.y_residual_base[:n_rois], rois=np.array(rois)
+    )
+    for i in range(n):
+        assert rows.problem(i).y_residual_base.tobytes() == rows.y_residual_base[rois[i]].tobytes()
+    assert_rows_match_lone_solves(rows, warm)
+
+
 def test_stacked_solve_covers_every_path():
     """A fixed stack over two blocks with rows that certify at 0 rounds, in
     the stacked first round, and after two or more rounds."""
@@ -488,6 +511,16 @@ def test_stacked_solve_checks_the_stack_once():
         ModeTrackingRows(**{**good, "masks": np.ones((3, 3), dtype=bool)})
     with pytest.raises(ValueError, match="warm_start"):
         solve_rows(ModeTrackingRows(**good), SolverConfig(warm_start=np.zeros(3)))
+    shared = ModeTrackingRows(**{**good, "y_residual_base": np.zeros((1, 10)), "rois": [0, 0]})
+    assert shared.rois.tolist() == [0, 0]
+    with pytest.raises(ValueError, match="length"):  # one ROI per problem
+        ModeTrackingRows(**{**good, "rois": np.array([0, 1, 1])})
+    for rois in ([0, 2], [-1, 0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="rois must index rows of y_residual_base"):
+            ModeTrackingRows(**{**good, "rois": np.array(rois)})
+    for key in ("beta", "gamma"):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            ModeTrackingRows(**{**good, key: math.inf})
     empty = ModeTrackingRows(**{**good, "y_residual_base": np.zeros((0, 10)),
                                 "lambda_prev": np.zeros((0, 3)), "masks": np.zeros((0, 3))})
     assert solve_rows(empty).lambda_opt.shape == (0, 3)
