@@ -83,8 +83,8 @@ def build_basis_image(k: int, height: int, width: int) -> np.ndarray:
     return np.repeat(row[None, :], height, axis=0)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _freeze(arr: np.ndarray, dtype=float) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -299,36 +299,19 @@ class SupportTrace:
 
 
 def support_trace(coeff_sequence: np.ndarray, fraction: float = 0.99) -> SupportTrace:
-    """Energy supports and change ratios along a coefficient sequence."""
+    """Energy supports (:func:`energy_rows`) and change ratios along a
+    coefficient sequence, counted on the mask rows of all frames at once."""
     seq = np.atleast_2d(np.asarray(coeff_sequence, dtype=float))
-    n_frames, n_lambda = seq.shape
-    supports = []
-    alphas = np.zeros(n_frames)
-    supp_frac = np.zeros(n_frames)
-    add_frac = np.full(n_frames, np.nan)
-    del_frac = np.full(n_frames, np.nan)
-    for t in range(n_frames):
-        supp, alpha = energy_support(seq[t], fraction)
-        supports.append(supp)
-        alphas[t] = alpha
-        supp_frac[t] = len(supp) / n_lambda
-        if t == 0:
-            continue
-        if len(supp) == 0:
-            add_frac[t] = 0.0
-            del_frac[t] = 0.0
-        else:
-            prev = supports[t - 1]
-            add_frac[t] = len(supp.difference(prev)) / len(supp)
-            del_frac[t] = len(prev.difference(supp)) / len(supp)
-    return SupportTrace(
-        supports=supports,
-        alphas=alphas,
-        supp_frac=supp_frac,
-        add_frac=add_frac,
-        del_frac=del_frac,
-        n_lambda=n_lambda,
-    )
+    masks = energy_rows(seq, fraction)
+    sizes = np.count_nonzero(masks, axis=1)
+    alphas = np.min(np.abs(seq), axis=1, where=masks, initial=np.inf)
+    alphas[sizes == 0] = 0.0
+    moves = np.count_nonzero([masks[1:] & ~masks[:-1], masks[:-1] & ~masks[1:]], axis=2)
+    ratios = np.zeros((2, len(seq)))  # added and removed over the current support size
+    np.divide(moves, sizes[1:], out=ratios[:, 1:], where=sizes[1:] > 0)
+    ratios[:, 0] = np.nan
+    supports = [SupportSet.from_mask(mask) for mask in masks]
+    return SupportTrace(supports, alphas, sizes / seq.shape[1], *ratios, n_lambda=seq.shape[1])
 
 
 def save_dictionary(dictionary: Dictionary, path) -> None:

@@ -30,11 +30,15 @@ byte: the ROI is rounded to whole pixels and resampling leaves few
 ancestors, so on the default scene only about 15% of the slots of
 ``pafimocs-ssc`` and ``pf-mt`` hold a distinct row (``pafimocs``, which
 draws a support per slot, nearly all, but only about 16% of its ROIs).
-Each distinct ROI is gathered and projected (``Phi' y``) once; each distinct row
-is solved (one :func:`solve_rows` call), thresholded (:func:`threshold_rows`)
-and weighed (``log_likelihood``, ``stp_coeffs_rows``, ``stp_support_rows``)
-once, stacked, with a lone slot's arithmetic, and the results are copied to
-every slot that shares it. ``pafimocs`` draws every slot's support at once
+The move runs on one ROI stack: :func:`mapped_rows` returns ``(pixels,
+index, valid)``, each distinct grid gathered once (an off-frame slot adds
+one unused pixel-0 row), and the solver (``rois``) and ``log_likelihood``
+(``gathered``) both read it, so each ROI is also projected (``Phi' y``)
+once. Each distinct row is solved (one :func:`solve_rows` call),
+thresholded (:func:`threshold_rows`) and weighed (``log_likelihood``,
+``stp_coeffs_rows``, ``stp_support_rows``) once, stacked, with a lone
+slot's arithmetic, and the results are copied to every slot that shares
+it. ``pafimocs`` draws every slot's support at once
 (:func:`sample_support_rows`), each row from its slot's stream.
 
 RNG stream rule: ``ParticleSet.initialize`` spawns ``n_pf + 1`` child
@@ -68,7 +72,7 @@ from .models import (
     stp_coeffs_rows,
     stp_support_rows,
 )
-from .observation import Frame, NoiseModel, distinct_rows, gather_rows, grid_rows, log_likelihood
+from .observation import Frame, NoiseModel, distinct_rows, log_likelihood, mapped_rows
 from .solver import ModeTrackingRows, SolverConfig, solve_rows
 from .solver import power_iteration_lmax, solve  # noqa: F401  perfbench binds both (ROADMAP 1)
 
@@ -245,7 +249,7 @@ class RunConstants(NamedTuple):
     sigma_l_sq: float  # whose cost weight degenerates
 
     @classmethod
-    def for_run(cls, dictionary: Dictionary, params: ModelParams) -> "RunConstants":
+    def for_run(cls, params: ModelParams) -> "RunConstants":
         return cls(
             noise=NoiseModel(
                 kind="pure-gaussian", sigma_sq=params.sigma_o_sq, pixel_max=params.pixel_max
@@ -308,7 +312,8 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
     """Mode-tracking move of ``moved`` (new motions, parents' states and base weights).
 
     Slots with a valid ROI are keyed on their ROI grid, parent coefficients
-    and conditioning mask. The gather runs once per distinct grid; the
+    and conditioning mask. The ROI stack of :func:`mapped_rows` (each
+    distinct grid gathered once) feeds the solve and the likelihood; the
     solve, threshold, likelihood and transition densities run stacked, once
     per distinct key, and are scattered back to the slots. Returns the
     proposed set and the number of slots whose solve is uncertified;
@@ -320,14 +325,13 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
         conds = moved.supports
     else:
         conds = np.ones(moved.supports.shape, dtype=bool)
-    offsets, cols, valid = grid_rows(moved.motion, template, (frame.height, frame.width))
+    pixels, grid, valid = mapped_rows(frame, moved.motion, template)
     live = np.flatnonzero(valid)
-    roi_first, roi_of = distinct_rows(offsets[live], cols[live])
-    first, inverse = distinct_rows(roi_of[:, None], moved.coeffs[live], conds[live])
-    slots, roi_slots = live[first], live[roi_first]
+    first, inverse = distinct_rows(grid[live, None], moved.coeffs[live], conds[live])
+    slots = live[first]
     prev = moved.coeffs[slots]
     rows = ModeTrackingRows(
-        y_residual_base=gather_rows(frame, offsets[roi_slots], cols[roi_slots], template),
+        y_residual_base=pixels,
         dictionary=dictionary,
         lambda_prev=prev,
         masks=conds[slots],
@@ -335,7 +339,7 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
         sigma_l_sq=run.sigma_l_sq,
         beta=cfg.beta,
         gamma=cfg.gamma,
-        rois=roi_of[first],
+        rois=grid[slots],
     )
     solved = solve_rows(rows, SolverConfig(warm_start=prev))
     lam, masks = solved.lambda_opt, rows.masks  # pf-mt keeps its full supports
@@ -347,7 +351,7 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
     coeffs = moved.coeffs.copy()
     coeffs[live] = lam[inverse]
     ll = np.full(moved.n_pf, NEG_INF)
-    gathered = (rows.y_residual_base[rows.rois], np.ones(slots.size, dtype=bool))
+    gathered = (pixels, rows.rois, valid[slots])
     ll[live] = log_likelihood(
         frame, moved.motion[slots], lam, template, dictionary, run.noise, gathered
     )[inverse]
@@ -402,7 +406,7 @@ def run_tracker(
     init = _coerce_state(init_state, dictionary.n_lambda)
     pset = ParticleSet.initialize(init, cfg.n_pf, seed)
     tracker_params = replace_params_ambient(params, dictionary.n_lambda)
-    run = RunConstants.for_run(dictionary, tracker_params)
+    run = RunConstants.for_run(tracker_params)
 
     sizes = np.full(cfg.n_pf, len(init.support))
     steps = [StepStats(float(cfg.n_pf), 0.0, init.motion.as_array(), init.coeffs, sizes)]  # row 0

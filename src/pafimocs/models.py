@@ -105,14 +105,6 @@ class SupportSet:
             self.ambient_size,
         )
 
-    def difference(self, other: "SupportSet") -> "SupportSet":
-        self._check_ambient(other)
-        return SupportSet.from_indices(set(self.indices) - set(other.indices), self.ambient_size)
-
-    def _check_ambient(self, other: "SupportSet") -> None:
-        if self.ambient_size != other.ambient_size:
-            raise ValueError("support sets live in different ambient sizes")
-
 
 @dataclass(frozen=True)
 class MotionState:
@@ -190,17 +182,17 @@ class ModelParams:
             raise ValueError("p_a must lie in [0, 0.5)")
         if not 0.0 <= self.p_r < 0.5:
             raise ValueError("p_r must lie in [0, 0.5)")
-        if not (self.sigma_l_sq >= 0.0 and self.sigma_o_sq >= 0.0):  # NaN fails too
-            raise ValueError("variances must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in (self.sigma_l_sq, self.sigma_o_sq)):  # NaN too
+            raise ValueError("variances must be nonnegative and finite")
         sigma_u = tuple(float(v) + 0.0 for v in self.sigma_u)  # + 0.0 turns -0.0 into 0.0
-        if len(sigma_u) != 3 or not all(v >= 0.0 for v in sigma_u):
-            raise ValueError("sigma_u must be three nonnegative diagonal entries")
+        if len(sigma_u) != 3 or not all(0.0 <= v < math.inf for v in sigma_u):
+            raise ValueError("sigma_u must be three nonnegative finite diagonal entries")
         object.__setattr__(self, "sigma_u", sigma_u)
         for name in ("sigma_l_sq", "sigma_o_sq"):  # sqrt(-0.0) = -0.0 is no Gaussian scale
             if getattr(self, name) == 0.0:
                 object.__setattr__(self, name, 0.0)
-        if not self.pixel_max > 0.0:
-            raise ValueError("pixel_max must be positive")
+        if not 0.0 < self.pixel_max < math.inf:
+            raise ValueError("pixel_max must be positive and finite")
 
     def to_config(self) -> dict:
         values = (self.n_lambda, self.s_expected, self.p_a, self.p_r, self.sigma_l_sq,
@@ -225,8 +217,8 @@ def derive_pr_stationary(p_a: float, s: int, n_lambda: int) -> float:
     """
     if s <= 0 or s > n_lambda:
         raise ValueError("s must lie in [1, n_lambda]")
-    if p_a < 0.0:
-        raise ValueError("p_a must be nonnegative")
+    if not 0.0 <= p_a < math.inf:  # NaN fails too
+        raise ValueError("p_a must be nonnegative and finite")
     p_r = (n_lambda - s) / s * p_a
     if p_r >= 1.0:
         raise ValueError(f"stationary removal probability {p_r} is not a probability")

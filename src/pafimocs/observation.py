@@ -13,8 +13,12 @@ rounded; a pixel's index is its row's offset plus its column's.
 Hypotheses are evaluated in stacks, one per row (:func:`grid_rows`,
 :func:`mapped_rows`, :func:`log_likelihood`); :func:`compute_roi` and
 :func:`residual_g` are the one-row case. Each row is computed exactly as a
-lone hypothesis would be, though :func:`mapped_rows` gathers each distinct
-grid once (:func:`distinct_rows`): rounding sends nearby motions to one grid.
+lone hypothesis would be, but rounding sends nearby motions to one grid, so
+the pixels form one ROI stack: :func:`mapped_rows` returns ``(pixels, index,
+valid)``, each distinct grid gathered once (:func:`distinct_rows`), each
+row's grid index into it and each row's validity. :func:`log_likelihood`
+takes that triple, and the mode-tracking move hands the same stack to its
+solver (``filters``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary, TemplatePatch
+from .dictionary import Dictionary, TemplatePatch, _freeze
 from .models import NEG_INF, ZERO_VAR_ATOL, MotionState
 
 __all__ = [
@@ -46,12 +50,6 @@ __all__ = [
 
 class InvalidRoiError(ValueError):
     """The motion hypothesis places part of the template outside the frame."""
-
-
-def _freeze(arr: np.ndarray, dtype=float) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +106,12 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind != "pure-gaussian":
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not self.sigma_sq >= 0.0:  # NaN fails too
-            raise ValueError("sigma_sq must be nonnegative")
+        if not 0.0 <= self.sigma_sq < math.inf:  # NaN fails too
+            raise ValueError("sigma_sq must be nonnegative and finite")
         if self.sigma_sq == 0.0:  # -0.0 would draw noise with scale sqrt(-0.0) = -0.0
             object.__setattr__(self, "sigma_sq", 0.0)
-        if not self.pixel_max > 0.0:
-            raise ValueError("pixel_max must be positive")
+        if not 0.0 < self.pixel_max < math.inf:
+            raise ValueError("pixel_max must be positive and finite")
 
 
 ROW_BLOCK = 16  # rows per block of stacked per-row work; bounds the temporaries
@@ -136,11 +134,15 @@ def grid_rows(motion: np.ndarray, template: TemplatePatch, frame_dims: tuple[int
 
 
 def mapped_rows(frame: Frame, motion: np.ndarray, template: TemplatePatch) -> tuple:
-    """ROI pixels minus the template per motion row (pixel 0 if invalid), and validity."""
+    """``(pixels, index, valid)`` of motion rows: ROI pixels minus the template
+    once per distinct grid, each row's grid in ``pixels`` and its validity.
+
+    Invalid rows read pixel 0, so ``pixels[index[k]]`` is row ``k``'s gather.
+    """
     offsets, cols, valid = grid_rows(motion, template, (frame.height, frame.width))
     offsets[~valid] = cols[~valid] = 0  # invalid rows read pixel 0
-    first, inverse = distinct_rows(offsets, cols)
-    return gather_rows(frame, offsets[first], cols[first], template)[inverse], valid
+    first, index = distinct_rows(offsets, cols)
+    return gather_rows(frame, offsets[first], cols[first], template), index, valid
 
 
 def distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
@@ -215,10 +217,10 @@ def residual_g(
     dictionary: Dictionary,
 ) -> np.ndarray:
     """Mapped-pixel residual: frame values minus template minus illumination."""
-    mapped, valid = mapped_rows(frame, motion.as_array()[None], template)
+    pixels, _, valid = mapped_rows(frame, motion.as_array()[None], template)
     if not valid[0]:
         raise InvalidRoiError(f"motion {motion} leaves the frame")
-    return mapped[0] - dictionary.matrix @ np.asarray(coeffs, dtype=float)
+    return pixels[0] - dictionary.matrix @ np.asarray(coeffs, dtype=float)
 
 
 def log_likelihood(
@@ -228,16 +230,17 @@ def log_likelihood(
     template: TemplatePatch,
     dictionary: Dictionary,
     noise: NoiseModel,
-    gathered: tuple[np.ndarray, np.ndarray] | None = None,
+    gathered: tuple | None = None,
 ) -> np.ndarray:
     """Log-likelihood of the frame under each (motion, coefficients) row.
 
     ``motion`` is ``(n, 3)`` and ``coeffs`` ``(n, n_lambda)``. The clutter
     block contributes ``(m - n_l) * log(1 / pixel_max)``; invalid placements
     score ``-inf``. ``gathered`` is :func:`mapped_rows` of these motions,
-    from a caller that already has it; its pixels are overwritten.
+    from a caller that already has it; it is read, not written.
     """
-    r, valid = mapped_rows(frame, motion, template) if gathered is None else gathered
+    pixels, index, valid = mapped_rows(frame, motion, template) if gathered is None else gathered
+    r = pixels[index]  # one row per motion, a copy
     for row, c in zip(r, np.asarray(coeffs, dtype=float)):
         row -= dictionary.matrix @ c  # one matrix-vector product per row fixes its bits
     clutter = -(frame.n_pixels - template.n_pixels) * math.log(noise.pixel_max)

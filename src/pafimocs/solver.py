@@ -39,6 +39,7 @@ computed from the full dictionary (not the search's cached Gram products).
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -93,8 +94,8 @@ def _checked_rows(owner, y, prev, masks, rois=None) -> tuple:
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(prev))):
         raise ValueError("problem data must be finite")
     # written so that NaN fails each check
-    if not (owner.sigma_o_sq > 0.0 and owner.sigma_l_sq > 0.0):
-        raise ValueError("sigma_o_sq and sigma_l_sq must be positive")
+    if not (0.0 < owner.sigma_o_sq < math.inf and 0.0 < owner.sigma_l_sq < math.inf):
+        raise ValueError("sigma_o_sq and sigma_l_sq must be positive and finite")
     if not (0.0 <= owner.beta < math.inf and 0.0 <= owner.gamma < math.inf):
         raise ValueError("beta and gamma must be nonnegative and finite")
     return y, prev, masks, None if rois is None else index
@@ -172,8 +173,8 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if not self.kkt_tolerance > 0.0:
-            raise ValueError("kkt_tolerance must be positive")
+        if not 0.0 < self.kkt_tolerance < math.inf:  # NaN fails too
+            raise ValueError("kkt_tolerance must be positive and finite")
 
 
 class RowSolutions(NamedTuple):
@@ -479,8 +480,8 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     builds every row's Gram system, checks the warm starts, solves for the
     ridge points and the first sign-pattern candidates, and certifies those
     on the full dictionary, all stacked. A row whose candidate certifies is
-    done in one round. The others take the one-row path
-    (:func:`_solve_row`): rows whose warm start passes the Gram check, whose
+    done in one round. The others go through the one-row search
+    (:func:`_exact_search`): rows whose warm start passes the Gram check, whose
     ridge point has an exact zero off the support (a smaller first pattern),
     or whose candidate does not certify, every row of a block with a
     singular system, and every row when traces are recorded. Stacked
@@ -539,31 +540,18 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
         one_row |= ~(kkt <= tol)
         out.lambda_opt[block] = cand
         out.kkt_residual[block] = kkt
-        for j in np.flatnonzero(one_row):
+        for j in np.flatnonzero(one_row):  # searched from the ridge point (zero if singular)
             i = lo + j
-            lam, out.kkt_residual[i], out.iterations[i], out.converged[i], trace = _solve_row(
-                rows.problem(i), gram_big[j], rhs[j], x[j], ridge[j], config
+            problem = rows.problem(i)
+            lam, out.kkt_residual[i], out.iterations[i], out.converged[i], trace = _exact_search(
+                x[j], ridge[j], rows.gamma * ~masks[j], gram_big[j], rhs[j], masks[j],
+                functools.partial(evaluate_cost, problem),
+                functools.partial(kkt_residual, problem), config,
             )
             out.lambda_opt[i] = lam
             if out.traces is not None:
                 out.traces[i] = trace
     return out
-
-
-def _solve_row(problem, gram_big, rhs, x, ridge, config):
-    """One row of :func:`solve_rows` from its Gram system, warm start ``x`` and
-    ridge point (zero where its solve fails), searched from the ridge point:
-    ``(lambda, kkt residual, rounds, converged, trace)``."""
-    mask = problem.cond_support.mask()
-
-    def cost(point):
-        return evaluate_cost(problem, point)
-
-    def certify(point):
-        return kkt_residual(problem, point)
-
-    weights = problem.gamma * ~mask
-    return _exact_search(x, ridge, weights, gram_big, rhs, mask, cost, certify, config)
 
 
 def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, config):

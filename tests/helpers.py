@@ -101,3 +101,26 @@ def weighted_mean_reference(states, weights):
     motion = np.array([s.motion.as_array() for s in states])
     coeffs = np.array([s.coeffs for s in states])
     return weights @ motion, weights @ coeffs
+
+
+def support_trace_reference(frames, n_lambda):
+    """Support statistics of a sequence from each frame's ``(indices,
+    alpha)`` support, by plain set differences: ``(alphas, supp_frac,
+    add_frac, del_frac)``. Change ratios are NaN on the first frame and 0.0
+    on frames whose support is empty."""
+    alphas, supp_frac, add_frac, del_frac = [], [], [], []
+    prev = None
+    for indices, alpha in frames:
+        cur = set(indices)
+        alphas.append(alpha)
+        supp_frac.append(len(cur) / n_lambda)
+        if prev is None:
+            add, removed = math.nan, math.nan
+        elif not cur:
+            add, removed = 0.0, 0.0
+        else:
+            add, removed = len(cur - prev) / len(cur), len(prev - cur) / len(cur)
+        add_frac.append(add)
+        del_frac.append(removed)
+        prev = cur
+    return alphas, supp_frac, add_frac, del_frac

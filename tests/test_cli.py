@@ -400,6 +400,17 @@ class TestSolve:
         assert key in payload["error"] and "must be nonnegative and finite" in payload["error"]
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("key", ["sigma_o_sq", "sigma_l_sq", "kkt_tolerance"])
+    def test_infinite_variance_or_tolerance_fails_cleanly(self, tmp_path, capsys, key):
+        pdir = self._problem_dir(tmp_path)
+        kv = fileio.read_kv(os.path.join(pdir, "problem.cfg"))
+        fileio.write_kv(os.path.join(pdir, "problem.cfg"), {**kv, key: "inf"})
+        assert main(["solve", "--problem", pdir, "--out", str(tmp_path / "o")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["type"] == "ValueError"
+        assert key in payload["error"] and "must be positive and finite" in payload["error"]
+        assert not os.path.exists(tmp_path / "o")
+
     def test_missing_problem_fails_cleanly(self, tmp_path, capsys):
         rc = main(["solve", "--problem", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert rc == 1

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import support_trace_reference
 from pafimocs.dictionary import (
     TemplatePatch,
     build_basis_image,
@@ -251,6 +254,37 @@ def test_support_trace_model_sequence_addition_ratio():
     mean_add = np.nanmean(trace.add_frac[1:])
     # E|A| / s = 36 * 0.03 / 5 = 0.216, Monte Carlo slack
     assert abs(mean_add - 0.216) < 0.02
+
+
+@st.composite
+def coefficient_sequences(draw):
+    """Short sequences whose rows tie in magnitude, repeat their predecessor
+    or are all zero (an empty support)."""
+    n_lambda = draw(st.integers(1, 6))
+    value = st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e-3])
+    row = st.lists(value, min_size=n_lambda, max_size=n_lambda)
+    rows = draw(st.lists(row | st.just([0.0] * n_lambda), min_size=1, max_size=8))
+    for t in draw(st.lists(st.integers(1, 7), max_size=3)):
+        if t < len(rows):
+            rows[t] = rows[t - 1]
+    return np.array(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_sequences(), st.sampled_from([0.5, 0.9, 0.99, 1.0]))
+def test_support_trace_matches_per_frame_set_differences(seq, fraction):
+    """The mask-row trace equals one built frame by frame from the one-row
+    energy support and set differences, bit for bit."""
+    trace = support_trace(seq, fraction)
+    frames = [energy_support(row, fraction) for row in seq]
+    assert [s.indices for s in trace.supports] == [s.indices for s, _ in frames]
+    expected = support_trace_reference(
+        [(s.indices, alpha) for s, alpha in frames], seq.shape[1]
+    )
+    got = (trace.alphas, trace.supp_frac, trace.add_frac, trace.del_frac)
+    for ours, theirs in zip(got, expected):
+        assert ours.tobytes() == np.array(theirs).tobytes()
+    assert trace.membership_matrix().tolist() == [list(s.mask().astype(int)) for s, _ in frames]
 
 
 def test_support_trace_csv(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import weighted_mean_reference
-from pafimocs import filters, harness, solver
+from pafimocs import filters, harness, observation, solver
 from pafimocs.dictionary import TemplatePatch, build_dictionary
 from pafimocs.filters import (
     VARIANTS,
@@ -235,7 +235,7 @@ class TestPosteriorEstimate:
 
 def take_step(pset, frame, template, dictionary, params, cfg):
     """One ``filter_step`` with the run constants built for it."""
-    run = RunConstants.for_run(dictionary, params)
+    run = RunConstants.for_run(params)
     return filter_step(pset, frame, template, dictionary, params, cfg, run)
 
 
@@ -392,7 +392,7 @@ def step_recording(pset, frame, template, dictionary, params, cfg, every_row_dis
     conditioning masks, the stack it solved and the (motion, pixels) rows
     its likelihood scored. ``every_row_distinct`` switches off both sharing
     levels of the mode-tracking move: every live slot is then its own row
-    and its own ROI, gathered and projected alone.
+    and every slot its own ROI, gathered and projected alone.
 
     The result is the ``ValueError`` of the resampler's weight-sum check
     when the step raises one: live slots that tie for the top log weight
@@ -416,7 +416,8 @@ def step_recording(pset, frame, template, dictionary, params, cfg, every_row_dis
         return solve(rows, config)
 
     def recording_likelihood(frame, motion, *args):
-        scored.append((motion, args[-1][0].copy()))  # the move passes its gathered pixels
+        pixels, index, _ = args[-1]  # the move passes its ROI stack
+        scored.append((motion, pixels[index]))
         return likelihood(frame, motion, *args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -425,7 +426,8 @@ def step_recording(pset, frame, template, dictionary, params, cfg, every_row_dis
         mp.setattr(filters, "solve_rows", recording_solve)
         mp.setattr(filters, "log_likelihood", recording_likelihood)
         if every_row_distinct:
-            mp.setattr(filters, "distinct_rows", lambda *a: (np.arange(len(a[0])),) * 2)
+            for module in (filters, observation):
+                mp.setattr(module, "distinct_rows", lambda *a: (np.arange(len(a[0])),) * 2)
         try:
             out = take_step(pset, frame, template, dictionary, params, cfg)
         except ValueError as error:
@@ -455,12 +457,17 @@ def test_mode_track_per_distinct_row_matches_every_row(particles, variant, sigma
         )
     proposed, out, sampled, (rows,), scored = results[0]
     proposed_ref, out_ref, sampled_ref, (ref,), scored_ref = results[1]
-    live = np.count_nonzero(grid_rows(proposed.motion, template, (frame.height, frame.width))[2])
-    assert len(ref.y_residual_base) == len(ref.lambda_prev) == live  # no row shares a solve
-    assert ref.rois.tolist() == list(range(live))  # or a gather and projection
-    assert len(rows.y_residual_base) <= len(rows.lambda_prev) <= live
+    valid = grid_rows(proposed.motion, template, (frame.height, frame.width))[2]
+    live = np.flatnonzero(valid)
+    assert len(ref.lambda_prev) == live.size  # no row shares a solve
+    assert len(ref.y_residual_base) == len(motion)  # or a gather and projection,
+    assert ref.rois.tolist() == live.tolist()  # and off-frame slots' ROIs go unread
+    unused = int(live.size < len(motion))  # the one pixel-0 row of the off-frame slots
+    assert len(rows.y_residual_base) <= len(rows.lambda_prev) + unused <= live.size + unused
+    assert len(set(rows.rois.tolist())) == len(rows.y_residual_base) - unused
     for motions, pixels in scored + scored_ref:  # each row is scored on its own ROI
-        assert pixels.tobytes() == mapped_rows(frame, motions, template)[0].tobytes()
+        stack, index, _ = mapped_rows(frame, motions, template)
+        assert pixels.tobytes() == stack[index].tobytes()
     for name in ("motion", "coeffs", "log_weights"):
         assert getattr(proposed, name).tobytes() == getattr(proposed_ref, name).tobytes()
     assert proposed.supports.tobytes() == proposed_ref.supports.tobytes()

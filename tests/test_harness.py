@@ -466,6 +466,22 @@ class TestConfigFormat:
     @pytest.mark.parametrize(
         "kv",
         [
+            {"sigma_l_sq": "inf"},
+            {"sigma_u_xx": "inf"},
+            {"sigma_u_yy": "inf"},
+            {"sigma_u_ss": "inf"},
+            {"sigma_o_sq": "inf"},
+            # rendered 1024 non-finite template pixels per frame before the check
+            {"sigma_o_sq": "inf", "n_frames": "3", "n_pf": "5", "filters": "pafimocs"},
+        ],
+    )
+    def test_infinite_model_value_rejected(self, kv):
+        with pytest.raises(ValueError, match="nonnegative and finite|nonnegative finite"):
+            sim_config_from_kv(kv)
+
+    @pytest.mark.parametrize(
+        "kv",
+        [
             {"pafimocs.gamma": "nan"},
             {"pf-mt-3.beta": "-1"},
             {"pafimocs.gamma": "nan", "pf-mt-3.beta": "-1"},

@@ -61,8 +61,6 @@ def test_support_set_basics():
     assert len(s) == 3
     assert np.array_equal(s.mask(), [True, True, False, True, False])
     assert s.complement().indices == (2, 4)
-    other = SupportSet.from_indices([1, 4], 5)
-    assert s.difference(other).indices == (0, 3)
 
 
 def test_support_mask_is_built_once_and_read_only():
@@ -78,8 +76,6 @@ def test_support_set_validation():
         SupportSet((1, 1), 4)
     with pytest.raises(ValueError, match="outside"):
         SupportSet((4,), 4)
-    with pytest.raises(ValueError, match="ambient"):
-        SupportSet((0,), 3).difference(SupportSet((0,), 4))
 
 
 def test_full_state_checks_length():
@@ -108,6 +104,17 @@ def test_params_validation():
         make_params(sigma_u=(1.0, math.nan, 1.0))
     with pytest.raises(ValueError, match="pixel_max"):
         make_params(pixel_max=math.nan)
+    # an infinite scale renders non-finite frames, so it fails at load too
+    for key in ("sigma_o_sq", "sigma_l_sq"):
+        with pytest.raises(ValueError, match="variances must be nonnegative and finite"):
+            make_params(**{key: math.inf})
+    for k in range(3):
+        sigma_u = [0.5, 0.5, 0.0]
+        sigma_u[k] = math.inf
+        with pytest.raises(ValueError, match="sigma_u must be three nonnegative finite"):
+            make_params(sigma_u=tuple(sigma_u))
+    with pytest.raises(ValueError, match="pixel_max must be positive and finite"):
+        make_params(pixel_max=math.inf)
 
 
 def test_negative_zero_variances_walk_as_zero():
@@ -147,6 +154,10 @@ def test_derive_pr_stationary_errors():
         derive_pr_stationary(0.03, 0, 41)
     with pytest.raises(ValueError):
         derive_pr_stationary(-0.01, 5, 41)
+    for p_a in (math.nan, math.inf):  # inf * 0 would be NaN at s = n_lambda
+        for s in (5, 41):
+            with pytest.raises(ValueError, match="p_a must be nonnegative and finite"):
+                derive_pr_stationary(p_a, s, 41)
     with pytest.raises(ValueError, match="not a probability"):
         derive_pr_stationary(0.4, 1, 41)
 

@@ -189,9 +189,28 @@ def test_log_likelihood_from_gathered_pixels_is_bit_identical():
     )
     from_pixels = log_likelihood(
         frame, motion.as_array()[None], 0.9 * lam[None], template, dictionary, noise,
-        gathered=(mapped[None].copy(), np.array([roi.valid])),
+        gathered=(mapped[None].copy(), np.array([0]), np.array([roi.valid])),
     )
     assert from_pixels[0] == direct[0]
+
+
+def test_log_likelihood_leaves_gathered_unmodified():
+    """The ROI stack a caller hands in is read, not written: a mode-tracking
+    step scores its rows on the same pixels its solver read."""
+    template = small_template()
+    dictionary = build_dictionary(template, 1)
+    rng = np.random.default_rng(6)
+    frame = Frame(pixels=rng.uniform(0.0, 255.0, 24 * 24), height=24, width=24)
+    motion = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [30.0, 0.0, 1.0], [-2.0, 1.0, 1.0]])
+    coeffs = rng.normal(0.0, 0.5, (len(motion), 3))
+    gathered = mapped_rows(frame, motion, template)
+    before = [a.copy() for a in gathered]
+    noise = pure_noise(2.0)
+    values = log_likelihood(frame, motion, coeffs, template, dictionary, noise, gathered)
+    for kept, now in zip(before, gathered):
+        assert kept.tobytes() == now.tobytes()
+    direct = log_likelihood(frame, motion, coeffs, template, dictionary, noise)
+    assert values.tobytes() == direct.tobytes()
 
 
 def test_log_likelihood_clutter_term_cancels_in_differences():
@@ -285,6 +304,10 @@ def test_noise_model_validation():
         NoiseModel(sigma_sq=math.nan)
     with pytest.raises(ValueError, match="pixel_max"):
         NoiseModel(pixel_max=math.nan)
+    with pytest.raises(ValueError, match="sigma_sq must be nonnegative and finite"):
+        NoiseModel(sigma_sq=math.inf)
+    with pytest.raises(ValueError, match="pixel_max must be positive and finite"):
+        NoiseModel(pixel_max=math.inf)
 
 
 def test_negative_zero_noise_variance_renders_exactly():
@@ -412,15 +435,19 @@ def test_shared_grids_match_a_gather_per_row(bases, picks, nudges, seed, kind):
     motion = np.array(bases)[[p % len(bases) for p in picks]]
     motion[:, 0] += nudges[: len(picks)]
     coeffs = rng.normal(0.0, 0.1, (len(motion), 3))
-    mapped, valid = mapped_rows(frame, motion, template)
+    pixels, index, valid = mapped_rows(frame, motion, template)
     values = log_likelihood(frame, motion, coeffs, template, dictionary, noise)
     offsets, cols, _ = grid_rows(motion, template, FRAME_DIMS)
+    grids = {(o.tobytes(), c.tobytes()) if v else None for o, c, v in zip(offsets, cols, valid)}
+    assert len(pixels) == len(grids)  # each grid gathered once (one for all off-frame rows)
+    assert sorted(set(index.tolist())) == list(range(len(pixels)))
     for k in range(len(motion)):
         indices = (offsets[k][:, None] + cols[k]).ravel()
         alone = frame.pixels[indices] if valid[k] else np.full(template.n_pixels, frame.pixels[0])
-        assert mapped[k].tobytes() == (alone - template.pixels).tobytes()
+        assert pixels[index[k]].tobytes() == (alone - template.pixels).tobytes()
         row = slice(k, k + 1)
-        lone_mapped, lone_valid = mapped_rows(frame, motion[row], template)
-        assert mapped[k].tobytes() == lone_mapped[0].tobytes() and valid[k] == lone_valid[0]
+        lone_pixels, lone_index, lone_valid = mapped_rows(frame, motion[row], template)
+        assert lone_index.tolist() == [0] and valid[k] == lone_valid[0]
+        assert pixels[index[k]].tobytes() == lone_pixels[0].tobytes()
         lone = log_likelihood(frame, motion[row], coeffs[row], template, dictionary, noise)
         assert values[k] == lone[0]  # bit for bit, or both -inf

@@ -130,6 +130,12 @@ def test_problem_validation():
     for key in ("beta", "gamma", "gamma_outlier"):  # inf * 0 would be NaN in the cost
         with pytest.raises(ValueError, match=f"{key}.*nonnegative and finite"):
             ModeTrackingProblem(**{**good, key: math.inf})
+    for key in ("sigma_o_sq", "sigma_l_sq"):  # an infinite variance zeroes its cost term
+        with pytest.raises(ValueError, match=f"{key}.*positive and finite"):
+            ModeTrackingProblem(**{**good, key: math.inf})
+    for tol in (0.0, math.nan, math.inf):  # an infinite tolerance certifies every start
+        with pytest.raises(ValueError, match="kkt_tolerance must be positive and finite"):
+            SolverConfig(kkt_tolerance=tol)
 
 
 # ---------------------------------------------------------------- gradients
@@ -520,6 +526,9 @@ def test_stacked_solve_checks_the_stack_once():
             ModeTrackingRows(**{**good, "rois": np.array(rois)})
     for key in ("beta", "gamma"):
         with pytest.raises(ValueError, match="nonnegative and finite"):
+            ModeTrackingRows(**{**good, key: math.inf})
+    for key in ("sigma_o_sq", "sigma_l_sq"):
+        with pytest.raises(ValueError, match="positive and finite"):
             ModeTrackingRows(**{**good, key: math.inf})
     empty = ModeTrackingRows(**{**good, "y_residual_base": np.zeros((0, 10)),
                                 "lambda_prev": np.zeros((0, 3)), "masks": np.zeros((0, 3))})
