@@ -12,8 +12,8 @@ PF-MT does), so each step starts from equal weights. The moves are:
   dense random walk, weight is the observation likelihood. ``aux-pf`` first
   selects ancestors by the likelihood of their zero-noise propagation (the
   previous states), so its weights carry the likelihood ratio. That first
-  stage is evaluated once per distinct previous state: after resampling
-  most slots share their parent's bytes.
+  stage scores every slot in one ``log_likelihood`` call: in its sufficient
+  statistics form a row costs less than a key to find duplicate rows by.
 * mode-tracking move (``pafimocs``, ``pafimocs-ssc``, ``pf-mt``): the
   coefficients are replaced by the mode of the observation-plus-walk cost,
   solved conditioned on a support: one sampled from the add/remove kernel
@@ -36,20 +36,21 @@ one unused pixel-0 row), and the solver (``rois``) and ``log_likelihood``
 (``gathered``) both read it, so each ROI is also projected (``Phi' y``)
 once. Each distinct row is solved (one :func:`solve_rows` call),
 thresholded (:func:`threshold_rows`) and weighed (``log_likelihood``,
-``stp_coeffs_rows``, ``stp_support_rows``) once, stacked, with a lone
-slot's arithmetic, and the results are copied to every slot that shares
-it. ``pafimocs`` draws every slot's support at once
-(:func:`sample_support_rows`), each row from its slot's stream.
+``stp_coeffs_rows``, ``stp_support_rows``) once, stacked, and the results
+are copied to every slot that shares it. ``pafimocs`` draws every slot's
+support at once (:func:`sample_support_rows`), each row from its slot's
+stream.
 
 RNG stream rule: ``ParticleSet.initialize`` spawns ``n_pf + 1`` child
 streams from one seed; child ``i`` is pinned to particle slot ``i`` for the
 whole run (streams follow slots, not ancestry) and the last child drives
 resampling. Each slot's stream draws its motion, then its move, so
-batching slots changes no draw; weighted means add rows left to right from
-zeros, so estimates match a slot-by-slot step bit for bit. Zero-variance
-model parameters are replaced by 1.0 inside the mode-tracking cost only;
-with exact observations the minimizer is unchanged, which keeps noise-free
-configurations exact.
+batching slots changes no draw, and weighted means add rows left to right
+from zeros. The same seed gives the same bytes; a slot's solve and weight
+agree with a slot-by-slot step within rounding, as ``solver`` and
+``observation`` state. Zero-variance model parameters are replaced by 1.0
+inside the mode-tracking cost only; with exact observations the minimizer is
+unchanged, which keeps noise-free configurations exact.
 """
 
 from __future__ import annotations
@@ -210,9 +211,8 @@ def _normalize_log_weights(log_ws: np.ndarray) -> np.ndarray:
     top = float(np.max(log_ws))
     if top == NEG_INF or math.isnan(top):
         raise TrackerLostError("all particle weights vanished")
-    shifted = log_ws - top
-    lse = top + math.log(float(np.sum(np.exp(shifted))))
-    return log_ws - lse
+    shifted = log_ws - top  # exact for the top weights however far below zero they lie
+    return shifted - math.log(float(np.sum(np.exp(shifted))))
 
 
 def _weighted_sum(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -279,7 +279,7 @@ def filter_step(
     """
     parents = pset
     if cfg.variant == "aux-pf":
-        mean_ll = _first_stage(pset, frame, template, dictionary, run)
+        mean_ll = log_likelihood(frame, pset.motion, pset.coeffs, template, dictionary, run.noise)
         stage_one = _normalize_log_weights(pset.log_weights + mean_ll)
         ancestors = systematic_resample(np.exp(stage_one), pset.resample_rng)
         parents = replace(pset.select(ancestors), log_weights=-mean_ll[ancestors])
@@ -292,20 +292,6 @@ def filter_step(
     supports = np.ones(moved.supports.shape, dtype=bool)
     proposed = replace(moved, coeffs=coeffs, supports=supports, log_weights=moved.log_weights + ll)
     return _finish_step(proposed)
-
-
-def _first_stage(pset, frame, template, dictionary, run) -> np.ndarray:
-    """``aux-pf``'s first-stage log-likelihood of every slot's current state.
-
-    It is evaluated once per distinct (motion, coefficients) row and
-    scattered back; each row of :func:`log_likelihood` is computed on its
-    own, so duplicates get the same bits.
-    """
-    first, inverse = distinct_rows(pset.motion, pset.coeffs)
-    unique_ll = log_likelihood(
-        frame, pset.motion[first], pset.coeffs[first], template, dictionary, run.noise
-    )
-    return unique_ll[inverse]
 
 
 def _mode_track(moved, frame, template, dictionary, params, cfg, run):

@@ -42,7 +42,6 @@ __all__ = [
     "stp_coeffs_rows",
     "sample_motion_transition",
     "sample_walk_rows",
-    "diag_gaussian_log_rows",
 ]
 
 NEG_INF = float("-inf")
@@ -279,28 +278,6 @@ def stp_support_rows(new: np.ndarray, prev: np.ndarray, params: ModelParams) -> 
     )
 
 
-def diag_gaussian_log_rows(dev: np.ndarray, var) -> np.ndarray:
-    """Normalized log-density of a diagonal Gaussian at each row of ``dev`` ``(n, k)``.
-
-    ``var`` is shared by the rows: a scalar or one variance per column. Each
-    row's terms are summed as a lone row's would be. Zero-variance components
-    are point masses: they contribute 0.0 when ``|dev| <= ZERO_VAR_ATOL``
-    else ``-inf``.
-    """
-    dev = np.ascontiguousarray(dev, dtype=float)
-    var = np.broadcast_to(np.asarray(var, dtype=float), dev.shape[1:])
-    if np.any(var < 0.0):
-        raise ValueError("variances must be nonnegative")
-    degenerate = var == 0.0
-    out = np.zeros(len(dev))
-    live = ~degenerate
-    if np.any(live):
-        v = var[live]
-        d = np.compress(live, dev, axis=1)  # C order: a row sums as a lone vector does
-        out = -0.5 * np.sum(np.log(2.0 * np.pi * v) + d * d / v, axis=1)
-    return np.where(np.any(np.abs(dev[:, degenerate]) > ZERO_VAR_ATOL, axis=1), NEG_INF, out)
-
-
 def sample_coeff_transition(
     prev: np.ndarray, new_support: SupportSet, params: ModelParams, rng
 ) -> np.ndarray:
@@ -323,9 +300,8 @@ def stp_coeffs_rows(
 
     Coefficients are ``(n, n_lambda)``, support masks alike; each row of
     ``new`` must be exactly zero off its support. An empty support gives 0.0
-    (the move is the deterministic all-zero vector). Rows are grouped by
-    support size, so each row's on-support terms are summed as one
-    contiguous row, as a lone vector's are.
+    (the move is the deterministic all-zero vector). One masked sum covers
+    every row: the deviations off the support count as zeros.
     """
     shape = (len(new), params.n_lambda)
     if new.shape != shape or prev.shape != shape:
@@ -334,14 +310,12 @@ def stp_coeffs_rows(
         raise ValueError("support ambient size does not match params.n_lambda")
     if np.any(new[~masks] != 0.0):
         raise ValueError("new coefficients must be exactly zero off the support")
-    out = np.zeros(len(new))
+    dev = np.where(masks, new - prev, 0.0)
+    var = params.sigma_l_sq
+    if var == 0.0:  # point mass
+        return np.where(np.any(np.abs(dev) > ZERO_VAR_ATOL, axis=1), NEG_INF, 0.0)
     sizes = np.count_nonzero(masks, axis=1)
-    for size in np.unique(sizes[sizes > 0]):
-        group = np.flatnonzero(sizes == size)
-        cols = np.nonzero(masks[group])[1].reshape(group.size, size)
-        rows = group[:, None]
-        out[group] = diag_gaussian_log_rows(new[rows, cols] - prev[rows, cols], params.sigma_l_sq)
-    return out
+    return -0.5 * (sizes * (LOG_2PI + math.log(var)) + np.einsum("ij,ij->i", dev, dev) / var)
 
 
 def sample_motion_transition(prev: MotionState, params: ModelParams, rng) -> MotionState:

@@ -12,13 +12,12 @@ rounded; a pixel's index is its row's offset plus its column's.
 
 Hypotheses are evaluated in stacks, one per row (:func:`grid_rows`,
 :func:`mapped_rows`, :func:`log_likelihood`); :func:`compute_roi` and
-:func:`residual_g` are the one-row case. Each row is computed exactly as a
-lone hypothesis would be, but rounding sends nearby motions to one grid, so
-the pixels form one ROI stack: :func:`mapped_rows` returns ``(pixels, index,
-valid)``, each distinct grid gathered once (:func:`distinct_rows`), each
-row's grid index into it and each row's validity. :func:`log_likelihood`
-takes that triple, and the mode-tracking move hands the same stack to its
-solver (``filters``).
+:func:`residual_g` are the one-row case. Rounding sends nearby motions to
+one grid, so the pixels form one ROI stack: :func:`mapped_rows` returns
+``(pixels, index, valid)``, each distinct grid gathered once
+(:func:`distinct_rows`), each row's grid index into it and each row's
+validity. :func:`log_likelihood` takes that triple, and the mode-tracking
+move hands the same stack to its solver (``filters``).
 """
 
 from __future__ import annotations
@@ -238,18 +237,26 @@ def log_likelihood(
     block contributes ``(m - n_l) * log(1 / pixel_max)``; invalid placements
     score ``-inf``. ``gathered`` is :func:`mapped_rows` of these motions,
     from a caller that already has it; it is read, not written.
+
+    With ``sigma_sq > 0`` the squared residual comes from sufficient
+    statistics: ``||y||^2`` and ``Phi' y`` once per distinct grid (one matrix
+    product over the stack), then ``||y||^2 - 2 c' Phi' y + c' G c`` per row
+    with the dictionary's cached Gram matrix ``G``, clamped at 0. Its error
+    is absolute, about ``eps * (||y||^2 + ||Phi c||^2) / sigma_sq``, not
+    relative to the residual. The point mass (``sigma_sq = 0``) tests the
+    explicit residual pixel by pixel, as ``models`` does a zero variance.
     """
     pixels, index, valid = mapped_rows(frame, motion, template) if gathered is None else gathered
-    r = pixels[index]  # one row per motion, a copy
-    for row, c in zip(r, np.asarray(coeffs, dtype=float)):
-        row -= dictionary.matrix @ c  # one matrix-vector product per row fixes its bits
+    coeffs = np.asarray(coeffs, dtype=float)
     clutter = -(frame.n_pixels - template.n_pixels) * math.log(noise.pixel_max)
-    if noise.sigma_sq == 0.0:  # point mass, as in models.diag_gaussian_log_rows
+    if noise.sigma_sq == 0.0:  # point mass: every pixel's residual within ZERO_VAR_ATOL
+        r = pixels[index] - coeffs @ dictionary.matrix.T
         out = np.where(np.any(np.abs(r) > ZERO_VAR_ATOL, axis=1), NEG_INF, 0.0) + clutter
-    else:  # the Gaussian constant is computed once, the rest in place
-        r *= r
-        r /= noise.sigma_sq
-        r += np.log(2.0 * np.pi * noise.sigma_sq)
-        out = -0.5 * np.sum(r, axis=1) + clutter
+    else:  # ||y - Phi c||^2 = ||y||^2 - 2 c'Phi'y + c'Gc, with y's terms once per grid
+        norms = np.einsum("ij,ij->i", pixels, pixels)
+        cross = 2.0 * (pixels @ dictionary.matrix)
+        sq = norms[index] + np.einsum("ij,ij->i", coeffs, coeffs @ dictionary.gram - cross[index])
+        sq = np.maximum(sq, 0.0) / noise.sigma_sq
+        out = -0.5 * (sq + template.n_pixels * math.log(2.0 * np.pi * noise.sigma_sq)) + clutter
     out[~valid] = NEG_INF
     return out

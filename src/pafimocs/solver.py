@@ -12,7 +12,9 @@ optionally jointly with a per-pixel outlier vector ``o`` entering the data
 term as ``y - Phi lam - o``.
 
 :func:`solve_rows` solves a stack of such problems over one dictionary, and
-:func:`solve` is its one-row case; each row gets the bits a lone solve would.
+:func:`solve` is its one-row case. The same stack gives the same bytes every
+time; a stacked row and its lone solve agree within rounding, since products
+with the shared dictionary run as one matrix-matrix product per stack.
 The search is feature-sign search (Lee, Battle, Raina & Ng 2007).
 Starting from the ridge minimizer of the smooth part, each round solves the
 smooth-plus-linear system restricted to the current sign pattern, certifies
@@ -240,8 +242,10 @@ def evaluate_cost(problem: ModeTrackingProblem, lam, outlier=None) -> float:
 
 
 def _matvec_rows(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # one matrix-vector product per row (``mat`` shared or stacked per row), so
-    # each row gets the bits of a lone product; a matrix-matrix product would not
+    # ``mat`` times each row: one matrix-matrix product when ``mat`` is shared,
+    # one matrix-vector product per row when it is stacked per row
+    if mat.ndim == 2:
+        return rows @ mat.T
     return np.matmul(mat, rows[:, :, None])[:, :, 0]
 
 
@@ -472,7 +476,7 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
 
 
 def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> RowSolutions:
-    """Solve each row's problem as :func:`solve` would, with its bits.
+    """Solve each row's problem as :func:`solve` would, up to rounding.
 
     ``config.warm_start`` is ``(n, n_lambda)``, zeros when None. ``Phi' y``
     is formed once per ROI (row of ``rows.y_residual_base``); rows run in
@@ -484,9 +488,13 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     (:func:`_exact_search`): rows whose warm start passes the Gram check, whose
     ridge point has an exact zero off the support (a smaller first pattern),
     or whose candidate does not certify, every row of a block with a
-    singular system, and every row when traces are recorded. Stacked
-    products are one matrix-vector product or LU solve per row, so no row's
-    arithmetic changes.
+    singular system, and every row when traces are recorded. Products with
+    the dictionary (``Phi' y``, and ``Phi lam`` and ``Phi' r`` in the
+    certificate) are matrix-matrix products over the stack, while Gram
+    systems are multiplied and LU-solved per row. So a row's bits can differ
+    from its lone solve's by rounding, and near a tie its search may take
+    another round; each result still carries its own KKT residual on the
+    full dictionary, and the same stack gives the same bytes.
     """
     if config is None:
         config = SolverConfig()

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from pafimocs.models import ZERO_VAR_ATOL
+
 
 def gaussian_log_density(dev, var):
     """Log of a diagonal multivariate Gaussian density at deviation ``dev``."""
@@ -25,6 +27,19 @@ def gaussian_log_density(dev, var):
         - 0.5 * float(np.sum(np.log(var)))
         - 0.5 * float(np.sum(dev * dev / var))
     )
+
+
+def diag_gaussian_log_row(dev, var):
+    """Log of a diagonal Gaussian density at one deviation row, summed term
+    by term; a zero variance is a point mass, 0.0 within ``ZERO_VAR_ATOL``
+    of zero and -inf beyond it."""
+    dev = np.asarray(dev, dtype=float)
+    var = np.broadcast_to(np.asarray(var, dtype=float), dev.shape)
+    point = var == 0.0
+    if np.any(np.abs(dev[point]) > ZERO_VAR_ATOL):
+        return -math.inf
+    live = ~point
+    return float(-0.5 * np.sum(np.log(2.0 * np.pi * var[live]) + dev[live] ** 2 / var[live]))
 
 
 def cost_direct(phi, y, lam_prev, on_mask, sigma_o_sq, sigma_l_sq, beta, gamma, lam):

@@ -20,7 +20,6 @@ from pafimocs.models import (
     MotionState,
     SupportSet,
     derive_pr_stationary,
-    diag_gaussian_log_rows,
     sample_coeff_transition,
     sample_motion_transition,
     sample_support_rows,
@@ -388,6 +387,9 @@ def support_rows(draw, max_lambda=12, max_rows=20):
 @settings(max_examples=100, deadline=None)
 @given(support_rows(), st.sampled_from([0.0, 1e-3, 0.04, 2.0]), st.booleans())
 def test_stacked_coefficient_walk_matches_each_row(drawn, sigma_l_sq, near):
+    """One masked sum scores the stack: each row agrees with its own sum over
+    its support to 1e-13 of the sizes of its terms, and the point mass
+    (``sigma_l_sq = 0``) is exact."""
     rng, masks = drawn
     n, n_lambda = masks.shape
     params = make_params(n_lambda=n_lambda, s_expected=1, sigma_l_sq=sigma_l_sq)
@@ -399,8 +401,13 @@ def test_stacked_coefficient_walk_matches_each_row(drawn, sigma_l_sq, near):
     assert values.shape == (n,)
     for i in range(n):
         support = SupportSet.from_indices(np.flatnonzero(masks[i]), n_lambda)
-        assert values[i] == coeff_walk_reference(new[i], prev[i], support, sigma_l_sq)
-        assert values[i] == coeff_walk_row(new[i], prev[i], support, params)
+        reference = coeff_walk_reference(new[i], prev[i], support, sigma_l_sq)
+        scale = 0.0
+        if sigma_l_sq > 0.0:
+            dev = (new[i] - prev[i])[masks[i]]
+            scale = float(np.sum(abs(math.log(2.0 * math.pi * sigma_l_sq)) + dev * dev / sigma_l_sq))
+        for value in (values[i], coeff_walk_row(new[i], prev[i], support, params)):
+            assert value == reference or abs(value - reference) <= 1e-13 * scale
 
 
 @settings(max_examples=100, deadline=None)
@@ -525,11 +532,10 @@ def test_motion_sample_variances():
 
 
 def test_degenerate_gaussian_convention():
-    assert diag_gaussian_log_rows(np.zeros((1, 3)), 0.0)[0] == 0.0
-    single = diag_gaussian_log_rows(np.array([[ZERO_VAR_ATOL], [2e-6]]), 0.0)
-    assert list(single) == [0.0, NEG_INF]
-    # mixed: degenerate coordinate drops out, live coordinate keeps its density
-    mixed = diag_gaussian_log_rows(np.array([[0.0, 1.0]]), np.array([0.0, 1.0]))[0]
-    assert mixed == pytest.approx(gaussian_log_density(np.array([1.0]), 1.0), abs=1e-12)
-    with pytest.raises(ValueError, match="nonnegative"):
-        diag_gaussian_log_rows(np.array([[1.0]]), -1.0)
+    """A zero walk variance is a point mass: a row scores 0.0 when every
+    on-support deviation is within ``ZERO_VAR_ATOL`` of zero, else -inf."""
+    params = make_params(n_lambda=3, s_expected=1, sigma_l_sq=0.0)
+    masks = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1], [0, 0, 0]], dtype=bool)
+    new = np.array([[0.0, ZERO_VAR_ATOL, 0.0], [-ZERO_VAR_ATOL, 0.0, 0.0], [0.0, 0.0, 2e-6],
+                    [0.0, 0.0, 0.0]])
+    assert list(stp_coeffs_rows(new, np.zeros((4, 3)), masks, params)) == [0.0, 0.0, NEG_INF, 0.0]

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gaussian_log_density
+from helpers import diag_gaussian_log_row, gaussian_log_density
 from pafimocs.dictionary import TemplatePatch, build_dictionary
-from pafimocs.models import NEG_INF, MotionState, diag_gaussian_log_rows
+from pafimocs.models import NEG_INF, MotionState
 from pafimocs.observation import (
     Frame,
     InvalidRoiError,
@@ -25,6 +25,7 @@ from pafimocs.observation import (
 from pafimocs.observation import residual_g
 
 FRAME_DIMS = (24, 24)
+EPS = np.finfo(float).eps
 
 
 def small_template(origin=(8, 8), height=6, width=6, seed=0):
@@ -347,7 +348,15 @@ NOISE_KINDS = {
 
 
 def reference_row(frame, motion, coeffs, template, dictionary, noise):
-    """ROI indices, validity and log-likelihood of one hypothesis, pixel by pixel."""
+    """ROI indices, validity and log-likelihood of one hypothesis, pixel by
+    pixel, and the accuracy ``log_likelihood`` states for that row.
+
+    The bound is the worst-case rounding of ``||y||^2 - 2 c' Phi' y + c' G c``
+    (dot products of ``n`` terms err by ``n eps`` of their terms' sizes,
+    whence ``|Phi| |c|``) and of the constant terms, with ``n`` the pixels
+    plus the coefficients plus two final sums. The point mass is exact: its
+    bound is 0.
+    """
     u_x, u_y, s = motion
     ci, cj = float(np.mean(template.coord_i)), float(np.mean(template.coord_j))
     rows = round_half_away(u_x + s * (template.coord_i - ci) + ci)
@@ -357,10 +366,21 @@ def reference_row(frame, motion, coeffs, template, dictionary, noise):
     )
     indices = (rows * frame.width + cols).astype(np.intp)
     if not valid:
-        return indices, valid, NEG_INF
-    r = frame.pixels[indices] - template.pixels - dictionary.matrix @ coeffs
+        return indices, valid, NEG_INF, 0.0
+    y = frame.pixels[indices] - template.pixels
     clutter = -(frame.n_pixels - template.n_pixels) * math.log(noise.pixel_max)
-    return indices, valid, diag_gaussian_log_rows(r[None], noise.sigma_sq)[0] + clutter
+    value = diag_gaussian_log_row(y - dictionary.matrix @ coeffs, noise.sigma_sq) + clutter
+    if noise.sigma_sq == 0.0:
+        return indices, valid, value, 0.0
+    spread = (np.linalg.norm(y) + np.linalg.norm(np.abs(dictionary.matrix) @ np.abs(coeffs))) ** 2
+    constants = template.n_pixels * abs(math.log(2.0 * math.pi * noise.sigma_sq)) + abs(clutter)
+    n = template.n_pixels + len(coeffs) + 2
+    return indices, valid, value, n * EPS * (spread / noise.sigma_sq + constants)
+
+
+def assert_within(value, reference, bound):
+    """``value`` is ``reference`` (both -inf, say) or within ``bound`` of it."""
+    assert value == reference or abs(value - reference) <= bound
 
 
 @pytest.mark.parametrize("kind", sorted(NOISE_KINDS))
@@ -395,14 +415,14 @@ def test_batched_rows_match_single_hypothesis_reference(
     assert indices.shape == (len(motion), template.n_pixels)
     assert values.shape == valid.shape == (len(motion),)
     for k in range(len(motion)):
-        ref_indices, ref_valid, ref_value = reference_row(
+        ref_indices, ref_valid, ref_value, bound = reference_row(
             frame, motion[k], coeffs[k], template, dictionary, noise
         )
         assert np.array_equal(indices[k], ref_indices)
         roi = compute_roi(MotionState.from_array(motion[k]), template, FRAME_DIMS)
         assert np.array_equal(roi.indices, ref_indices) and roi.valid == ref_valid
         assert valid[k] == ref_valid
-        assert values[k] == ref_value  # bit for bit, or both -inf
+        assert_within(values[k], ref_value, bound)  # exact for the point mass
     if with_truth:
         assert values[-1] > NEG_INF
 
@@ -426,7 +446,8 @@ IN_FRAME_OR_OFF = st.lists(
 def test_shared_grids_match_a_gather_per_row(bases, picks, nudges, seed, kind):
     """Stacks whose rows repeat a grid (the same motion, or a nudge that
     rounds to the same pixels), hold distinct ones and leave the frame:
-    each grid is gathered once, yet every row equals its own gather."""
+    each grid is gathered once, yet every row equals its own gather, and
+    stacked and lone rows score within the stated bound."""
     noise = NOISE_KINDS[kind]
     template = small_template(height=4, width=5)
     dictionary = build_dictionary(template, 1)
@@ -450,4 +471,38 @@ def test_shared_grids_match_a_gather_per_row(bases, picks, nudges, seed, kind):
         assert lone_index.tolist() == [0] and valid[k] == lone_valid[0]
         assert pixels[index[k]].tobytes() == lone_pixels[0].tobytes()
         lone = log_likelihood(frame, motion[row], coeffs[row], template, dictionary, noise)
-        assert values[k] == lone[0]  # bit for bit, or both -inf
+        *_, reference, bound = reference_row(frame, motion[k], coeffs[k], template, dictionary, noise)
+        assert_within(values[k], reference, bound)  # exact for the point mass
+        assert_within(lone[0], reference, bound)
+
+
+@pytest.mark.parametrize("sigma_sq", [1e-6, 1.5, 100.0])
+@settings(max_examples=40, deadline=None)
+@given(
+    motions=MOTION_ROWS,
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(0, 3),
+    scale=st.sampled_from([0.1, 30.0]),
+)
+def test_gram_form_likelihood_within_stated_bound(sigma_sq, motions, seed, d, scale):
+    """Rows scored from per-grid sufficient statistics match a pixel-by-pixel
+    reference within the accuracy ``log_likelihood`` states: rows that fit a
+    noise-free frame exactly (where ``||y||^2``, ``2 c' Phi' y`` and
+    ``c' G c`` cancel), rows that miss it and off-frame rows (-inf)."""
+    noise = NoiseModel(sigma_sq=sigma_sq)
+    template = small_template(origin=(9, 8), height=8, width=7)
+    dictionary = build_dictionary(template, d)
+    rng = np.random.default_rng(seed)
+    truth = MotionState(1.0, -2.0, 1.0)
+    truth_coeffs = rng.normal(0.0, scale, dictionary.n_lambda)
+    frame = render_frame(truth, truth_coeffs, template, dictionary, FRAME_DIMS, pure_noise(0.0), rng)
+    motion = np.vstack([np.array(motions, dtype=float), np.tile(truth.as_array(), (2, 1))])
+    coeffs = rng.normal(0.0, scale, (len(motion), dictionary.n_lambda))
+    coeffs[-2:] = truth_coeffs
+    values = log_likelihood(frame, motion, coeffs, template, dictionary, noise)
+    for k in range(len(motion)):
+        _, valid, reference, bound = reference_row(
+            frame, motion[k], coeffs[k], template, dictionary, noise
+        )
+        assert np.isfinite(values[k]) == valid
+        assert_within(values[k], reference, bound)

@@ -415,23 +415,45 @@ def solve_stacks(draw, max_lambda=6, max_pixels=12, max_rows=20):
     return rows, warm
 
 
-def assert_rows_match_lone_solves(rows, warm):
-    """Every row of the stacked solve has the bits of the one-row solve of that row."""
+def assert_rows_agree_with_lone_solves(rows, warm):
+    """The stacked solve's contract against one-row solves of each row.
+
+    Exact: the same stack solved twice gives the same bytes, and every
+    converged row carries a KKT residual within the tolerance, computed on
+    the full dictionary (recomputed here on the row's own problem). Within
+    rounding, since products with the shared dictionary run as one
+    matrix-matrix product per stack: each row reaches the lone solve's cost
+    to a relative 1e-12, and when the dictionary has full column rank (so
+    the minimizer is unique) its point to ``1e-12 * cond(G)`` relative to
+    the point's size. Round counts are not compared: near a tie a row can
+    take one round more or fewer than its lone solve.
+    """
     config = SolverConfig(warm_start=warm)
     stacked = solve_rows(rows, config)
+    again = solve_rows(rows, config)
+    for name in ("lambda_opt", "kkt_residual", "iterations", "converged"):
+        assert getattr(stacked, name).tobytes() == getattr(again, name).tobytes()
+    gram = rows.dictionary.gram
+    unique = np.linalg.matrix_rank(gram) == rows.dictionary.n_lambda
     for i in range(len(warm)):
-        lone = solve(rows.problem(i), dataclasses.replace(config, warm_start=warm[i]))
-        assert stacked.lambda_opt[i].tobytes() == lone.lambda_opt.tobytes()
-        assert stacked.kkt_residual[i] == lone.kkt_residual
-        assert stacked.iterations[i] == lone.iterations
+        problem = rows.problem(i)
+        lone = solve(problem, dataclasses.replace(config, warm_start=warm[i]))
+        lam = stacked.lambda_opt[i]
         assert stacked.converged[i] == lone.converged
+        if stacked.converged[i]:
+            assert stacked.kkt_residual[i] <= config.kkt_tolerance
+            assert kkt_residual(problem, lam) <= config.kkt_tolerance
+        assert evaluate_cost(problem, lam) == pytest.approx(lone.objective, rel=1e-12)
+        if unique:
+            scale = max(1.0, np.max(np.abs(lone.lambda_opt)))
+            assert np.max(np.abs(lam - lone.lambda_opt)) <= 1e-12 * np.linalg.cond(gram) * scale
     return stacked
 
 
 @settings(max_examples=150, deadline=None)
 @given(solve_stacks())
 def test_stacked_solve_matches_each_lone_solve(stack):
-    assert_rows_match_lone_solves(*stack)
+    assert_rows_agree_with_lone_solves(*stack)
 
 
 @settings(max_examples=100, deadline=None)
@@ -447,15 +469,15 @@ def test_stack_of_repeated_rows_matches_each_lone_solve(stack, data):
         lambda_prev=base.lambda_prev[picks],
         masks=base.masks[picks],
     )
-    assert_rows_match_lone_solves(rows, warm[picks])
+    assert_rows_agree_with_lone_solves(rows, warm[picks])
 
 
 @settings(max_examples=100, deadline=None)
 @given(solve_stacks(), st.data())
 def test_rows_sharing_an_roi_match_each_lone_solve(stack, data):
     """Several problems per observation row, as when particles share an ROI:
-    ``Phi' y`` is formed once per ROI, and every problem still gets the bits
-    of a lone solve on its own copy of that row."""
+    ``Phi' y`` is formed once per ROI, and every problem still agrees with a
+    lone solve on its own copy of that row."""
     base, warm = stack
     n = len(warm)
     n_rois = data.draw(st.integers(1, n))
@@ -465,7 +487,7 @@ def test_rows_sharing_an_roi_match_each_lone_solve(stack, data):
     )
     for i in range(n):
         assert rows.problem(i).y_residual_base.tobytes() == rows.y_residual_base[rois[i]].tobytes()
-    assert_rows_match_lone_solves(rows, warm)
+    assert_rows_agree_with_lone_solves(rows, warm)
 
 
 def test_stacked_solve_covers_every_path():
@@ -488,7 +510,7 @@ def test_stacked_solve_covers_every_path():
     )
     warm = rows.lambda_prev.copy()
     warm[::5] = [solve(rows.problem(i)).lambda_opt for i in range(0, n, 5)]
-    stacked = assert_rows_match_lone_solves(rows, warm)
+    stacked = assert_rows_agree_with_lone_solves(rows, warm)
     assert {0, 1} <= set(stacked.iterations) and max(stacked.iterations) >= 2
     assert stacked.converged.all()
 
