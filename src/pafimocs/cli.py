@@ -214,7 +214,7 @@ def cmd_analyze_support(args) -> int:
     trace.write_csv(args.out)
     if args.membership:
         write_membership_csv(trace, args.membership)
-    print(f"analyzed {len(trace.supports)} frames")
+    print(f"analyzed {len(trace.masks)} frames")
     return 0
 
 

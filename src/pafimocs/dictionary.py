@@ -11,7 +11,7 @@ matrix stacks ``vec(template * basis_k)`` as columns (row-major ``vec``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -264,16 +264,16 @@ def energy_rows(coeffs: np.ndarray, fraction: float) -> np.ndarray:
 class SupportTrace:
     """Per-frame support statistics of a coefficient sequence.
 
+    ``masks`` holds the supports as ``(n_frames, n_lambda)`` boolean rows;
     ``add_frac`` / ``del_frac`` are NaN on the first frame (no predecessor);
     frames whose support is empty report 0.0 ratios.
     """
 
-    supports: list
+    masks: np.ndarray
     alphas: np.ndarray
     supp_frac: np.ndarray
     add_frac: np.ndarray
     del_frac: np.ndarray
-    n_lambda: int = field(default=0)
 
     def write_csv(self, path) -> None:
         """One row per frame; NaN change ratios are left empty."""
@@ -292,10 +292,7 @@ class SupportTrace:
         ])
 
     def membership_matrix(self) -> np.ndarray:
-        out = np.zeros((len(self.supports), self.n_lambda), dtype=int)
-        for t, supp in enumerate(self.supports):
-            out[t, supp.as_array()] = 1
-        return out
+        return self.masks.astype(int)
 
 
 def support_trace(coeff_sequence: np.ndarray, fraction: float = 0.99) -> SupportTrace:
@@ -310,8 +307,7 @@ def support_trace(coeff_sequence: np.ndarray, fraction: float = 0.99) -> Support
     ratios = np.zeros((2, len(seq)))  # added and removed over the current support size
     np.divide(moves, sizes[1:], out=ratios[:, 1:], where=sizes[1:] > 0)
     ratios[:, 0] = np.nan
-    supports = [SupportSet.from_mask(mask) for mask in masks]
-    return SupportTrace(supports, alphas, sizes / seq.shape[1], *ratios, n_lambda=seq.shape[1])
+    return SupportTrace(masks, alphas, sizes / seq.shape[1], *ratios)
 
 
 def save_dictionary(dictionary: Dictionary, path) -> None:

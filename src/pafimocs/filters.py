@@ -2,11 +2,13 @@
 
 A :class:`ParticleSet` holds arrays with one row per slot: motions,
 coefficients, supports (as boolean mask rows) and log weights. Every tracker
-runs one skeleton (:func:`filter_step`): each slot importance-samples its
-motion from the random walk, moves its coefficient block, and is weighted,
-with the observation model run once over all slots; :func:`_finish_step`
-then normalizes, records diagnostics and resamples, at every step (as
-PF-MT does), so each step starts from equal weights. The moves are:
+runs one skeleton, ``filter_step(pset, frame, template, dictionary, params,
+cfg)``, which reads its noise model and cost variances from ``params``: each
+slot importance-samples its motion from the random walk, moves its
+coefficient block, and is weighted, with the observation model run once over
+all slots; :func:`_finish_step` then normalizes, records diagnostics and
+resamples, at every step (as PF-MT does), so each step starts from equal
+weights. The moves are:
 
 * prior move (``pf-gordon``, ``aux-pf``): coefficients sampled from their
   dense random walk, weight is the observation likelihood. ``aux-pf`` first
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,12 +84,12 @@ __all__ = [
     "ParticleSet",
     "FilterConfig",
     "TrackResult",
-    "RunConstants",
     "threshold_support",
     "threshold_rows",
     "systematic_resample",
     "filter_step",
     "run_tracker",
+    "replace_params_ambient",
 ]
 
 VARIANTS = ("pf-gordon", "aux-pf", "pf-mt", "pafimocs", "pafimocs-ssc")
@@ -241,24 +242,6 @@ def _finish_step(proposed: ParticleSet, unconverged: int = 0) -> ParticleSet:
     return replace(proposed.select(order), log_weights=np.full(n, -math.log(n)), last_stats=stats)
 
 
-class RunConstants(NamedTuple):
-    """What every step of one tracker run shares."""
-
-    noise: NoiseModel
-    sigma_o_sq: float  # mode-tracking cost variances; 1.0 stands in for a zero,
-    sigma_l_sq: float  # whose cost weight degenerates
-
-    @classmethod
-    def for_run(cls, params: ModelParams) -> "RunConstants":
-        return cls(
-            noise=NoiseModel(
-                kind="pure-gaussian", sigma_sq=params.sigma_o_sq, pixel_max=params.pixel_max
-            ),
-            sigma_o_sq=params.sigma_o_sq if params.sigma_o_sq > 0.0 else 1.0,
-            sigma_l_sq=params.sigma_l_sq if params.sigma_l_sq > 0.0 else 1.0,
-        )
-
-
 def filter_step(
     pset: ParticleSet,
     frame: Frame,
@@ -266,7 +249,6 @@ def filter_step(
     dictionary: Dictionary,
     params: ModelParams,
     cfg: FilterConfig,
-    run: RunConstants,
 ) -> ParticleSet:
     """One propose, weight, resample step of the variant ``cfg.variant``.
 
@@ -274,27 +256,28 @@ def filter_step(
     zero-noise propagation and starts the slot's log weight at minus that
     likelihood; the other variants start from the particle's own log weight.
     Each slot then draws its motion and runs the variant's move on its own
-    stream (see the module docstring). ``run`` holds the per-run constants
-    from :meth:`RunConstants.for_run`.
+    stream (see the module docstring). ``params`` gives the noise model
+    (:meth:`NoiseModel.for_params`) and the mode-tracking cost variances.
     """
+    noise = NoiseModel.for_params(params)
     parents = pset
     if cfg.variant == "aux-pf":
-        mean_ll = log_likelihood(frame, pset.motion, pset.coeffs, template, dictionary, run.noise)
+        mean_ll = log_likelihood(frame, pset.motion, pset.coeffs, template, dictionary, noise)
         stage_one = _normalize_log_weights(pset.log_weights + mean_ll)
         ancestors = systematic_resample(np.exp(stage_one), pset.resample_rng)
         parents = replace(pset.select(ancestors), log_weights=-mean_ll[ancestors])
     moved = replace(parents, motion=sample_walk_rows(parents.motion, params.sigma_u, pset.streams))
     if cfg.variant not in _PRIOR_MOVE:
-        proposed, unconverged = _mode_track(moved, frame, template, dictionary, params, cfg, run)
+        proposed, unconverged = _mode_track(moved, frame, template, dictionary, params, cfg, noise)
         return _finish_step(proposed, unconverged)
     coeffs = sample_walk_rows(moved.coeffs, params.sigma_l_sq, pset.streams)  # the prior move
-    ll = log_likelihood(frame, moved.motion, coeffs, template, dictionary, run.noise)
+    ll = log_likelihood(frame, moved.motion, coeffs, template, dictionary, noise)
     supports = np.ones(moved.supports.shape, dtype=bool)
     proposed = replace(moved, coeffs=coeffs, supports=supports, log_weights=moved.log_weights + ll)
     return _finish_step(proposed)
 
 
-def _mode_track(moved, frame, template, dictionary, params, cfg, run):
+def _mode_track(moved, frame, template, dictionary, params, cfg, noise):
     """Mode-tracking move of ``moved`` (new motions, parents' states and base weights).
 
     Slots with a valid ROI are keyed on their ROI grid, parent coefficients
@@ -321,8 +304,8 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
         dictionary=dictionary,
         lambda_prev=prev,
         masks=conds[slots],
-        sigma_o_sq=run.sigma_o_sq,
-        sigma_l_sq=run.sigma_l_sq,
+        sigma_o_sq=params.sigma_o_sq or 1.0,  # a zero variance's cost weight degenerates
+        sigma_l_sq=params.sigma_l_sq or 1.0,
         beta=cfg.beta,
         gamma=cfg.gamma,
         rois=grid[slots],
@@ -339,7 +322,7 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, run):
     ll = np.full(moved.n_pf, NEG_INF)
     gathered = (pixels, rows.rois, valid[slots])
     ll[live] = log_likelihood(
-        frame, moved.motion[slots], lam, template, dictionary, run.noise, gathered
+        frame, moved.motion[slots], lam, template, dictionary, noise, gathered
     )[inverse]
     log_w = moved.log_weights + ll
     log_w[live] += stp_coeffs_rows(lam, prev, masks, params)[inverse]
@@ -392,14 +375,13 @@ def run_tracker(
     init = _coerce_state(init_state, dictionary.n_lambda)
     pset = ParticleSet.initialize(init, cfg.n_pf, seed)
     tracker_params = replace_params_ambient(params, dictionary.n_lambda)
-    run = RunConstants.for_run(tracker_params)
 
     sizes = np.full(cfg.n_pf, len(init.support))
     steps = [StepStats(float(cfg.n_pf), 0.0, init.motion.as_array(), init.coeffs, sizes)]  # row 0
     lost_at = None
     for t in range(1, len(frames)):
         try:
-            pset = filter_step(pset, frames[t], template, dictionary, tracker_params, cfg, run)
+            pset = filter_step(pset, frames[t], template, dictionary, tracker_params, cfg)
         except TrackerLostError:
             lost_at = t
             frozen = replace(steps[-1], ess=0.0, max_log_weight=NEG_INF, unconverged_solves=0)

@@ -34,8 +34,17 @@ from .dictionary import (
     ml_coeff_fit,
     support_trace,
 )
-from .filters import FilterConfig, TrackResult, run_tracker
-from .models import _PARAM_KEYS, FullState, ModelParams, MotionState, SupportSet, sample_coeff_transition, sample_motion_transition, sample_support_transition
+from .filters import VARIANTS, FilterConfig, TrackResult, run_tracker
+from .models import (
+    _PARAM_KEYS,
+    FullState,
+    ModelParams,
+    MotionState,
+    SupportSet,
+    sample_coeff_transition,
+    sample_motion_transition,
+    sample_support_transition,
+)
 from .observation import NoiseModel, render_frame
 
 __all__ = [
@@ -52,6 +61,7 @@ __all__ = [
     "nmse",
     "nmse_components",
     "location_error",
+    "parse_filter_label",
     "parse_filter_labels",
     "select_filters",
     "resolve_filter_config",
@@ -59,6 +69,8 @@ __all__ = [
     "run_experiment",
     "analyze_support",
     "write_membership_csv",
+    "sim_config_to_kv",
+    "sim_config_from_kv",
 ]
 
 CSV_SCHEMA = "pafimocs-csv-v1"
@@ -233,9 +245,7 @@ def generate_sequence(cfg: SimConfig, rng) -> GroundTruth:
     template = _anchored_template(cfg)
     dictionary = build_dictionary(template, cfg.d)
     params = cfg.params
-    noise = NoiseModel(
-        kind="pure-gaussian", sigma_sq=params.sigma_o_sq, pixel_max=params.pixel_max
-    )
+    noise = NoiseModel.for_params(params)
     frame_dims = (cfg.frame_height, cfg.frame_width)
 
     support = SupportSet.from_indices(
@@ -524,15 +534,13 @@ def analyze_support(
 def write_membership_csv(trace: SupportTrace, path) -> None:
     """0/1 matrix of support membership, frames down, indices across."""
     fileio.write_csv(path, [
-        ["frame", *(f"idx_{k}" for k in range(trace.n_lambda))],
+        ["frame", *(f"idx_{k}" for k in range(trace.masks.shape[1]))],
         *([t, *row] for t, row in enumerate(trace.membership_matrix().tolist())),
     ])
 
 
 def parse_filter_label(label: str, default_d: int) -> FilterSpec:
     """A label is a variant name with an optional ``-<d>`` order suffix."""
-    from .filters import VARIANTS
-
     head, _, tail = label.rpartition("-")
     if head and tail.isdigit():
         variant, d = head, int(tail)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary, TemplatePatch, _freeze
-from .models import NEG_INF, ZERO_VAR_ATOL, MotionState
+from .models import NEG_INF, ZERO_VAR_ATOL, ModelParams, MotionState
 
 __all__ = [
     "InvalidRoiError",
@@ -63,6 +63,8 @@ class Frame:
         pixels = _freeze(self.pixels)
         if pixels.shape != (self.height * self.width,):
             raise ValueError("pixels must have length height * width")
+        if not np.all(np.isfinite(pixels)):
+            raise ValueError("frame pixels must be finite")
         object.__setattr__(self, "pixels", pixels)
 
     @classmethod
@@ -111,6 +113,11 @@ class NoiseModel:
             object.__setattr__(self, "sigma_sq", 0.0)
         if not 0.0 < self.pixel_max < math.inf:
             raise ValueError("pixel_max must be positive and finite")
+
+    @classmethod
+    def for_params(cls, params: ModelParams) -> "NoiseModel":
+        """The noise of ``params``: variance ``sigma_o_sq``, clutter bound ``pixel_max``."""
+        return cls(sigma_sq=params.sigma_o_sq, pixel_max=params.pixel_max)
 
 
 ROW_BLOCK = 16  # rows per block of stacked per-row work; bounds the temporaries

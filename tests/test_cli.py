@@ -158,6 +158,19 @@ class TestTrack:
         payload = json.loads(err_lines[0])
         assert set(payload) == {"error", "type"}
 
+    def test_non_finite_frame_fails_cleanly(self, sim_dir, tmp_path, capsys):
+        path = os.path.join(sim_dir, "frame_0002.mat")
+        image, header = fileio.load_matrix(path)
+        image[3, 4] = np.nan
+        fileio.save_matrix(path, image, header)
+        capsys.readouterr()
+        rc = main(["track", "--sim", sim_dir, "--out", str(tmp_path / "trk")])
+        assert rc == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert payload == {"error": "frame pixels must be finite", "type": "ValueError"}
+
 
 class TestExperiment:
     def test_smoke(self, tmp_path, config_path, capsys):

@@ -224,7 +224,7 @@ def test_support_trace_hand_cases():
     assert trace.add_frac[1] == 1.0 and trace.del_frac[1] == 1.0
 
     lone = support_trace(np.array([[1.0, 2.0]]))
-    assert len(lone.supports) == 1 and math.isnan(lone.add_frac[0])
+    assert lone.masks.shape == (1, 2) and math.isnan(lone.add_frac[0])
 
 
 def test_support_trace_model_sequence_addition_ratio():
@@ -277,7 +277,8 @@ def test_support_trace_matches_per_frame_set_differences(seq, fraction):
     energy support and set differences, bit for bit."""
     trace = support_trace(seq, fraction)
     frames = [energy_support(row, fraction) for row in seq]
-    assert [s.indices for s in trace.supports] == [s.indices for s, _ in frames]
+    assert trace.masks.dtype == bool
+    assert trace.masks.tolist() == [s.mask().tolist() for s, _ in frames]
     expected = support_trace_reference(
         [(s.indices, alpha) for s, alpha in frames], seq.shape[1]
     )

@@ -17,7 +17,6 @@ from pafimocs.filters import (
     VARIANTS,
     FilterConfig,
     ParticleSet,
-    RunConstants,
     TrackerLostError,
     _finish_step,
     filter_step,
@@ -69,9 +68,7 @@ def make_scene(params, support, coeff_values, motion=(0.0, 0.0, 1.0), seed=5):
     coeffs = np.zeros(params.n_lambda)
     coeffs[list(support)] = coeff_values
     state = FullState(MotionState(*motion), supp, coeffs)
-    noise = NoiseModel(
-        kind="pure-gaussian", sigma_sq=params.sigma_o_sq, pixel_max=params.pixel_max
-    )
+    noise = NoiseModel.for_params(params)
     frame = render_frame(
         state.motion, coeffs, template, dictionary, FRAME_DIMS, noise,
         np.random.default_rng(seed),
@@ -251,12 +248,6 @@ class TestPosteriorEstimate:
         assert not np.signbit(motion[0]) and not np.signbit(coeffs[0])
 
 
-def take_step(pset, frame, template, dictionary, params, cfg):
-    """One ``filter_step`` with the run constants built for it."""
-    run = RunConstants.for_run(params)
-    return filter_step(pset, frame, template, dictionary, params, cfg, run)
-
-
 def keep_proposals(monkeypatch):
     """Make every resampling keep each slot's own particle.
 
@@ -280,7 +271,7 @@ def run_one_step(variant, n_pf=8, seed=17):
     )
     cfg = FilterConfig(variant=variant, n_pf=n_pf, d=1)
     pset = ParticleSet.initialize(truth, n_pf, seed)
-    return take_step(pset, frame, template, dictionary, params, cfg)
+    return filter_step(pset, frame, template, dictionary, params, cfg)
 
 
 class TestWeightBookkeeping:
@@ -442,7 +433,7 @@ def step_recording(pset, frame, template, dictionary, params, cfg, every_row_dis
         if every_row_distinct:
             for module in (filters, observation):
                 mp.setattr(module, "distinct_rows", lambda *a: (np.arange(len(a[0])),) * 2)
-        out = take_step(pset, frame, template, dictionary, params, cfg)
+        out = filter_step(pset, frame, template, dictionary, params, cfg)
     return proposals[0], out, sampled, stacks, scored
 
 
@@ -616,7 +607,7 @@ class TestUnconvergedSolves:
         pset = ParticleSet.initialize(truth, 6, 4)
         pset.motion[3] = (500.0, 500.0, 1.0)  # off the frame: no solve, no count
         cfg = FilterConfig(variant=variant, n_pf=6, d=1)
-        out = take_step(pset, frame, template, dictionary, params, cfg)
+        out = filter_step(pset, frame, template, dictionary, params, cfg)
         assert stacks == [1]
         assert out.last_stats.unconverged_solves == 5
 
@@ -642,8 +633,8 @@ class TestSscCoincidence:
         cfg_b = FilterConfig(variant="pafimocs-ssc", n_pf=6, d=1)
         set_a = ParticleSet.initialize(truth, 6, 21)
         set_b = ParticleSet.initialize(truth, 6, 21)
-        out_a = take_step(set_a, frame, template, dictionary, params, cfg_a)
-        out_b = take_step(set_b, frame, template, dictionary, params, cfg_b)
+        out_a = filter_step(set_a, frame, template, dictionary, params, cfg_a)
+        out_b = filter_step(set_b, frame, template, dictionary, params, cfg_b)
         assert np.all(out_a.supports == truth.support.mask())  # scene precondition
         assert np.array_equal(out_a.motion, out_b.motion)
         assert np.array_equal(out_a.supports, out_b.supports)
@@ -664,7 +655,7 @@ class TestPfMtDenseSolutions:
         keep_proposals(monkeypatch)
         cfg = FilterConfig(variant="pf-mt", n_pf=8, d=3)
         pset = ParticleSet.initialize(truth, 8, 33)
-        out = take_step(pset, frame, template, dictionary, params, cfg)
+        out = filter_step(pset, frame, template, dictionary, params, cfg)
         assert out.supports.shape == (8, 7) and out.supports.all()
         assert np.all(out.coeffs != 0.0)
 
@@ -683,7 +674,7 @@ class TestInvalidRoiHandling:
         pset = ParticleSet.initialize(truth, 4, 7)
         pset.motion[[1, 3]] = far.motion.as_array()
         cfg = FilterConfig(variant="pafimocs", n_pf=4, d=1)
-        out = take_step(pset, frame, template, dictionary, params, cfg)
+        out = filter_step(pset, frame, template, dictionary, params, cfg)
         assert np.all(np.abs(out.motion[:, 0]) < 100.0)
 
     def test_all_invalid_raises_tracker_lost(self):
@@ -692,7 +683,7 @@ class TestInvalidRoiHandling:
         pset = ParticleSet.initialize(far, 3, 7)
         cfg = FilterConfig(variant="pafimocs", n_pf=3, d=1)
         with pytest.raises(TrackerLostError):
-            take_step(pset, frame, template, dictionary, params, cfg)
+            filter_step(pset, frame, template, dictionary, params, cfg)
 
     def test_run_tracker_freezes_after_loss(self):
         params, template, dictionary, frame, truth = self._setup()
@@ -706,16 +697,19 @@ class TestInvalidRoiHandling:
         assert np.all(result.max_log_weight[1:] == NEG_INF)
 
 
-@pytest.mark.parametrize("label", ["pafimocs", "pf-mt-20"])
+@pytest.mark.parametrize(
+    "label", ["pafimocs", "pafimocs-ssc", "pf-mt-20", "pf-gordon-3", "aux-pf-3"]
+)
 def test_non_finite_frame_is_rejected(label):
-    # frames read from text files may hold NaN; the mode-tracking move refuses them
+    # frames read from text files may hold NaN; a Frame refuses them when it
+    # is built, so every tracker stops with the same error
     cfg = harness.SimConfig(n_frames=2)
     truth = harness.generate_sequence(cfg, np.random.default_rng(0))
     frames = list(truth.frames)
-    frames[2] = Frame(np.full(frames[2].n_pixels, np.nan), frames[2].height, frames[2].width)
     spec = harness.parse_filter_label(label, cfg.d)
     fcfg = replace(harness.resolve_filter_config(spec, cfg), n_pf=10)
-    with pytest.raises(ValueError, match="problem data must be finite"):
+    with pytest.raises(ValueError, match="frame pixels must be finite"):
+        frames[2] = Frame(np.full(frames[2].n_pixels, np.nan), frames[2].height, frames[2].width)
         run_tracker(frames, truth.template, cfg.params, fcfg, truth.states[0], 1)
 
 

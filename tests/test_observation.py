@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import diag_gaussian_log_row, gaussian_log_density
 from pafimocs.dictionary import TemplatePatch, build_dictionary
-from pafimocs.models import NEG_INF, MotionState
+from pafimocs.models import NEG_INF, ModelParams, MotionState
 from pafimocs.observation import (
     Frame,
     InvalidRoiError,
@@ -328,6 +328,28 @@ def test_frame_round_trip():
     frame = Frame.from_image(image)
     assert frame.n_pixels == 35
     assert np.array_equal(frame.image(), image)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_frame_rejects_non_finite_pixels(bad):
+    image = np.full((3, 4), 10.0)
+    image[1, 2] = bad
+    with pytest.raises(ValueError, match="frame pixels must be finite"):
+        Frame.from_image(image)
+
+
+def test_noise_model_for_params():
+    params = ModelParams(
+        n_lambda=3,
+        s_expected=1,
+        p_a=0.0,
+        p_r=0.0,
+        sigma_l_sq=0.01,
+        sigma_u=(0.5, 0.5, 0.0),
+        sigma_o_sq=2.5,
+        pixel_max=100.0,
+    )
+    assert NoiseModel.for_params(params) == NoiseModel(sigma_sq=2.5, pixel_max=100.0)
 
 
 # -------------------------------------------- batched ROI and likelihood rows
