@@ -44,6 +44,8 @@ from .models import FullState, MotionState, SupportSet
 from .observation import Frame
 from .solver import ModeTrackingProblem, SolverConfig, solve, solve_with_outliers
 
+__all__ = ["cmd_simulate", "cmd_track", "cmd_experiment", "cmd_analyze_support", "cmd_solve",
+           "build_parser", "main"]
 
 # the CLI options that set config keys, each stored under its key
 _OPTION_KEYS = ("seed", "n_frames", "n_monte_carlo", "n_jobs", "n_pf", "d")

@@ -10,8 +10,8 @@ all slots; :func:`_finish_step` then normalizes, records diagnostics and
 resamples, at every step (as PF-MT does), so each step starts from equal
 weights. The moves are:
 
-* prior move (``pf-gordon``, ``aux-pf``): coefficients sampled from their
-  dense random walk, weight is the observation likelihood. ``aux-pf`` first
+* prior move (``pf-gordon``, ``aux-pf``): motion and coefficients sampled in
+  one dense random walk, weight is the observation likelihood. ``aux-pf`` first
   selects ancestors by the likelihood of their zero-noise propagation (the
   previous states), so its weights carry the likelihood ratio. That first
   stage scores every slot in one ``log_likelihood`` call: in its sufficient
@@ -43,16 +43,17 @@ are copied to every slot that shares it. ``pafimocs`` draws every slot's
 support at once (:func:`sample_support_rows`), each row from its slot's
 stream.
 
-RNG stream rule: ``ParticleSet.initialize`` spawns ``n_pf + 1`` child
-streams from one seed; child ``i`` is pinned to particle slot ``i`` for the
-whole run (streams follow slots, not ancestry) and the last child drives
-resampling. Each slot's stream draws its motion, then its move, so
-batching slots changes no draw, and weighted means add rows left to right
-from zeros. The same seed gives the same bytes; a slot's solve and weight
-agree with a slot-by-slot step within rounding, as ``solver`` and
-``observation`` state. Zero-variance model parameters are replaced by 1.0
-inside the mode-tracking cost only; with exact observations the minimizer is
-unchanged, which keeps noise-free configurations exact.
+RNG stream rule: ``ParticleSet.initialize`` spawns ``n_pf + 1`` child streams
+from one seed; child ``i`` is pinned to particle slot ``i`` for the whole run
+(streams follow slots, not ancestry) and the last child drives resampling.
+Each slot's stream draws its motion, then its move, each draw one call that
+fills the slot's row of a stacked array (the prior move walks ``[motion |
+coeffs]`` in one call): a generator draws in sequence, so batching changes no
+draw. Weighted means add rows left to right from zeros. The same seed gives
+the same bytes; a slot's solve and weight agree with a slot-by-slot step
+within rounding, as ``solver`` and ``observation`` state. Zero-variance model
+parameters are replaced by 1.0 inside the mode-tracking cost only; with exact
+observations the minimizer is unchanged, which keeps noise-free configurations exact.
 """
 
 from __future__ import annotations
@@ -255,8 +256,8 @@ def filter_step(
     ``aux-pf`` first picks each slot's ancestor by the likelihood of its
     zero-noise propagation and starts the slot's log weight at minus that
     likelihood; the other variants start from the particle's own log weight.
-    Each slot then draws its motion and runs the variant's move on its own
-    stream (see the module docstring). ``params`` gives the noise model
+    Each slot's stream then draws its motion and its move (the prior move: one
+    walk over ``[motion | coeffs]``). ``params`` gives the noise model
     (:meth:`NoiseModel.for_params`) and the mode-tracking cost variances.
     """
     noise = NoiseModel.for_params(params)
@@ -266,14 +267,17 @@ def filter_step(
         stage_one = _normalize_log_weights(pset.log_weights + mean_ll)
         ancestors = systematic_resample(np.exp(stage_one), pset.resample_rng)
         parents = replace(pset.select(ancestors), log_weights=-mean_ll[ancestors])
-    moved = replace(parents, motion=sample_walk_rows(parents.motion, params.sigma_u, pset.streams))
     if cfg.variant not in _PRIOR_MOVE:
+        motion = sample_walk_rows(parents.motion, params.sigma_u, pset.streams)
+        moved = replace(parents, motion=motion)
         proposed, unconverged = _mode_track(moved, frame, template, dictionary, params, cfg, noise)
         return _finish_step(proposed, unconverged)
-    coeffs = sample_walk_rows(moved.coeffs, params.sigma_l_sq, pset.streams)  # the prior move
-    ll = log_likelihood(frame, moved.motion, coeffs, template, dictionary, noise)
-    supports = np.ones(moved.supports.shape, dtype=bool)
-    proposed = replace(moved, coeffs=coeffs, supports=supports, log_weights=moved.log_weights + ll)
+    variance = np.concatenate([params.sigma_u, np.full(params.n_lambda, params.sigma_l_sq)])
+    walked = sample_walk_rows(np.hstack([parents.motion, parents.coeffs]), variance, pset.streams)
+    motion, coeffs = walked[:, :3], walked[:, 3:]
+    ll = log_likelihood(frame, motion, coeffs, template, dictionary, noise)
+    proposed = replace(parents, motion=motion, coeffs=coeffs, log_weights=parents.log_weights + ll,
+                       supports=np.ones_like(parents.supports))
     return _finish_step(proposed)
 
 

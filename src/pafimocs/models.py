@@ -232,16 +232,18 @@ def sample_support_transition(prev: SupportSet, params: ModelParams, rng) -> Sup
 def sample_support_rows(masks: np.ndarray, params: ModelParams, rngs) -> np.ndarray:
     """Next support of each boolean mask row: Bernoulli additions then removals.
 
-    Row ``i`` draws from ``rngs[i]`` in a fixed order: one uniform per index
+    Row ``i`` draws from ``rngs[i]`` in a fixed order, by one ``random(out=...)``
+    call into row ``i`` of one stacked array, rows in order: one uniform per index
     outside its support (ascending) decides additions, then one uniform per
-    index inside it (ascending) decides removals. Callers relying on
-    reproducibility get identical streams for identical inputs.
+    index inside it (ascending) decides removals. Same streams, same draws.
     """
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 2 or masks.shape[1] != params.n_lambda:
         raise ValueError("support ambient size does not match params.n_lambda")
     # one call draws what consecutive calls would; order: outside, then inside
-    u = np.array([rng.random(params.n_lambda) for rng in rngs]).reshape(masks.shape)
+    u = np.empty(masks.shape)
+    for rng, row in zip(rngs, u, strict=True):
+        rng.random(out=row)
     order = np.argsort(masks, axis=1, kind="stable")
     inside = np.take_along_axis(masks, order, axis=1)
     out = np.empty_like(masks)
@@ -327,11 +329,13 @@ def sample_motion_transition(prev: MotionState, params: ModelParams, rng) -> Mot
 def sample_walk_rows(prev: np.ndarray, variance, rngs) -> np.ndarray:
     """Random walk of each row of ``prev``, with ``variance`` shared or per column.
 
-    Row ``i`` draws ``rngs[i].standard_normal(k)`` for its ``k`` columns and
-    adds ``scale * z + 0.0``: that is how ``Generator.normal(0.0, scale, k)``
-    computes its draws (``loc + scale * z``), so each stream's state and every
-    bit match it, including ``-0.0`` handling.
+    One ``rngs[i].standard_normal(out=...)`` call fills row ``i`` of the draws
+    ``z``, rows in order, and row ``i`` adds ``scale * z + 0.0``: that is how
+    ``Generator.normal(0.0, scale, k)`` computes its draws (``loc + scale *
+    z``), so each stream's state and every bit match it, ``-0.0`` included.
     """
     scale = np.sqrt(np.asarray(variance, dtype=float))
-    z = np.array([rng.standard_normal(prev.shape[1]) for rng in rngs])
+    z = np.empty(prev.shape)
+    for rng, row in zip(rngs, z, strict=True):
+        rng.standard_normal(out=row)
     return prev + (scale * z + 0.0)

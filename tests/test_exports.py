@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-MODULES = ("dictionary", "fileio", "filters", "harness", "models", "observation", "solver")
+MODULES = ("cli", "dictionary", "fileio", "filters", "harness", "models", "observation", "solver")
 
 
 @pytest.mark.parametrize("name", MODULES)

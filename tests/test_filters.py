@@ -365,6 +365,73 @@ def test_aux_first_stage_matches_every_row(monkeypatch, resample):
         assert first_stage[1:] == [n_pf] * 4
 
 
+def prior_move_reference(pset, frame, template, dictionary, params, variant):
+    """The prior move slot by slot: ``aux-pf``'s first stage, then each
+    slot's stream draws ``normal(0, sqrt(sigma_u), 3)`` and then
+    ``normal(0, sqrt(sigma_l_sq), n_lambda)``. Returns the proposed motions,
+    coefficients and log weights."""
+    noise = NoiseModel.for_params(params)
+    motion, coeffs, log_w = pset.motion, pset.coeffs, pset.log_weights
+    if variant == "aux-pf":
+        mean_ll = observation.log_likelihood(frame, motion, coeffs, template, dictionary, noise)
+        stage_one = np.exp(filters._normalize_log_weights(log_w + mean_ll))
+        ancestors = systematic_resample(stage_one, pset.resample_rng)
+        motion, coeffs, log_w = motion[ancestors], coeffs[ancestors], -mean_ll[ancestors]
+    new_motion, new_coeffs = np.empty_like(motion), np.empty_like(coeffs)
+    for i, rng in enumerate(pset.streams):
+        new_motion[i] = motion[i] + rng.normal(0.0, np.sqrt(params.sigma_u), 3)
+        new_coeffs[i] = coeffs[i] + rng.normal(0.0, math.sqrt(params.sigma_l_sq), params.n_lambda)
+    ll = observation.log_likelihood(frame, new_motion, new_coeffs, template, dictionary, noise)
+    return new_motion, new_coeffs, log_w + ll
+
+
+SIGNED_ZERO_VARIANCES = st.sampled_from([0.0, -0.0, 0.04, 0.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["pf-gordon", "aux-pf"]),
+    st.integers(1, 6),
+    st.integers(0, 2),
+    st.tuples(SIGNED_ZERO_VARIANCES, SIGNED_ZERO_VARIANCES, st.sampled_from([0.0, -0.0, 1e-4])),
+    st.sampled_from([0.0, -0.0, 1e-3, 0.25]),
+    st.integers(0, 2**32 - 1),
+)
+def test_prior_move_draws_motion_then_coefficients_per_slot(
+    variant, n_pf, d, sigma_u, sigma_l_sq, seed
+):
+    """One stacked walk over ``[motion | coeffs]`` proposes the bytes the
+    slot-by-slot draws give, and leaves every stream in the same state."""
+    params = make_params(
+        n_lambda=2 * d + 1, s_expected=1, sigma_u=sigma_u, sigma_l_sq=sigma_l_sq
+    )
+    template, dictionary, frame, truth = make_scene(params, support=(0,), coeff_values=(25.0,))
+    rng = np.random.default_rng(seed)
+    motion = truth.motion.as_array() + rng.normal(0.0, 1.0, (n_pf, 3)) * [1.0, 1.0, 0.02]
+    coeffs = rng.normal(0.0, 5.0, (n_pf, params.n_lambda))
+    log_weights = rng.normal(0.0, 1.0, n_pf)
+
+    def parents():  # two copies with the same streams
+        pset = ParticleSet.initialize(truth, n_pf, seed)
+        return replace(pset, motion=motion.copy(), coeffs=coeffs.copy(), log_weights=log_weights)
+
+    pset, ref_set = parents(), parents()
+    proposals = []
+    cfg = FilterConfig(variant=variant, n_pf=n_pf, d=d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filters, "_finish_step", lambda proposed: proposals.append(proposed))
+        filter_step(pset, frame, template, dictionary, params, cfg)
+    (proposed,) = proposals
+    reference = prior_move_reference(ref_set, frame, template, dictionary, params, variant)
+    for got, want in zip((proposed.motion, proposed.coeffs, proposed.log_weights), reference):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.all(proposed.supports)
+    for rng_got, rng_want in zip(
+        [*pset.streams, pset.resample_rng], [*ref_set.streams, ref_set.resample_rng]
+    ):
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
 @st.composite
 def shared_parent_sets(draw):
     """Particle sets whose slots share a few parents, with one slot off the frame.

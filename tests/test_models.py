@@ -510,6 +510,35 @@ def test_walk_rows_match_generator_normal(case):
         assert rngs[i].bit_generator.state == twin.bit_generator.state
 
 
+def test_stacked_fills_at_their_edges():
+    """Zero rows give ``(0, k)``; zero columns draw nothing; one generator
+    listed for every row fills the rows in order, as consecutive draws; and
+    a stream list that does not match the rows is refused."""
+    params = make_params(n_lambda=4, s_expected=1, p_a=0.3, p_r=0.4)
+    assert sample_support_rows(np.zeros((0, 4), dtype=bool), params, []).shape == (0, 4)
+    assert sample_walk_rows(np.zeros((0, 3)), 1.0, []).shape == (0, 3)
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    states = [repr(r.bit_generator.state) for r in rngs]
+    assert sample_walk_rows(np.zeros((3, 0)), 1.0, rngs).shape == (3, 0)
+    assert [repr(r.bit_generator.state) for r in rngs] == states  # no stream advanced
+
+    n = 5
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    walked = sample_walk_rows(np.ones((n, 3)), 0.25, [rng] * n)
+    expected = np.array([1.0 + twin.normal(0.0, 0.5, 3) for _ in range(n)])
+    assert walked.tobytes() == expected.tobytes()
+    masks = np.array([[True, False, True, False]] * n)
+    drawn = sample_support_rows(masks, params, [rng] * n)
+    expected = np.array([support_draw_reference(m, 0.3, 0.4, twin) for m in masks])
+    assert np.array_equal(drawn, expected)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+    with pytest.raises(ValueError):
+        sample_walk_rows(np.zeros((2, 3)), 1.0, rngs[:1])
+    with pytest.raises(ValueError):
+        sample_support_rows(masks, params, rngs)
+
+
 def test_motion_zero_covariance_is_identity():
     params = make_params(sigma_u=(0.0, 0.0, 0.0))
     prev = MotionState(1.5, -2.0, 1.1)
