@@ -36,6 +36,15 @@ import, by default this checkout's ``src``)::
     python scripts/artifact_digest.py > digest.txt
     python scripts/artifact_digest.py --src ../other-checkout/src > other.txt
     diff digest.txt other.txt
+
+``--compare OTHER_SRC`` writes the artifacts of both trees (each in its own
+process) and, for each file whose bytes differ, prints the largest absolute
+and relative difference over its numeric tokens. It exits 1 when a file
+differs in anything other than numbers (text, token count, a binary file,
+a file present in one tree only), so a change within rounding is one
+command::
+
+    python scripts/artifact_digest.py --compare ../other-checkout/src
 """
 
 from __future__ import annotations
@@ -44,7 +53,10 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
+import multiprocessing
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -52,6 +64,10 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# a decimal or exponent number, or a non-finite one as repr or json writes it
+NUMBER = re.compile(
+    r"((?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf|NaN|Infinity)(?![\w.]))"
+)
 
 
 def sha256_lines(base: str) -> list[str]:
@@ -169,10 +185,86 @@ def run_cli(cli, argv: list[str]) -> None:
         raise SystemExit(f"pafimocs {argv[0]} exited with {code}")
 
 
+def numeric_difference(text: bytes, other: bytes) -> tuple[float, float, int, int] | None:
+    """``(max abs, max rel, numbers that differ, numbers)`` between two files
+    that differ only in their numeric tokens; None when anything else
+    differs. The relative difference of two numbers is over the larger
+    magnitude; two NaNs are equal."""
+    try:
+        parts, other_parts = (NUMBER.split(t.decode("utf-8")) for t in (text, other))
+    except UnicodeDecodeError:
+        return None
+    if len(parts) != len(other_parts) or parts[::2] != other_parts[::2]:
+        return None
+    max_abs = max_rel = 0.0
+    changed = 0
+    for a, b in zip(map(float, parts[1::2]), map(float, other_parts[1::2])):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        changed += 1
+        diff = abs(a - b)
+        if not math.isfinite(diff):  # a non-finite number against another number
+            max_abs = max_rel = math.inf
+            continue
+        max_abs = max(max_abs, diff)
+        max_rel = max(max_rel, diff / max(abs(a), abs(b)))
+    return max_abs, max_rel, changed, len(parts) // 2
+
+
+def read_bytes(path: str) -> bytes | None:
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def write_tree(src: str, out: str, inputs: str) -> None:
+    """Write the artifacts of the package tree ``src``; run in a fresh process."""
+    sys.path.insert(0, os.path.abspath(src))
+    os.makedirs(inputs)
+    write_artifacts(out, inputs)
+
+
+def compare(src: str, other_src: str) -> int:
+    """Print how the artifacts of ``src`` and ``other_src`` differ; 1 when
+    any file differs in more than its numbers."""
+    spawn = multiprocessing.get_context("spawn")
+    with tempfile.TemporaryDirectory() as base:
+        outs = []
+        for name, tree in (("this", src), ("other", other_src)):
+            out = os.path.join(base, name)
+            proc = spawn.Process(target=write_tree, args=(tree, out, out + "-inputs"))
+            proc.start()
+            proc.join()
+            if proc.exitcode != 0:
+                raise SystemExit(f"writing the artifacts of {tree} failed")
+            outs.append(out)
+        files = [{line.split("  ", 1)[1] for line in sha256_lines(out)} for out in outs]
+        status = differ = 0
+        for rel in sorted(files[0] | files[1]):
+            texts = [read_bytes(os.path.join(out, rel)) for out in outs]
+            if texts[0] == texts[1]:
+                continue
+            differ += 1
+            found = None if None in texts else numeric_difference(*texts)
+            if found is None:
+                status = 1
+                print(f"{rel}  differs in more than its numbers")
+            else:
+                max_abs, max_rel, changed, count = found
+                print(f"{rel}  max abs {max_abs:.3g}  max rel {max_rel:.3g}"
+                      f"  ({changed} of {count} numbers)")
+        print(f"{differ} of {len(files[0] | files[1])} files differ")
+    return status
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="package tree to import")
+    parser.add_argument("--compare", metavar="OTHER_SRC", help="package tree to compare with")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        return compare(args.src, args.compare)
     sys.path.insert(0, os.path.abspath(args.src))
     with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as inputs:
         write_artifacts(out, inputs)

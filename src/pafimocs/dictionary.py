@@ -188,6 +188,12 @@ class Dictionary:
     def gram(self) -> np.ndarray:
         return _freeze(self.matrix.T @ self.matrix)
 
+    @cached_property
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, vectors)`` of ``gram``, ascending, as ``np.linalg.eigh`` gives them."""
+        values, vectors = np.linalg.eigh(self.gram)
+        return _freeze(values), _freeze(vectors)
+
 
 def build_dictionary(template: TemplatePatch, d: int) -> Dictionary:
     """Dictionary with columns vec(template * basis_k), k = 0 .. 2 d."""

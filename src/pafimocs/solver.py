@@ -14,17 +14,19 @@ term as ``y - Phi lam - o``.
 :func:`solve_rows` solves a stack of such problems over one dictionary, and
 :func:`solve` is its one-row case. The same stack gives the same bytes every
 time; a stacked row and its lone solve agree within rounding, since products
-with the shared dictionary run as one matrix-matrix product per stack.
+with the shared dictionary and Gram inverses run as matrix-matrix products.
 The search is feature-sign search (Lee, Battle, Raina & Ng 2007).
 Starting from the ridge minimizer of the smooth part, each round solves the
 smooth-plus-linear system restricted to the current sign pattern, certifies
 the candidate, and otherwise moves to the cheapest point on the way to it,
 dropping a coordinate whose sign changes or adding the one that violates
 optimality most. At image data scales the optimal sign pattern is almost
-always that of the ridge solution, so one round usually suffices, and that
-round runs stacked over the rows; the rest go on one row at a time. With
-dependent dictionary columns the search may restart from zero, and it steps
-along null directions of singular systems.
+always that of the ridge solution, so one round usually suffices. That round
+runs stacked over the rows, from one cached eigendecomposition of the Gram
+matrix and a small system on each row's mask or its complement; the rest,
+and rows whose system is singular, go on one row at a time. With dependent
+dictionary columns the search may restart from zero, and it steps along null
+directions of singular systems.
 
 Every solve ends the same way: a start point that certifies is returned
 after 0 rounds; otherwise the round with the smallest KKT residual is
@@ -40,7 +42,6 @@ computed from the full dictionary (not the search's cached Gram products).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -241,20 +242,12 @@ def evaluate_cost(problem: ModeTrackingProblem, lam, outlier=None) -> float:
     return total
 
 
-def _matvec_rows(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # ``mat`` times each row: one matrix-matrix product when ``mat`` is shared,
-    # one matrix-vector product per row when it is stacked per row
-    if mat.ndim == 2:
-        return rows @ mat.T
-    return np.matmul(mat, rows[:, :, None])[:, :, 0]
-
-
 def _gradient_rows(phi, y, prev, masks, sigma_o_sq, c_prior, lam, outlier=None):
     """Smooth-part gradient rows in ``lam`` and the data residual rows."""
-    resid = _matvec_rows(phi, lam) - y
+    resid = lam @ phi.T - y
     if outlier is not None:
         resid = resid + outlier
-    g_lam = _matvec_rows(phi.T, resid) / sigma_o_sq
+    g_lam = resid @ phi / sigma_o_sq
     return np.where(masks, g_lam + c_prior * (lam - prev), g_lam), resid
 
 
@@ -479,20 +472,20 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     """Solve each row's problem as :func:`solve` would, up to rounding.
 
     ``config.warm_start`` is ``(n, n_lambda)``, zeros when None. ``Phi' y``
-    is formed once per ROI (row of ``rows.y_residual_base``); rows run in
-    blocks of ``ROW_BLOCK``, which bounds the stacked temporaries. A block
-    builds every row's Gram system, checks the warm starts, solves for the
-    ridge points and the first sign-pattern candidates, and certifies those
-    on the full dictionary, all stacked. A row whose candidate certifies is
-    done in one round. The others go through the one-row search
-    (:func:`_exact_search`): rows whose warm start passes the Gram check, whose
-    ridge point has an exact zero off the support (a smaller first pattern),
-    or whose candidate does not certify, every row of a block with a
-    singular system, and every row when traces are recorded. Products with
-    the dictionary (``Phi' y``, and ``Phi lam`` and ``Phi' r`` in the
-    certificate) are matrix-matrix products over the stack, while Gram
-    systems are multiplied and LU-solved per row. So a row's bits can differ
-    from its lone solve's by rounding, and near a tie its search may take
+    is formed once per ROI (row of ``rows.y_residual_base``). The warm
+    starts' Gram check and the ridge points and first sign-pattern
+    candidates (:func:`_mask_systems`) run over the whole stack; the candidates
+    are certified on the full dictionary in blocks of ``ROW_BLOCK``, which
+    bounds the residual temporaries. A row whose candidate certifies is done
+    in one round. The others go through the one-row search
+    (:func:`_exact_search`): rows whose warm start passes the Gram check,
+    whose ridge point has an exact zero off the support (a smaller first
+    pattern), or whose candidate does not certify, every row when traces
+    are recorded, and, from zero, a row whose base or small system is
+    singular. Products with the dictionary (``Phi' y``, and ``Phi lam`` and
+    ``Phi' r`` in the certificate) and with the shared bases are
+    matrix-matrix products over the stack. So a row's bits can differ from
+    its lone solve's by rounding, and near a tie its search may take
     another round; each result still carries its own KKT residual on the
     full dictionary, and the same stack gives the same bytes.
     """
@@ -505,61 +498,100 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     if warm.shape != (n, k):
         raise ValueError("warm_start has wrong shape")
     phi, tol = rows.dictionary.matrix, config.kkt_tolerance
+    prev, masks = rows.lambda_prev, rows.masks
     c_data = 1.0 / rows.sigma_o_sq
     c_prior = rows.beta / rows.sigma_l_sq
     gram_data = c_data * rows.dictionary.gram
-    data_rhs = c_data * _matvec_rows(phi.T, rows.y_residual_base)  # once per ROI
     rois = np.arange(n) if rows.rois is None else rows.rois
-    diagonal = np.arange(k)
-    out = RowSolutions(
-        np.empty((n, k)),
-        np.empty(n),
-        np.ones(n, dtype=int),
-        np.ones(n, dtype=bool),
-        [None] * n if config.record_trace else None,
-    )
+    rhs = (c_data * (rows.y_residual_base @ phi))[rois] + c_prior * (prev * masks)
+    grad = warm @ gram_data.T + c_prior * (warm * masks) - rhs
+    one_row = (_kkt_rows(grad, warm, masks, rows.gamma) <= tol) | config.record_trace
+    systems = _mask_systems(rows.dictionary, c_data, c_prior, masks)
+    ridge, solved = _solve_systems(systems, rhs)
+    target = rhs - rows.gamma * ~masks * np.sign(ridge)
+    # where the sign term leaves the right-hand side's bits unchanged (a full
+    # support has no l1 term), the candidate is the ridge point
+    cand = ridge.copy()
+    redo = solved & ~np.all((target == rhs) & (rhs != 0.0), axis=1)
+    if redo.any():
+        cand[redo] = _solve_systems(systems, target)[0][redo]
+    one_row |= ~solved | np.any(~masks & (ridge == 0.0), axis=1)
+    traces = [None] * n if config.record_trace else None
+    out = RowSolutions(cand, np.empty(n), np.ones(n, dtype=int), np.ones(n, dtype=bool), traces)
     for lo in range(0, n, ROW_BLOCK):
         block = slice(lo, lo + ROW_BLOCK)
-        y, prev, x = rows.y_residual_base[rois[block]], rows.lambda_prev[block], warm[block]
-        masks = rows.masks[block]
-        gram_big = np.zeros((len(x), k, k))
-        gram_big[:, diagonal, diagonal] = c_prior * masks
-        gram_big += gram_data
-        rhs = data_rhs[rois[block]] + c_prior * (prev * masks)
-        grad = _matvec_rows(gram_big, x) - rhs
-        one_row = (_kkt_rows(grad, x, masks, rows.gamma) <= tol) | config.record_trace
-        try:
-            ridge = np.linalg.solve(gram_big, rhs[:, :, None])[:, :, 0]
-            target = rhs - rows.gamma * ~masks * np.sign(ridge)
-            # where the sign term leaves the right-hand side's bits unchanged
-            # (a full support has no l1 term), the candidate is the ridge point
-            cand = ridge.copy()
-            redo = ~np.all((target == rhs) & (rhs != 0.0), axis=1)
-            cand[redo] = np.linalg.solve(gram_big[redo], target[redo][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # one singular row fails the stacked solve
-            ridge, cand = np.zeros_like(x), np.zeros_like(x)
-            for j in range(len(x)):
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    ridge[j] = np.linalg.solve(gram_big[j], rhs[j])
-            one_row[:] = True
-        one_row |= np.any(~masks & (ridge == 0.0), axis=1)
-        grad, _ = _gradient_rows(phi, y, prev, masks, rows.sigma_o_sq, c_prior, cand)
-        kkt = _kkt_rows(grad, cand, masks, rows.gamma)
-        one_row |= ~(kkt <= tol)
-        out.lambda_opt[block] = cand
-        out.kkt_residual[block] = kkt
-        for j in np.flatnonzero(one_row):  # searched from the ridge point (zero if singular)
-            i = lo + j
-            problem = rows.problem(i)
-            lam, out.kkt_residual[i], out.iterations[i], out.converged[i], trace = _exact_search(
-                x[j], ridge[j], rows.gamma * ~masks[j], gram_big[j], rhs[j], masks[j],
-                functools.partial(evaluate_cost, problem),
-                functools.partial(kkt_residual, problem), config,
-            )
-            out.lambda_opt[i] = lam
-            if out.traces is not None:
-                out.traces[i] = trace
+        y, x = rows.y_residual_base[rois[block]], cand[block]
+        grad, _ = _gradient_rows(phi, y, prev[block], masks[block], rows.sigma_o_sq, c_prior, x)
+        out.kkt_residual[block] = _kkt_rows(grad, x, masks[block], rows.gamma)
+    for i in np.flatnonzero(one_row | ~(out.kkt_residual <= tol)):  # from the ridge point
+        problem = rows.problem(i)
+        lam, out.kkt_residual[i], out.iterations[i], out.converged[i], trace = _exact_search(
+            warm[i], ridge[i], rows.gamma * ~masks[i], gram_data + np.diag(c_prior * masks[i]),
+            rhs[i], masks[i], functools.partial(evaluate_cost, problem),
+            functools.partial(kkt_residual, problem), config,
+        )
+        out.lambda_opt[i] = lam
+        if out.traces is not None:
+            out.traces[i] = trace
     return out
+
+
+def _mask_systems(dictionary, c_data, c_prior, masks) -> list:
+    """Every row's system ``(c_data G + c_prior diag(mask)) x = t`` from the
+    cached ``eigh(G)``: on ``H = inv(c_data G)``, ``c = c_prior``, ``S`` = the
+    mask if it holds at most half the coordinates, else on ``H = inv(c_data G
+    + c_prior I)``, ``c = -c_prior``, ``S`` = the rest. ``(rows, H, c, pos,
+    live, small)`` per regular base (``_SINGULAR_RATIO``): ``pos`` puts each
+    row's ``S`` first (``live``), ``small`` is ``I + c H[S, S]`` padded by the
+    identity (all three None if no ``S``); rows with a singular system left out."""
+    values, vectors = dictionary.gram_eigh
+    low = 2 * np.sum(masks, axis=1) <= masks.shape[1]
+    systems = []
+    for group, shift, c, sets in ((low, 0.0, c_prior, masks), (~low, c_prior, -c_prior, ~masks)):
+        w = c_data * values + shift
+        if np.any(group) and w[0] > _SINGULAR_RATIO * w[-1]:
+            rows, h = np.flatnonzero(group), (vectors / w) @ vectors.T
+            size = np.sum(sets[rows], axis=1)
+            pos = live = small = None
+            if size.any():
+                pos = np.argsort(~sets[rows], axis=1, kind="stable")[:, : size.max()]
+                live = np.arange(pos.shape[1]) < size[:, None]
+                pairs = live[:, :, None] & live[:, None, :]
+                small = np.eye(pos.shape[1]) + c * h[pos[:, :, None], pos[:, None, :]] * pairs
+                if shift and not values[0] > _SINGULAR_RATIO * values[-1]:  # G singular:
+                    keep = np.linalg.eigvalsh(small)[:, 0] > _SINGULAR_RATIO  # so are some rows'
+                    rows, pos, live, small = rows[keep], pos[keep], live[keep], small[keep]
+            systems.append((rows, h, c, pos, live, small))
+    return systems
+
+
+def _solve_systems(systems, targets):
+    """Each row's ``x = H (t - c x_S)`` with ``(I + c H[S, S]) x_S = (H t)_S``
+    (the inverse-update identity, Hager 1989) from :func:`_mask_systems`, so
+    a row with empty ``S`` costs one product, and whether it was solved: a
+    row whose base or small system is singular is left at zero."""
+    x, solved = np.zeros(targets.shape), np.zeros(len(targets), dtype=bool)
+    for rows, h, c, pos, live, small in systems:
+        t = targets[rows]
+        solved[rows] = True
+        if pos is None:
+            x[rows] = t @ h.T
+            continue
+        rhs = np.take_along_axis(t @ h.T, pos, axis=1) * live
+        try:
+            xs = np.linalg.solve(small, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # one singular row fails the stacked solve
+            xs = np.zeros_like(rhs)
+            for j, i in enumerate(rows):
+                try:
+                    xs[j] = np.linalg.solve(small[j], rhs[j])
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+        shift = np.zeros_like(t)
+        np.put_along_axis(shift, pos, c * xs, axis=1)
+        x[rows] = (t - shift) @ h.T
+    x[~solved] = 0.0
+    return x, solved
 
 
 def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, config):

@@ -1,0 +1,25 @@
+"""The numeric comparison of ``scripts/artifact_digest.py --compare``."""
+
+import math
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts"))
+
+from artifact_digest import numeric_difference  # noqa: E402
+
+
+def test_files_differing_only_in_numbers_report_their_largest_differences():
+    this = b"label,nmse\npf-mt-20,0.0029000000001\npafimocs,1e-05,nan\n"
+    other = b"label,nmse\npf-mt-20,0.0029\npafimocs,1.5e-05,nan\n"
+    max_abs, max_rel, changed, count = numeric_difference(this, other)
+    assert (changed, count) == (2, 4)  # the 20 of a label and a NaN count too
+    assert math.isclose(max_abs, 5e-06) and math.isclose(max_rel, 5e-06 / 1.5e-05)
+
+
+def test_any_other_difference_is_not_numeric():
+    base = b'{"kkt": 1e-09, "converged": true}'
+    assert numeric_difference(base, base.replace(b"true", b"false")) is None
+    assert numeric_difference(base, base.replace(b"1e-09", b"1e-09, 2")) is None
+    assert numeric_difference(b"P5\n2 1\n255\n\xff\x00", b"P5\n2 1\n255\n\xfe\x00") is None
+    assert numeric_difference(b"[Infinity]", b"[1.0]")[:2] == (math.inf, math.inf)

@@ -127,6 +127,21 @@ def test_dictionary_columns_are_the_basis_images_bit_for_bit(d):
     assert matrix.tobytes() == np.column_stack(columns).tobytes()
 
 
+@pytest.mark.parametrize("d", [0, 3, 20])
+def test_gram_eigh_is_cached_read_only_and_reproduces_the_gram(d):
+    dictionary = build_dictionary(bumps_template(32, 32), d)
+    values, vectors = dictionary.gram_eigh
+    assert dictionary.gram_eigh is dictionary.gram_eigh
+    for arr in (values, vectors):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert values.shape == (dictionary.n_lambda,) and np.all(np.diff(values) >= 0.0)
+    rebuilt = vectors @ np.diag(values) @ vectors.T
+    gram = dictionary.gram
+    assert np.max(np.abs(rebuilt - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+
 def test_dictionary_needs_a_two_by_two_grid():
     for image in (np.ones((1, 5)), np.ones((5, 1))):
         with pytest.raises(ValueError, match="2 x 2 grid"):

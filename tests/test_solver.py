@@ -515,6 +515,132 @@ def test_stacked_solve_covers_every_path():
     assert stacked.converged.all()
 
 
+@st.composite
+def mask_systems(draw, max_lambda=8, max_rows=12):
+    """Full-column-rank dictionaries with a stack of masks and right-hand
+    sides. Mask sizes run from 0 to k and always include ``k // 2`` (solved
+    on the data Gram's inverse) and ``k // 2 + 1`` (solved on the inverse of
+    the data Gram plus the prior weight), so one stack uses both bases."""
+    k = draw(st.integers(1, max_lambda))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = rng.standard_normal((k + draw(st.integers(2, 12)), k))
+    extra = draw(st.lists(st.integers(0, k), max_size=max_rows))
+    sizes = sorted({k // 2, min(k // 2 + 1, k)}) + extra
+    masks = np.zeros((len(sizes), k), dtype=bool)
+    for mask, size in zip(masks, sizes):
+        mask[rng.choice(k, size, replace=False)] = True
+    c_data = 1.0 / draw(st.sampled_from([0.5, 1.0, 4.0]))
+    c_prior = draw(st.sampled_from([0.0, 0.5, 1.0])) / draw(st.sampled_from([0.1, 1.0, 10.0]))
+    targets = rng.standard_normal(masks.shape) * 10.0 ** rng.uniform(-2, 2, (len(sizes), 1))
+    return custom_dictionary(phi), c_data, c_prior, masks, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_systems())
+def test_shared_base_solve_matches_each_rows_system(system):
+    """Every row's solution of ``(c_data G + c_prior diag(mask)) x = t`` from
+    the dictionary's cached eigendecomposition agrees with a direct solve of
+    that row's system within ``1e-12 * cond * max|x|``. ``cond`` is the
+    larger condition number of the row's system and of the data Gram
+    matrix: the direct solve's error scales with the first, the shared
+    base's with the second (adding the prior weight to every diagonal entry
+    does not raise it)."""
+    dictionary, c_data, c_prior, masks, targets = system
+    gram_data = c_data * dictionary.gram
+    systems = solver._mask_systems(dictionary, c_data, c_prior, masks)
+    x, solved = solver._solve_systems(systems, targets)
+    assert solved.all()
+    for mask, t, row in zip(masks, targets, x):
+        system_matrix = gram_data + np.diag(c_prior * mask)
+        expected = np.linalg.solve(system_matrix, t)
+        cond = max(np.linalg.cond(system_matrix), np.linalg.cond(gram_data))
+        assert np.max(np.abs(row - expected)) <= 1e-12 * cond * np.max(np.abs(expected))
+
+
+def test_singular_small_systems_are_left_unsolved():
+    """On the base ``H = I`` with ``c = -1``, ``I - H[S, S]`` is zero for
+    every nonempty ``S``: the stacked small solve fails, each row is solved
+    alone, and only the rows with an empty ``S`` come back solved
+    (``x = H t``), the others at zero."""
+    pos = np.array([[0, 1], [0, 2], [0, 1]])
+    live = np.array([[False, False], [True, True], [False, False]])
+    small = np.where(live[:, :, None] & live[:, None, :], 0.0, np.eye(2))
+    t = np.arange(9.0).reshape(3, 3) + 1.0
+    x, solved = solver._solve_systems([(np.arange(3), np.eye(3), -1.0, pos, live, small)], t)
+    assert solved.tolist() == [True, False, True]
+    assert np.array_equal(x, t * solved[:, None])
+
+
+def test_singular_base_rows_are_searched_alone(monkeypatch):
+    """With a duplicated column the data Gram matrix is singular: rows with
+    an empty mask cannot use its inverse and are searched alone from zero,
+    while full-mask rows (data Gram plus the prior weight, regular) certify
+    in the stacked round."""
+    rng = np.random.default_rng(23)
+    phi = rng.standard_normal((30, 4))
+    phi[:, 1] = phi[:, 0]
+    masks = np.array([[False] * 4, [True] * 4] * 3)
+    rows = ModeTrackingRows(
+        y_residual_base=rng.standard_normal((6, 4)) @ phi.T,
+        dictionary=custom_dictionary(phi),
+        lambda_prev=rng.standard_normal((6, 4)),
+        masks=masks,
+        sigma_o_sq=1.0,
+        sigma_l_sq=1.0,
+        gamma=0.5,
+    )
+    systems = solver._mask_systems(rows.dictionary, 1.0, 1.0, masks)
+    assert [system[0].tolist() for system in systems] == [[1, 3, 5]]  # no base for empty masks
+    _, solved = solver._solve_systems(systems, np.ones((6, 4)))
+    assert solved.tolist() == masks[:, 0].tolist()
+    searched = []
+    exact_search = solver._exact_search
+
+    def recording_exact_search(start, origin, weights, gram_big, rhs, mask, *rest):
+        searched.append((origin.copy(), mask.copy()))
+        return exact_search(start, origin, weights, gram_big, rhs, mask, *rest)
+
+    monkeypatch.setattr(solver, "_exact_search", recording_exact_search)
+    result = solve_rows(rows)
+    assert len(searched) == 3
+    assert all(not mask.any() and np.all(origin == 0.0) for origin, mask in searched)
+    assert result.converged.all()
+    assert np.all(result.iterations[masks[:, 0]] == 1)
+    for i, lam in enumerate(result.lambda_opt):
+        assert kkt_residual(rows.problem(i), lam) <= SolverConfig().kkt_tolerance
+
+
+def test_rows_whose_system_is_singular_are_searched_alone():
+    """A zero column off a mask that holds more than half the coordinates
+    makes that row's system singular, although ``c_data G + c_prior I`` is
+    regular: the row is left out of the shared-base solve and searched from
+    zero, which certifies. A ridge point taken from the near-singular small
+    system would start the search off the minimum at rounding level."""
+    phi = np.array(
+        [
+            [2.04091912, 0.0, 0.41809885, -0.56776961],
+            [-0.45264929, 0.0, -2.01998613, -0.23193238],
+            [-0.86521308, 0.0, 0.22578661, -0.35263079],
+        ]
+    )
+    masks = np.array([[True, False, True, True], [True, True, True, False]])
+    rows = ModeTrackingRows(
+        y_residual_base=np.array([[-1.8243113, 1.07580039, 0.29983581]] * 2),
+        dictionary=custom_dictionary(phi),
+        lambda_prev=np.array([[0.02425957, 1.54582085, 0.54510552, -0.50522874]] * 2),
+        masks=masks,
+        sigma_o_sq=0.5,
+        sigma_l_sq=0.1,
+        beta=0.5,
+        gamma=1.0,
+    )
+    systems = solver._mask_systems(rows.dictionary, 2.0, 5.0, masks)
+    assert [system[0].tolist() for system in systems] == [[1]]
+    result = solve_rows(rows)
+    assert result.converged.all()
+    assert result.lambda_opt[0, 1] == 0.0
+
+
 def test_stacked_solve_checks_the_stack_once():
     rng = np.random.default_rng(22)
     phi = rng.standard_normal((10, 3))
