@@ -24,7 +24,10 @@ artifacts. The runs are:
   dictionary and 20 spiked pixels, without and with ``gamma_outlier``
   (``result.json``, ``solution.mat``, ``outliers.mat``);
 - ``solve-trace`` and ``solve-outliers-trace``: the same two solves with
-  ``--trace`` (also ``trace.csv``);
+  ``--trace``, which adds ``trace.csv`` and changes no other byte: every run
+  exits 1 when a file of ``solve`` or ``solve-outliers`` differs from its
+  copy in the traced directory (with ``--compare``, in this tree's
+  artifacts);
 - ``analyze-support-coeffs`` and ``analyze-support-patches``: ``pafimocs
   analyze-support`` at d = 3 on the 16 x 16 ``bumps`` template, over a
   coefficient matrix of 12 sparse rows (some of them zero) and over the
@@ -218,6 +221,21 @@ def read_bytes(path: str) -> bytes | None:
         return fh.read()
 
 
+def check_trace_invariant(out: str) -> int:
+    """1 when a traced solve wrote bytes other than its untraced run, naming
+    each such file on stderr; 0 otherwise."""
+    bad = [
+        f"{name}-trace/{rel}"
+        for name in ("solve", "solve-outliers")
+        for rel in sorted(os.listdir(os.path.join(out, name)))
+        if read_bytes(os.path.join(out, name, rel))
+        != read_bytes(os.path.join(out, f"{name}-trace", rel))
+    ]
+    for rel in bad:
+        print(f"{rel} differs from the untraced solve's", file=sys.stderr)
+    return int(bool(bad))
+
+
 def write_tree(src: str, out: str, inputs: str) -> None:
     """Write the artifacts of the package tree ``src``; run in a fresh process."""
     sys.path.insert(0, os.path.abspath(src))
@@ -227,7 +245,8 @@ def write_tree(src: str, out: str, inputs: str) -> None:
 
 def compare(src: str, other_src: str) -> int:
     """Print how the artifacts of ``src`` and ``other_src`` differ; 1 when
-    any file differs in more than its numbers."""
+    any file differs in more than its numbers or ``src``'s traced solves
+    break :func:`check_trace_invariant`."""
     spawn = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory() as base:
         outs = []
@@ -255,7 +274,7 @@ def compare(src: str, other_src: str) -> int:
                 print(f"{rel}  max abs {max_abs:.3g}  max rel {max_rel:.3g}"
                       f"  ({changed} of {count} numbers)")
         print(f"{differ} of {len(files[0] | files[1])} files differ")
-    return status
+        return status | check_trace_invariant(outs[0])
 
 
 def main(argv=None) -> int:
@@ -269,7 +288,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as inputs:
         write_artifacts(out, inputs)
         print("\n".join(sha256_lines(out)))
-    return 0
+        return check_trace_invariant(out)
 
 
 if __name__ == "__main__":

@@ -23,10 +23,10 @@ dropping a coordinate whose sign changes or adding the one that violates
 optimality most. At image data scales the optimal sign pattern is almost
 always that of the ridge solution, so one round usually suffices. That round
 runs stacked over the rows, from one cached eigendecomposition of the Gram
-matrix and a small system on each row's mask or its complement; the rest,
-and rows whose system is singular, go on one row at a time. With dependent
-dictionary columns the search may restart from zero, and it steps along null
-directions of singular systems.
+matrix and a small system on each row's mask or its complement; the rest
+resume from it one row at a time, rows whose system is singular from zero,
+whatever the trace setting. With dependent dictionary columns the search may
+restart from zero, and it steps along null directions of singular systems.
 
 Every solve ends the same way: a start point that certifies is returned
 after 0 rounds; otherwise the round with the smallest KKT residual is
@@ -341,7 +341,7 @@ def _null_descent(point, pattern, weights, gram_big, rhs, mask):
     return moved
 
 
-def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start):
+def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start, first=None):
     """Feature-sign search: ``(candidate, kkt)`` of each round run.
 
     The objective is ``x' gram_big x / 2 - rhs' x + sum(weights |x|)``
@@ -351,7 +351,8 @@ def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start
     (Lee, Battle, Raina & Ng 2007) runs from ``start`` (a ridge minimizer or
     warm start from the caller), or from zero when round 1 fails
     and zero costs less. Each round solves the system on the current sign
-    pattern and certifies the candidate. The search then moves to the
+    pattern and certifies the candidate (round 1 is ``first``, the caller's
+    ``(candidate, kkt)`` on that pattern, when given). The search moves to the
     cheapest of the candidate and the points on the way to it where an l1
     coordinate changes sign (that coordinate set to zero). A candidate whose
     signs match the pattern that produced it and that is stationary on it
@@ -368,9 +369,11 @@ def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start
     point_cost = None
     rounds = []
     for _ in range(2 * rhs.size + 3):
-        cand = _pattern_candidate(pattern, weights, gram_big, rhs, mask)
-        kkt = certify(cand)
-        rounds.append((cand, kkt))
+        if first is None:
+            cand = _pattern_candidate(pattern, weights, gram_big, rhs, mask)
+            first = cand, certify(cand)
+        rounds.append(first)
+        (cand, kkt), first = first, None
         if kkt <= tol:
             break
         if point_cost is None:
@@ -477,12 +480,12 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     candidates (:func:`_mask_systems`) run over the whole stack; the candidates
     are certified on the full dictionary in blocks of ``ROW_BLOCK``, which
     bounds the residual temporaries. A row whose candidate certifies is done
-    in one round. The others go through the one-row search
-    (:func:`_exact_search`): rows whose warm start passes the Gram check,
-    whose ridge point has an exact zero off the support (a smaller first
-    pattern), or whose candidate does not certify, every row when traces
-    are recorded, and, from zero, a row whose base or small system is
-    singular. Products with the dictionary (``Phi' y``, and ``Phi lam`` and
+    in one round. A row is searched alone (:func:`_exact_search`) when its
+    warm start passes the Gram check, its candidate does not certify, or it
+    has no stacked round 1, as its base or small system is singular (then
+    from zero) or its ridge point has an exact zero off the support (a
+    smaller first pattern); else it resumes from that round. So traces only
+    record. Products with the dictionary (``Phi' y``, and ``Phi lam`` and
     ``Phi' r`` in the certificate) and with the shared bases are
     matrix-matrix products over the stack. So a row's bits can differ from
     its lone solve's by rounding, and near a tie its search may take
@@ -505,7 +508,7 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     rois = np.arange(n) if rows.rois is None else rows.rois
     rhs = (c_data * (rows.y_residual_base @ phi))[rois] + c_prior * (prev * masks)
     grad = warm @ gram_data.T + c_prior * (warm * masks) - rhs
-    one_row = (_kkt_rows(grad, warm, masks, rows.gamma) <= tol) | config.record_trace
+    warm_ok = _kkt_rows(grad, warm, masks, rows.gamma) <= tol
     systems = _mask_systems(rows.dictionary, c_data, c_prior, masks)
     ridge, solved = _solve_systems(systems, rhs)
     target = rhs - rows.gamma * ~masks * np.sign(ridge)
@@ -515,7 +518,7 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     redo = solved & ~np.all((target == rhs) & (rhs != 0.0), axis=1)
     if redo.any():
         cand[redo] = _solve_systems(systems, target)[0][redo]
-    one_row |= ~solved | np.any(~masks & (ridge == 0.0), axis=1)
+    stacked = solved & ~np.any(~masks & (ridge == 0.0), axis=1)  # rows with a stacked round 1
     traces = [None] * n if config.record_trace else None
     out = RowSolutions(cand, np.empty(n), np.ones(n, dtype=int), np.ones(n, dtype=bool), traces)
     for lo in range(0, n, ROW_BLOCK):
@@ -523,12 +526,17 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
         y, x = rows.y_residual_base[rois[block]], cand[block]
         grad, _ = _gradient_rows(phi, y, prev[block], masks[block], rows.sigma_o_sq, c_prior, x)
         out.kkt_residual[block] = _kkt_rows(grad, x, masks[block], rows.gamma)
-    for i in np.flatnonzero(one_row | ~(out.kkt_residual <= tol)):  # from the ridge point
+    searched = warm_ok | ~stacked | ~(out.kkt_residual <= tol)
+    for i in np.flatnonzero(searched | config.record_trace):
         problem = rows.problem(i)
+        cost, certify = (functools.partial(f, problem) for f in (evaluate_cost, kkt_residual))
+        first = (cand[i].copy(), float(out.kkt_residual[i])) if stacked[i] else None
+        if not searched[i]:  # traced, certified in the stacked round
+            out.traces[i] = [(0, cost(warm[i]), certify(warm[i])), (1, cost(cand[i]), first[1])]
+            continue
         lam, out.kkt_residual[i], out.iterations[i], out.converged[i], trace = _exact_search(
             warm[i], ridge[i], rows.gamma * ~masks[i], gram_data + np.diag(c_prior * masks[i]),
-            rhs[i], masks[i], functools.partial(evaluate_cost, problem),
-            functools.partial(kkt_residual, problem), config,
+            rhs[i], masks[i], cost, certify, config, first,
         )
         out.lambda_opt[i] = lam
         if out.traces is not None:
@@ -594,17 +602,17 @@ def _solve_systems(systems, targets):
     return x, solved
 
 
-def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, config):
+def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, config, first=None):
     """The one exit policy of every solve: ``start`` if it certifies (0
     rounds), else the round of :func:`_sign_pattern_rounds` from ``origin``
-    with the smallest KKT residual. Returns ``(point, kkt residual, rounds,
-    converged, trace)``; the trace holds ``start`` (row 0) and each round's
-    candidate when ``config.record_trace`` is set."""
+    and ``first`` with the smallest KKT residual. Returns ``(point, kkt
+    residual, rounds, converged, trace)``; the trace holds ``start`` (row 0)
+    and each round's candidate when ``config.record_trace`` is set."""
     tol = config.kkt_tolerance
     kkt_start = certify(start)
     rounds = []
     if not kkt_start <= tol:
-        rounds = _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, origin)
+        rounds = _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, origin, first)
     point, kkt = min(rounds, key=lambda r: r[1], default=(start, kkt_start))
     trace = None
     if config.record_trace:

@@ -6,7 +6,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts"))
 
-from artifact_digest import numeric_difference  # noqa: E402
+from artifact_digest import check_trace_invariant, numeric_difference  # noqa: E402
 
 
 def test_files_differing_only_in_numbers_report_their_largest_differences():
@@ -23,3 +23,16 @@ def test_any_other_difference_is_not_numeric():
     assert numeric_difference(base, base.replace(b"1e-09", b"1e-09, 2")) is None
     assert numeric_difference(b"P5\n2 1\n255\n\xff\x00", b"P5\n2 1\n255\n\xfe\x00") is None
     assert numeric_difference(b"[Infinity]", b"[1.0]")[:2] == (math.inf, math.inf)
+
+
+def test_a_traced_solve_may_only_add_its_trace(tmp_path, capsys):
+    for name in ("solve", "solve-outliers"):
+        for run in (name, f"{name}-trace"):
+            (tmp_path / run).mkdir()
+            (tmp_path / run / "result.json").write_text('{"kkt_residual": 1e-09}\n')
+        (tmp_path / f"{name}-trace" / "trace.csv").write_text("iteration\n0\n")
+    assert check_trace_invariant(str(tmp_path)) == 0
+    (tmp_path / "solve-outliers-trace" / "result.json").write_text('{"kkt_residual": 2e-09}\n')
+    assert check_trace_invariant(str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == "solve-outliers-trace/result.json differs from the untraced solve's\n"

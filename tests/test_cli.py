@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from pafimocs import fileio
 from pafimocs.cli import main
 from pafimocs.harness import FilterSpec, SimConfig, sim_config_to_kv
 from pafimocs.models import ModelParams
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts"))
+
+from artifact_digest import write_problem  # noqa: E402
 
 
 def small_config(**overrides):
@@ -363,6 +368,21 @@ class TestSolve:
         assert trace_lines[0] == "iteration,objective,kkt_residual"
         # the header, the warm start, then one row per round
         assert len(trace_lines) == file_payload["iterations"] + 2
+
+    def test_trace_changes_no_other_byte(self, tmp_path):
+        """On the digest's fixed problem, which certifies in the stacked
+        round, ``--trace`` adds ``trace.csv`` and writes the same solution
+        and result as the untraced solve."""
+        pdir = str(tmp_path / "problem")
+        fileio.write_kv(os.path.join(pdir, "problem.cfg"), write_problem(pdir))
+        outs = [str(tmp_path / name) for name in ("plain", "traced")]
+        assert main(["solve", "--problem", pdir, "--out", outs[0]]) == 0
+        assert main(["solve", "--problem", pdir, "--out", outs[1], "--trace"]) == 0
+        assert sorted(os.listdir(outs[1])) == sorted(os.listdir(outs[0]) + ["trace.csv"])
+        for name in ("solution.mat", "result.json"):
+            plain, traced = (open(os.path.join(out, name), "rb").read() for out in outs)
+            assert plain == traced
+        assert json.loads(plain)["iterations"] == 1
 
     def test_solve_with_outliers_writes_outlier_matrix(self, tmp_path):
         pdir = self._problem_dir(tmp_path, with_outliers=True)

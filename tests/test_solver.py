@@ -641,6 +641,84 @@ def test_rows_whose_system_is_singular_are_searched_alone():
     assert result.lambda_opt[0, 1] == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_problems(), st.booleans())
+def test_recording_a_trace_changes_no_result(problem, warm):
+    config = SolverConfig(warm_start=problem.lambda_prev if warm else None)
+    plain = solve(problem, config)
+    traced = solve(problem, dataclasses.replace(config, record_trace=True))
+    assert plain.lambda_opt.tobytes() == traced.lambda_opt.tobytes()
+    for name in ("kkt_residual", "iterations", "converged", "objective"):
+        assert getattr(plain, name) == getattr(traced, name)
+    assert len(traced.trace) == traced.iterations + 1
+
+
+def route_stack():
+    """A stack over a dictionary with a duplicated column, one row per route
+    of :func:`solve_rows`, then the same rows from their solutions: an empty
+    mask (singular system, searched from zero), a full mask (certified in
+    the stacked round), a mask that certifies there and one that resumes
+    from it; the warm-started rows certify at 0 rounds."""
+    rng = np.random.default_rng(20)
+    phi = rng.standard_normal((30, 4))
+    phi[:, 1] = phi[:, 0]
+    masks = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]], dtype=bool)
+    rows = ModeTrackingRows(
+        y_residual_base=rng.standard_normal((8, 4)) @ phi.T,
+        dictionary=custom_dictionary(phi),
+        lambda_prev=rng.standard_normal((8, 4)),
+        masks=np.concatenate([masks, masks]),
+        sigma_o_sq=1.0,
+        sigma_l_sq=1.0,
+        gamma=3.0,
+    )
+    warm = np.zeros((8, 4))
+    warm[4:] = [solve(rows.problem(i)).lambda_opt for i in range(4, 8)]
+    return rows, warm
+
+
+def test_traced_stack_solves_as_the_untraced_one_over_every_route():
+    rows, warm = route_stack()
+    config = SolverConfig(warm_start=warm)
+    plain = solve_rows(rows, config)
+    traced = solve_rows(rows, dataclasses.replace(config, record_trace=True))
+    assert plain.iterations.tolist() == [3, 1, 1, 2, 0, 0, 0, 0]
+    assert plain.converged.all() and plain.traces is None
+    for name in ("lambda_opt", "kkt_residual", "iterations", "converged"):
+        assert getattr(plain, name).tobytes() == getattr(traced, name).tobytes()
+    for trace, rounds in zip(traced.traces, plain.iterations):
+        assert [row[0] for row in trace] == list(range(rounds + 1))
+
+
+def test_resumed_rows_do_not_repeat_their_first_round(monkeypatch):
+    """A row whose stacked candidate does not certify resumes the search from
+    it: the search solves its rounds after the first, and the trace's round 1
+    is the stacked candidate with its blocked certificate."""
+    rows, warm = route_stack()
+    solves, searches = [], []
+    pattern_candidate, exact_search = solver._pattern_candidate, solver._exact_search
+
+    def counting_pattern_candidate(*args):
+        solves.append(1)
+        return pattern_candidate(*args)
+
+    def recording_exact_search(start, origin, weights, gram_big, rhs, mask, *rest):
+        before = len(solves)
+        found = exact_search(start, origin, weights, gram_big, rhs, mask, *rest)
+        searches.append((rest[-1], found[2], len(solves) - before))
+        return found
+
+    monkeypatch.setattr(solver, "_pattern_candidate", counting_pattern_candidate)
+    monkeypatch.setattr(solver, "_exact_search", recording_exact_search)
+    result = solve_rows(rows, SolverConfig(warm_start=warm, record_trace=True))
+    resumed = [search for search in searches if search[0] and search[1]]
+    assert len(resumed) == 1 and result.iterations[3] == 2  # row 3 resumes
+    (cand, kkt), rounds, calls = resumed[0]
+    assert rounds == 2 and calls == rounds - 1
+    assert result.traces[3][1] == (1, evaluate_cost(rows.problem(3), cand), kkt)
+    assert sum(calls for first, _, calls in searches if first is None) == 3  # row 0, from zero
+
+
 def test_stacked_solve_checks_the_stack_once():
     rng = np.random.default_rng(22)
     phi = rng.standard_normal((10, 3))
