@@ -27,6 +27,9 @@ matrix and a small system on each row's mask or its complement; the rest
 resume from it one row at a time, rows whose system is singular from zero,
 whatever the trace setting. With dependent dictionary columns the search may
 restart from zero, and it steps along null directions of singular systems.
+The search prices each step from the row's system and its cost at zero, and
+every certificate without outliers (:func:`kkt_residual`) is formed from the
+cached Gram matrix and ``Phi' y`` (its rounding bound: :func:`_kkt_gram`).
 
 Every solve ends the same way: a start point that certifies is returned
 after 0 rounds; otherwise the round with the smallest KKT residual is
@@ -52,7 +55,6 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .models import SupportSet
-from .observation import ROW_BLOCK
 
 __all__ = [
     "ModeTrackingProblem",
@@ -223,16 +225,27 @@ def power_iteration_lmax(mat: np.ndarray, iters: int = 20) -> float:
     return float(v @ (mat @ v))
 
 
+def _checked_point(problem: ModeTrackingProblem, lam, outlier) -> tuple:
+    """``lam`` and ``outlier`` as float arrays after checking them against ``problem``."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (problem.dictionary.n_lambda,):
+        raise ValueError("lam length must match the dictionary columns")
+    if outlier is not None:
+        if problem.gamma_outlier is None:
+            raise ValueError("outlier vector given but gamma_outlier is unset")
+        outlier = np.asarray(outlier, dtype=float)
+        if outlier.shape != (problem.dictionary.n_pixels,):
+            raise ValueError("outlier length must match the dictionary rows")
+    return lam, outlier
+
+
 def evaluate_cost(problem: ModeTrackingProblem, lam, outlier=None) -> float:
     """Cost functional evaluated directly from its definition."""
-    lam = np.asarray(lam, dtype=float)
+    lam, outlier = _checked_point(problem, lam, outlier)
     r = problem.y_residual_base - problem.dictionary.matrix @ lam
     total = 0.0
     if outlier is not None:
-        outlier = np.asarray(outlier, dtype=float)
         r = r - outlier
-        if problem.gamma_outlier is None:
-            raise ValueError("outlier vector given but gamma_outlier is unset")
         total += problem.gamma_outlier * float(np.sum(np.abs(outlier)))
     total += float(r @ r) / (2.0 * problem.sigma_o_sq)
     mask = problem.cond_support.mask()
@@ -242,13 +255,10 @@ def evaluate_cost(problem: ModeTrackingProblem, lam, outlier=None) -> float:
     return total
 
 
-def _gradient_rows(phi, y, prev, masks, sigma_o_sq, c_prior, lam, outlier=None):
-    """Smooth-part gradient rows in ``lam`` and the data residual rows."""
-    resid = lam @ phi.T - y
-    if outlier is not None:
-        resid = resid + outlier
-    g_lam = resid @ phi / sigma_o_sq
-    return np.where(masks, g_lam + c_prior * (lam - prev), g_lam), resid
+def _gram_cost(const, gram_big, rhs, weights, x) -> float:
+    """The cost at ``x`` from its system: ``const + x' gram_big x / 2 - rhs' x
+    + sum(weights |x|)``, where ``const`` is the cost at zero."""
+    return float(const + x @ (0.5 * (gram_big @ x) - rhs) + weights @ np.abs(x))
 
 
 def _kkt_rows(grad: np.ndarray, x: np.ndarray, masks: np.ndarray, weight: float) -> np.ndarray:
@@ -263,33 +273,43 @@ def _kkt_rows(grad: np.ndarray, x: np.ndarray, masks: np.ndarray, weight: float)
 
 
 def smooth_gradient(problem: ModeTrackingProblem, lam, outlier=None):
-    """Gradient of the smooth part at (lam, outlier); outlier grad is None
-    when no outlier vector is passed."""
-    lam = np.asarray(lam, dtype=float)
+    """Gradient of the smooth part at (lam, outlier) from the data residual on
+    the full dictionary; outlier grad is None when no outlier vector is passed."""
+    lam, outlier = _checked_point(problem, lam, outlier)
+    phi = problem.dictionary.matrix
+    resid = lam[None] @ phi.T - problem.y_residual_base[None]
     if outlier is not None:
-        outlier = np.asarray(outlier, dtype=float)[None]
-    g_lam, resid = _gradient_rows(
-        problem.dictionary.matrix,
-        problem.y_residual_base[None],
-        problem.lambda_prev[None],
-        problem.cond_support.mask()[None],
-        problem.sigma_o_sq,
-        problem.beta / problem.sigma_l_sq,
-        lam[None],
-        outlier,
-    )
-    return g_lam[0], None if outlier is None else resid[0] / problem.sigma_o_sq
+        resid = resid + outlier[None]
+    g_lam = (resid @ phi)[0] / problem.sigma_o_sq
+    prior = problem.beta / problem.sigma_l_sq * (lam - problem.lambda_prev)
+    g_lam = np.where(problem.cond_support.mask(), g_lam + prior, g_lam)
+    return g_lam, None if outlier is None else resid[0] / problem.sigma_o_sq
+
+
+def _kkt_gram(owner, phity, prev, masks, x) -> np.ndarray:
+    """KKT residual of each row of ``x`` with the weights and dictionary of
+    ``owner`` (a problem or a stack), from the cached Gram matrix ``G`` and
+    the rows ``phity`` of ``Phi' y``: the gradient is ``c_data (G x - Phi' y)
+    + c_prior (x - prev)`` on ``masks``. Its rounding error is about
+    ``eps c_data max_j (|Phi|' (|Phi| |x| + |y|))_j`` plus the prior term's."""
+    c_data, c_prior = 1.0 / owner.sigma_o_sq, owner.beta / owner.sigma_l_sq
+    grad = c_data * (x @ owner.dictionary.gram.T - phity) + c_prior * (masks * (x - prev))
+    return _kkt_rows(grad, x, masks, owner.gamma)
 
 
 def kkt_residual(problem: ModeTrackingProblem, lam, outlier=None) -> float:
-    """Max-norm subgradient residual; 0 exactly at a minimizer."""
-    lam = np.asarray(lam, dtype=float)
+    """Max-norm subgradient residual; 0 exactly at a minimizer. Without an
+    outlier vector it is computed in coefficient space (:func:`_kkt_gram`),
+    with one on the full dictionary (:func:`smooth_gradient`)."""
+    lam, outlier = _checked_point(problem, lam, outlier)
+    mask = problem.cond_support.mask()[None]
+    if outlier is None:
+        phity = problem.y_residual_base[None] @ problem.dictionary.matrix
+        return float(_kkt_gram(problem, phity, problem.lambda_prev[None], mask, lam[None])[0])
     g_lam, g_out = smooth_gradient(problem, lam, outlier)
-    best = _kkt_rows(g_lam[None], lam[None], problem.cond_support.mask()[None], problem.gamma)
-    if outlier is not None:
-        outlier = np.asarray(outlier, dtype=float)[None]
-        free = np.zeros(outlier.shape, dtype=bool)
-        best = np.maximum(best, _kkt_rows(g_out[None], outlier, free, problem.gamma_outlier))
+    best = _kkt_rows(g_lam[None], lam[None], mask, problem.gamma)
+    free = np.zeros((1, outlier.size), dtype=bool)
+    best = np.maximum(best, _kkt_rows(g_out[None], outlier[None], free, problem.gamma_outlier))
     return float(best[0])
 
 
@@ -442,8 +462,8 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
     module docstring) and ``iterations`` counts its rounds; the trace holds
     the warm start (row 0) and each round's candidate. When no round
     certifies, the candidate with the smallest KKT residual is returned
-    with ``converged = False``. Every result is certified with
-    :func:`kkt_residual` on the full dictionary.
+    with ``converged = False``. Every result carries exactly
+    :func:`kkt_residual` of its point.
     """
     if config is None:
         config = SolverConfig()
@@ -476,21 +496,21 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
 
     ``config.warm_start`` is ``(n, n_lambda)``, zeros when None. ``Phi' y``
     is formed once per ROI (row of ``rows.y_residual_base``). The warm
-    starts' Gram check and the ridge points and first sign-pattern
-    candidates (:func:`_mask_systems`) run over the whole stack; the candidates
-    are certified on the full dictionary in blocks of ``ROW_BLOCK``, which
-    bounds the residual temporaries. A row whose candidate certifies is done
-    in one round. A row is searched alone (:func:`_exact_search`) when its
-    warm start passes the Gram check, its candidate does not certify, or it
-    has no stacked round 1, as its base or small system is singular (then
-    from zero) or its ridge point has an exact zero off the support (a
-    smaller first pattern); else it resumes from that round. So traces only
-    record. Products with the dictionary (``Phi' y``, and ``Phi lam`` and
-    ``Phi' r`` in the certificate) and with the shared bases are
-    matrix-matrix products over the stack. So a row's bits can differ from
-    its lone solve's by rounding, and near a tie its search may take
-    another round; each result still carries its own KKT residual on the
-    full dictionary, and the same stack gives the same bytes.
+    starts' and the first sign-pattern candidates' certificates (from the
+    Gram matrix, as :func:`kkt_residual` forms them) and the ridge points
+    and candidates (:func:`_mask_systems`) run over the whole stack. A row
+    whose candidate certifies is done in one round. A row is searched alone
+    (:func:`_exact_search`) when its warm start certifies, its candidate
+    does not, or it has no stacked round 1, as its base or small system is
+    singular (then from zero) or its ridge point has an exact zero off the
+    support (a smaller first pattern); else it resumes from that round. The
+    search prices and certifies in coefficient space; only a trace reads
+    :func:`evaluate_cost`, so traces only record. ``Phi' y`` and the
+    products with the Gram matrix and the shared bases are matrix-matrix
+    products over the stack. So a row's bits can differ from its lone
+    solve's by rounding, and near a tie its search may take another round;
+    each result still carries its own KKT residual, and the same stack
+    gives the same bytes.
     """
     if config is None:
         config = SolverConfig()
@@ -500,15 +520,14 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
         warm = np.array(config.warm_start, dtype=float, order="C")
     if warm.shape != (n, k):
         raise ValueError("warm_start has wrong shape")
-    phi, tol = rows.dictionary.matrix, config.kkt_tolerance
-    prev, masks = rows.lambda_prev, rows.masks
+    tol, prev, masks = config.kkt_tolerance, rows.lambda_prev, rows.masks
     c_data = 1.0 / rows.sigma_o_sq
     c_prior = rows.beta / rows.sigma_l_sq
     gram_data = c_data * rows.dictionary.gram
     rois = np.arange(n) if rows.rois is None else rows.rois
-    rhs = (c_data * (rows.y_residual_base @ phi))[rois] + c_prior * (prev * masks)
-    grad = warm @ gram_data.T + c_prior * (warm * masks) - rhs
-    warm_ok = _kkt_rows(grad, warm, masks, rows.gamma) <= tol
+    phity = (rows.y_residual_base @ rows.dictionary.matrix)[rois]
+    rhs = c_data * phity + c_prior * (prev * masks)
+    kkt_warm = _kkt_gram(rows, phity, prev, masks, warm)
     systems = _mask_systems(rows.dictionary, c_data, c_prior, masks)
     ridge, solved = _solve_systems(systems, rhs)
     target = rhs - rows.gamma * ~masks * np.sign(ridge)
@@ -520,27 +539,26 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
         cand[redo] = _solve_systems(systems, target)[0][redo]
     stacked = solved & ~np.any(~masks & (ridge == 0.0), axis=1)  # rows with a stacked round 1
     traces = [None] * n if config.record_trace else None
-    out = RowSolutions(cand, np.empty(n), np.ones(n, dtype=int), np.ones(n, dtype=bool), traces)
-    for lo in range(0, n, ROW_BLOCK):
-        block = slice(lo, lo + ROW_BLOCK)
-        y, x = rows.y_residual_base[rois[block]], cand[block]
-        grad, _ = _gradient_rows(phi, y, prev[block], masks[block], rows.sigma_o_sq, c_prior, x)
-        out.kkt_residual[block] = _kkt_rows(grad, x, masks[block], rows.gamma)
-    searched = warm_ok | ~stacked | ~(out.kkt_residual <= tol)
+    kkt_cand = _kkt_gram(rows, phity, prev, masks, cand)
+    out = RowSolutions(cand, kkt_cand, np.ones(n, dtype=int), np.ones(n, dtype=bool), traces)
+    searched = (kkt_warm <= tol) | ~stacked | ~(out.kkt_residual <= tol)
     for i in np.flatnonzero(searched | config.record_trace):
-        problem = rows.problem(i)
-        cost, certify = (functools.partial(f, problem) for f in (evaluate_cost, kkt_residual))
-        first = (cand[i].copy(), float(out.kkt_residual[i])) if stacked[i] else None
-        if not searched[i]:  # traced, certified in the stacked round
-            out.traces[i] = [(0, cost(warm[i]), certify(warm[i])), (1, cost(cand[i]), first[1])]
-            continue
-        lam, out.kkt_residual[i], out.iterations[i], out.converged[i], trace = _exact_search(
-            warm[i], ridge[i], rows.gamma * ~masks[i], gram_data + np.diag(c_prior * masks[i]),
-            rhs[i], masks[i], cost, certify, config, first,
-        )
-        out.lambda_opt[i] = lam
+        one = slice(i, i + 1)
+        path = [(warm[i], kkt_warm[i]), (cand[i].copy(), out.kkt_residual[i])]
+        if searched[i]:
+            weights, gram_big = rows.gamma * ~masks[i], gram_data + np.diag(c_prior * masks[i])
+            y, on = rows.y_residual_base[rois[i]], prev[i, masks[i]]
+            at_zero = 0.5 * (c_data * (y @ y) + c_prior * (on @ on))
+            cost = functools.partial(_gram_cost, at_zero, gram_big, rhs[i], weights)
+            lam, out.kkt_residual[i], out.iterations[i], out.converged[i], path = _exact_search(
+                warm[i], ridge[i], weights, gram_big, rhs[i], masks[i], cost,
+                lambda x: float(_kkt_gram(rows, phity[one], prev[one], masks[one], x[None])[0]),
+                tol, path[1] if stacked[i] else None,
+            )
+            out.lambda_opt[i] = lam
         if out.traces is not None:
-            out.traces[i] = trace
+            price = functools.partial(evaluate_cost, rows.problem(i))
+            out.traces[i] = [(r, price(x), float(res)) for r, (x, res) in enumerate(path)]
     return out
 
 
@@ -602,23 +620,18 @@ def _solve_systems(systems, targets):
     return x, solved
 
 
-def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, config, first=None):
+def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, tol, first=None):
     """The one exit policy of every solve: ``start`` if it certifies (0
     rounds), else the round of :func:`_sign_pattern_rounds` from ``origin``
     and ``first`` with the smallest KKT residual. Returns ``(point, kkt
-    residual, rounds, converged, trace)``; the trace holds ``start`` (row 0)
-    and each round's candidate when ``config.record_trace`` is set."""
-    tol = config.kkt_tolerance
+    residual, rounds, converged, path)``; the path holds ``(point, kkt)`` of
+    ``start`` and of each round's candidate, which a trace prices."""
     kkt_start = certify(start)
     rounds = []
     if not kkt_start <= tol:
         rounds = _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, origin, first)
     point, kkt = min(rounds, key=lambda r: r[1], default=(start, kkt_start))
-    trace = None
-    if config.record_trace:
-        trace = [(0, cost(start), kkt_start)]
-        trace.extend((r, cost(c), k) for r, (c, k) in enumerate(rounds, 1))
-    return point, kkt, len(rounds), kkt <= tol, trace
+    return point, kkt, len(rounds), kkt <= tol, [(start, kkt_start), *rounds]
 
 
 def solve_with_outliers(
@@ -662,9 +675,10 @@ def solve_with_outliers(
     def certify(point):
         return kkt_residual(problem, point[:n], point[n:])
 
-    z, kkt, rounds, converged, trace = _exact_search(
-        start, start, weights, gram_big, rhs, mask, cost, certify, config
+    z, kkt, rounds, converged, path = _exact_search(
+        start, start, weights, gram_big, rhs, mask, cost, certify, config.kkt_tolerance
     )
+    trace = [(r, cost(p), k) for r, (p, k) in enumerate(path)] if config.record_trace else None
     return SolverResult(z[:n], z[n:], cost(z), kkt, rounds, converged, trace)
 
 

@@ -340,6 +340,42 @@ def test_each_result_carries_its_kkt_certificate(problem, tol, gamma_outlier):
     assert result.converged == (result.kkt_residual <= tol)
 
 
+def pixel_kkt(problem, lam):
+    """The KKT residual from the gradient on the full dictionary,
+    ``Phi' (Phi lam - y)``, as :func:`smooth_gradient` forms it."""
+    grad, _ = smooth_gradient(problem, lam)
+    mask = problem.cond_support.mask()
+    return float(solver._kkt_rows(grad[None], lam[None], mask[None], problem.gamma)[0])
+
+
+def gram_rounding_bound(problem, lam, k=64.0):
+    """``k eps`` times the terms both gradients round: the data term's
+    ``max_j c_data (|Phi|' (|Phi| |lam| + |y|))_j`` plus the prior term's
+    ``c_prior max |lam - prev|`` on the mask."""
+    phi = np.abs(problem.dictionary.matrix)
+    data = phi.T @ (phi @ np.abs(lam) + np.abs(problem.y_residual_base)) / problem.sigma_o_sq
+    gap = np.abs(lam - problem.lambda_prev)[problem.cond_support.mask()]
+    prior = problem.beta / problem.sigma_l_sq * np.max(gap, initial=0.0)
+    return k * np.finfo(float).eps * (np.max(data, initial=0.0) + prior)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_problems(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_gram_certificate_matches_the_pixel_space_residual(problem, warm, seed):
+    """The coefficient-space :func:`kkt_residual` agrees with the residual of
+    the pixel-space gradient within the rounding bound, at a random point
+    with some exact zeros and at the solver's point, and gives the same
+    verdict at the default tolerance."""
+    rng = np.random.default_rng(seed)
+    n = problem.dictionary.n_lambda
+    config = SolverConfig(warm_start=problem.lambda_prev if warm else None)
+    points = [rng.standard_normal(n) * rng.integers(0, 2, n), solve(problem, config).lambda_opt]
+    for lam in points:
+        gram, pixel = kkt_residual(problem, lam), pixel_kkt(problem, lam)
+        assert abs(gram - pixel) <= gram_rounding_bound(problem, lam)
+        assert (gram <= config.kkt_tolerance) == (pixel <= config.kkt_tolerance)
+
+
 def test_tracker_solves_certify_in_the_exact_phase(monkeypatch):
     """Guard on the fast path: every solve the mode-tracking trackers make on
     the default 96x96 scene with the d = 20 Legendre dictionary certifies
@@ -368,6 +404,34 @@ def test_tracker_solves_certify_in_the_exact_phase(monkeypatch):
     assert len(results) == 3 * 3
     assert all(r.converged.all() for r in results)
     assert max(r.iterations.max() for r in results) <= 3
+
+
+def test_tracker_certificates_match_the_pixel_space_residual(monkeypatch):
+    """Every row the mode-tracking trackers solve on the default 96x96 scene
+    reports a KKT residual within the rounding bound of the pixel-space one,
+    and is flagged converged exactly when the pixel-space residual meets the
+    tolerance."""
+    cfg = harness.SimConfig(n_frames=3)
+    truth = harness.generate_sequence(cfg, np.random.default_rng(0))
+    stacks = []
+
+    def recording_solve_rows(rows, config=None):
+        result = solver.solve_rows(rows, config)
+        stacks.append((rows, config, result))
+        return result
+
+    monkeypatch.setattr(filters, "solve_rows", recording_solve_rows)
+    for label in ("pafimocs", "pafimocs-ssc", "pf-mt-20"):
+        spec = harness.parse_filter_label(label, cfg.d)
+        fcfg = dataclasses.replace(harness.resolve_filter_config(spec, cfg), n_pf=20)
+        filters.run_tracker(truth.frames, truth.template, cfg.params, fcfg, truth.states[0], 1)
+    assert len(stacks) == 3 * 3
+    for rows, config, result in stacks:
+        for i, lam in enumerate(result.lambda_opt):
+            problem = rows.problem(i)
+            pixel = pixel_kkt(problem, lam)
+            assert abs(result.kkt_residual[i] - pixel) <= gram_rounding_bound(problem, lam)
+            assert result.converged[i] == (pixel <= config.kkt_tolerance)
 
 
 # ----------------------------------------------------------- stacked solve
@@ -783,6 +847,21 @@ def test_kkt_residual_behaviour():
     grad0, _ = smooth_gradient(tiny, np.zeros(4))
     assert np.max(np.abs(grad0)) < 1.0
     assert kkt_residual(tiny, np.zeros(4)) == 0.0
+
+
+def test_points_are_checked_against_the_problem():
+    rng = np.random.default_rng(24)
+    problem = random_problem(rng, n_lambda=4, support_size=2)
+    with_outliers = dataclasses.replace(problem, gamma_outlier=0.5)
+    for f in (evaluate_cost, kkt_residual, smooth_gradient):
+        with pytest.raises(ValueError, match="outlier vector given but gamma_outlier is unset"):
+            f(problem, np.zeros(4), np.zeros(30))
+        for lam in (np.zeros(3), np.zeros(5), np.zeros((1, 4)), 0.0):
+            with pytest.raises(ValueError, match="lam length must match the dictionary columns"):
+                f(problem, lam)
+        for outlier in (np.zeros(29), np.zeros(1)):
+            with pytest.raises(ValueError, match="outlier length must match the dictionary rows"):
+                f(with_outliers, np.zeros(4), outlier)
 
 
 def test_warm_start_equivalence_and_short_circuit():
