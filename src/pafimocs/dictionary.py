@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -196,17 +196,29 @@ class Dictionary:
 
 
 def build_dictionary(template: TemplatePatch, d: int) -> Dictionary:
-    """Dictionary with columns vec(template * basis_k), k = 0 .. 2 d."""
+    """Dictionary with columns vec(template * basis_k), k = 0 .. 2 d.
+
+    Templates with equal pixels, height and width (the origin does not enter
+    the basis) and the same order get one shared read-only object, so its
+    cached ``gram`` and ``gram_eigh`` are computed once per process; the
+    last 8 such dictionaries are kept.
+    """
     if d < 0:
         raise ValueError("dictionary order must be nonnegative")
     h, w = template.height, template.width
     if h < 2 or w < 2:
         raise ValueError("basis images need at least a 2 x 2 grid")
+    return _legendre_dictionary(template.pixels.tobytes(), h, w, d)
+
+
+@lru_cache(maxsize=8, typed=True)  # typed: order 3.0 is not served the order-3 dictionary
+def _legendre_dictionary(pixels: bytes, h: int, w: int, d: int) -> Dictionary:
+    image = np.frombuffer(pixels).reshape(h, w)
     # p_0 .. p_d along the rows, (h, d + 1), and along the columns, (w, d + 1)
     along_i, along_j = (np.stack(_legendre_orders(d, _axis_coords(n)), axis=1) for n in (h, w))
     matrix = np.empty((h, w, 2 * d + 1))  # row-major pixels, one column per basis image
-    matrix[:, :, 0::2] = template.image()[:, :, None] * along_j  # k = 0 (p_0 = 1), even k
-    matrix[:, :, 1::2] = template.image()[:, :, None] * along_i[:, None, 1:]  # odd k
+    matrix[:, :, 0::2] = image[:, :, None] * along_j  # k = 0 (p_0 = 1), even k
+    matrix[:, :, 1::2] = image[:, :, None] * along_i[:, None, 1:]  # odd k
     return Dictionary(matrix=matrix.reshape(h * w, 2 * d + 1), order=d, kind="legendre")
 
 

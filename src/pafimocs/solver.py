@@ -498,7 +498,8 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     is formed once per ROI (row of ``rows.y_residual_base``). The warm
     starts' and the first sign-pattern candidates' certificates (from the
     Gram matrix, as :func:`kkt_residual` forms them) and the ridge points
-    and candidates (:func:`_mask_systems`) run over the whole stack. A row
+    and candidates (:func:`_mask_systems`) run over the whole stack, and a
+    searched row does not certify its warm start again. A row
     whose candidate certifies is done in one round. A row is searched alone
     (:func:`_exact_search`) when its warm start certifies, its candidate
     does not, or it has no stacked round 1, as its base or small system is
@@ -551,7 +552,7 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
             at_zero = 0.5 * (c_data * (y @ y) + c_prior * (on @ on))
             cost = functools.partial(_gram_cost, at_zero, gram_big, rhs[i], weights)
             lam, out.kkt_residual[i], out.iterations[i], out.converged[i], path = _exact_search(
-                warm[i], ridge[i], weights, gram_big, rhs[i], masks[i], cost,
+                path[0], ridge[i], weights, gram_big, rhs[i], masks[i], cost,
                 lambda x: float(_kkt_gram(rows, phity[one], prev[one], masks[one], x[None])[0]),
                 tol, path[1] if stacked[i] else None,
             )
@@ -621,17 +622,17 @@ def _solve_systems(systems, targets):
 
 
 def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, tol, first=None):
-    """The one exit policy of every solve: ``start`` if it certifies (0
-    rounds), else the round of :func:`_sign_pattern_rounds` from ``origin``
-    and ``first`` with the smallest KKT residual. Returns ``(point, kkt
+    """The one exit policy of every solve: the start point if it certifies
+    (0 rounds), else the round of :func:`_sign_pattern_rounds` from
+    ``origin`` and ``first`` with the smallest KKT residual. ``start`` is
+    ``(point, kkt)``, the caller's certificate of it. Returns ``(point, kkt
     residual, rounds, converged, path)``; the path holds ``(point, kkt)`` of
-    ``start`` and of each round's candidate, which a trace prices."""
-    kkt_start = certify(start)
+    the start and of each round's candidate, which a trace prices."""
     rounds = []
-    if not kkt_start <= tol:
+    if not start[1] <= tol:
         rounds = _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, origin, first)
-    point, kkt = min(rounds, key=lambda r: r[1], default=(start, kkt_start))
-    return point, kkt, len(rounds), kkt <= tol, [(start, kkt_start), *rounds]
+    point, kkt = min(rounds, key=lambda r: r[1], default=start)
+    return point, kkt, len(rounds), kkt <= tol, [start, *rounds]
 
 
 def solve_with_outliers(
@@ -676,7 +677,8 @@ def solve_with_outliers(
         return kkt_residual(problem, point[:n], point[n:])
 
     z, kkt, rounds, converged, path = _exact_search(
-        start, start, weights, gram_big, rhs, mask, cost, certify, config.kkt_tolerance
+        (start, certify(start)), start, weights, gram_big, rhs, mask, cost, certify,
+        config.kkt_tolerance,
     )
     trace = [(r, cost(p), k) for r, (p, k) in enumerate(path)] if config.record_trace else None
     return SolverResult(z[:n], z[n:], cost(z), kkt, rounds, converged, trace)

@@ -2,6 +2,7 @@
 energy-support analysis."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import support_trace_reference
+from pafimocs import dictionary as dictionary_module
+from pafimocs import harness
 from pafimocs.dictionary import (
     TemplatePatch,
     build_basis_image,
@@ -20,6 +23,7 @@ from pafimocs.dictionary import (
     save_dictionary,
     support_trace,
 )
+from pafimocs.filters import run_tracker
 from pafimocs.models import ModelParams, SupportSet, sample_coeff_transition, sample_support_transition
 
 
@@ -146,6 +150,68 @@ def test_dictionary_needs_a_two_by_two_grid():
     for image in (np.ones((1, 5)), np.ones((5, 1))):
         with pytest.raises(ValueError, match="2 x 2 grid"):
             build_dictionary(TemplatePatch.from_image(image), 0)
+
+
+def test_equal_templates_share_one_dictionary():
+    template = bumps_template(9, 14, seed=3)
+    shared = build_dictionary(template, 3)
+    copy = TemplatePatch(pixels=template.pixels.copy(), height=9, width=14, origin_i=5, origin_j=7)
+    assert build_dictionary(copy, 3) is shared
+    assert build_dictionary(template.with_origin(40, 2), 3) is shared
+
+
+def test_other_pixels_order_or_shape_get_their_own_dictionary():
+    template = bumps_template(9, 14, seed=3)
+    shared = build_dictionary(template, 3)
+    nudged = template.pixels.copy()
+    nudged[17] = np.nextafter(nudged[17], np.inf)  # one ulp
+    for other, d in [
+        (TemplatePatch(nudged, 9, 14), 3),
+        (template, 4),
+        (TemplatePatch(template.pixels, 14, 9), 3),  # transposed shape, same bytes
+    ]:
+        built = build_dictionary(other, d)
+        assert built is not shared
+        uncached = dictionary_module._legendre_dictionary.__wrapped__(
+            other.pixels.tobytes(), other.height, other.width, d
+        )
+        assert built.matrix.tobytes() == uncached.matrix.tobytes()
+
+
+def test_shared_dictionaries_still_check_their_arguments():
+    template = bumps_template(8, 8)
+    build_dictionary(template, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_dictionary(template, -1)
+    with pytest.raises(ValueError, match="2 x 2 grid"):
+        build_dictionary(TemplatePatch.from_image(np.ones((1, 8))), 0)
+
+
+def test_dictionary_cache_stays_within_its_bound():
+    bound = dictionary_module._legendre_dictionary.cache_info().maxsize
+    for seed in range(bound + 3):
+        build_dictionary(bumps_template(4, 4, seed=seed), 1)
+    assert dictionary_module._legendre_dictionary.cache_info().currsize == bound
+
+
+@pytest.mark.parametrize("label", ["pafimocs", "pf-mt-3"])
+def test_tracking_with_a_shared_dictionary_gives_the_same_bytes(label):
+    cfg = harness.SimConfig(n_frames=3)
+    truth = harness.generate_sequence(cfg, np.random.default_rng(0))
+    spec = harness.parse_filter_label(label, cfg.d)
+    fcfg = replace(harness.resolve_filter_config(spec, cfg), n_pf=10)
+
+    def track():
+        return run_tracker(truth.frames, truth.template, cfg.params, fcfg, truth.states[0], 1)
+
+    dictionary_module._legendre_dictionary.cache_clear()
+    cold = track()
+    hits = dictionary_module._legendre_dictionary.cache_info().hits
+    warm = track()
+    assert dictionary_module._legendre_dictionary.cache_info().hits == hits + 1
+    for name in ("motion", "coeffs", "ess", "max_log_weight", "support_sizes"):
+        assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
+    assert (cold.lost_at, cold.unconverged_solves) == (warm.lost_at, warm.unconverged_solves)
 
 
 def test_template_patch_geometry():

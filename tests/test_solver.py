@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import cost_direct, ridge_closed_form, sign_pattern_minimum
@@ -239,13 +239,20 @@ WEIGHTS = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
 
 
 @st.composite
-def small_problems(draw, max_lambda=6, max_pixels=12):
+def small_problems(
+    draw,
+    max_lambda=6,
+    max_pixels=12,
+    min_lambda=1,
+    deficiencies=("none", "zero-column", "repeated-column"),
+    betas=(0.5, 1.0),
+):
     """Random instances with n_lambda <= max_lambda, some of them rank-deficient."""
-    n_lambda = draw(st.integers(1, max_lambda))
+    n_lambda = draw(st.integers(min_lambda, max_lambda))
     n_pixels = draw(st.integers(2, max_pixels))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     phi = rng.standard_normal((n_pixels, n_lambda))
-    deficiency = draw(st.sampled_from(["none", "zero-column", "repeated-column"]))
+    deficiency = draw(st.sampled_from(deficiencies))
     if deficiency == "zero-column":
         phi[:, rng.integers(n_lambda)] = 0.0
     elif deficiency == "repeated-column" and n_lambda > 1:
@@ -262,7 +269,7 @@ def small_problems(draw, max_lambda=6, max_pixels=12):
         ),
         sigma_o_sq=draw(st.sampled_from([0.5, 1.0, 4.0])),
         sigma_l_sq=draw(st.sampled_from([0.1, 1.0, 10.0])),
-        beta=draw(st.sampled_from([0.5, 1.0])),
+        beta=draw(st.sampled_from(betas)),
         # up to 100: large enough to pin some off-support coordinates at zero
         gamma=draw(WEIGHTS),
     )
@@ -483,8 +490,8 @@ def assert_rows_agree_with_lone_solves(rows, warm):
     """The stacked solve's contract against one-row solves of each row.
 
     Exact: the same stack solved twice gives the same bytes, and every
-    converged row carries a KKT residual within the tolerance, computed on
-    the full dictionary (recomputed here on the row's own problem). Within
+    converged row carries a KKT residual within the tolerance, in Gram form
+    (recomputed here by ``kkt_residual`` on the row's own problem). Within
     rounding, since products with the shared dictionary run as one
     matrix-matrix product per stack: each row reaches the lone solve's cost
     to a relative 1e-12, and when the dictionary has full column rank (so
@@ -705,6 +712,33 @@ def test_rows_whose_system_is_singular_are_searched_alone():
     assert result.lambda_opt[0, 1] == 0.0
 
 
+def repeated_column_problem(seed):
+    """A ``beta = 0`` problem whose dictionary repeats its first column."""
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, n_lambda=6, n_pixels=7, beta=0.0, gamma=2.0)
+    phi = problem.dictionary.matrix.copy()
+    phi[:, 1] = phi[:, 0]
+    return dataclasses.replace(problem, dictionary=custom_dictionary(phi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_problems(min_lambda=2, deficiencies=("repeated-column",), betas=(0.0,)),
+    st.booleans(),
+)
+@example(repeated_column_problem(18), False)  # full support
+@example(repeated_column_problem(678), True)  # five of six coordinates on the support
+def test_degenerate_solves_are_flagged_never_hidden(problem, warm):
+    """With ``beta = 0`` and a repeated column the cost is flat along a null
+    direction on the support, and some solves end uncertified (both pinned
+    examples do): each result must say so, and carry exactly the residual
+    of the point it returns."""
+    config = SolverConfig(warm_start=problem.lambda_prev if warm else None)
+    result = solve(problem, config)
+    assert result.kkt_residual == kkt_residual(problem, result.lambda_opt)
+    assert result.converged == (result.kkt_residual <= config.kkt_tolerance)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_problems(), st.booleans())
 def test_recording_a_trace_changes_no_result(problem, warm):
@@ -781,6 +815,29 @@ def test_resumed_rows_do_not_repeat_their_first_round(monkeypatch):
     assert rounds == 2 and calls == rounds - 1
     assert result.traces[3][1] == (1, evaluate_cost(rows.problem(3), cand), kkt)
     assert sum(calls for first, _, calls in searches if first is None) == 3  # row 0, from zero
+
+
+def test_searched_rows_reuse_the_stacked_warm_start_certificate(monkeypatch):
+    """The stack certifies every warm start and first candidate in one call
+    each; a searched row then certifies only the rounds it solves itself."""
+    rows, warm = route_stack()
+    certified, solves = [], []
+    kkt_gram, pattern_candidate = solver._kkt_gram, solver._pattern_candidate
+
+    def counting_kkt_gram(*args):
+        certified.append(len(args[-1]))
+        return kkt_gram(*args)
+
+    def counting_pattern_candidate(*args):
+        solves.append(1)
+        return pattern_candidate(*args)
+
+    monkeypatch.setattr(solver, "_kkt_gram", counting_kkt_gram)
+    monkeypatch.setattr(solver, "_pattern_candidate", counting_pattern_candidate)
+    result = solve_rows(rows, SolverConfig(warm_start=warm))
+    assert result.iterations.tolist() == [3, 1, 1, 2, 0, 0, 0, 0]  # rows 0, 3 to 7 searched
+    assert certified[:2] == [8, 8]
+    assert len(certified) == 2 + len(solves) and set(certified[2:]) <= {1}
 
 
 def test_stacked_solve_checks_the_stack_once():
