@@ -52,8 +52,11 @@ _OPTION_KEYS = ("seed", "n_frames", "n_monte_carlo", "n_jobs", "n_pf", "d")
 
 
 def _load_sim_config(args) -> SimConfig:
-    """The config of the file's keys and the CLI options, an option overriding its key."""
+    """The config of the file's keys and the CLI options, an option overriding its key;
+    ``--d`` overrides the file's ``n_lambda`` too, which then follows it."""
     kv = fileio.read_kv(args.config) if args.config else {}
+    if getattr(args, "d", None) is not None:
+        kv.pop("n_lambda", None)
     for key in _OPTION_KEYS:
         if getattr(args, key, None) is not None:
             kv[key] = getattr(args, key)
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n-jobs", type=int, dest="n_jobs")
     p_exp.add_argument("--n-pf", type=int, dest="n_pf", help="particles per tracker")
     p_exp.add_argument(
-        "--d", type=int, help="dictionary order (n_lambda = 2 d + 1 unless the config sets it)"
+        "--d", type=int, help="dictionary order (n_lambda = 2 d + 1, whatever the config sets)"
     )
     p_exp.add_argument("--filters", help="comma-separated filter labels")
     p_exp.set_defaults(func=cmd_experiment)

@@ -35,9 +35,9 @@ draws a support per slot, nearly all, but only about 16% of its ROIs).
 The move runs on one ROI stack: :func:`mapped_rows` returns ``(pixels,
 index, valid)``, each distinct grid gathered once (an off-frame slot adds
 one unused pixel-0 row), and the solver (``rois``) and ``log_likelihood``
-(``gathered``) both read it, so each ROI is also projected (``Phi' y``)
-once. Each distinct row is solved (one :func:`solve_rows` call),
-thresholded (:func:`threshold_rows`) and weighed (``log_likelihood``,
+(``gathered``) both read it, and each of the two projects it (``Phi' y``).
+Each distinct row is solved (one :func:`solve_rows` call), thresholded
+(:func:`threshold_rows`) and weighed (``log_likelihood``,
 ``stp_coeffs_rows``, ``stp_support_rows``) once, stacked, and the results
 are copied to every slot that shares it. ``pafimocs`` draws every slot's
 support at once (:func:`sample_support_rows`), each row from its slot's

@@ -170,7 +170,6 @@ class ModelParams:
     sigma_l_sq: float
     sigma_u: tuple[float, float, float]
     sigma_o_sq: float
-    pixel_max: float = 255.0
 
     def __post_init__(self):
         if self.n_lambda < 1:
@@ -190,8 +189,6 @@ class ModelParams:
         for name in ("sigma_l_sq", "sigma_o_sq"):  # sqrt(-0.0) = -0.0 is no Gaussian scale
             if getattr(self, name) == 0.0:
                 object.__setattr__(self, name, 0.0)
-        if not 0.0 < self.pixel_max < math.inf:
-            raise ValueError("pixel_max must be positive and finite")
 
     def to_config(self) -> dict:
         values = (self.n_lambda, self.s_expected, self.p_a, self.p_r, self.sigma_l_sq,

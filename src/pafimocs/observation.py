@@ -39,7 +39,6 @@ __all__ = [
     "grid_rows",
     "mapped_rows",
     "distinct_rows",
-    "gather_rows",
     "compute_roi",
     "render_frame",
     "residual_g",
@@ -116,11 +115,8 @@ class NoiseModel:
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "NoiseModel":
-        """The noise of ``params``: variance ``sigma_o_sq``, clutter bound ``pixel_max``."""
-        return cls(sigma_sq=params.sigma_o_sq, pixel_max=params.pixel_max)
-
-
-ROW_BLOCK = 16  # rows per block of stacked per-row work; bounds the temporaries
+        """The noise of ``params``: variance ``sigma_o_sq``, the default clutter bound."""
+        return cls(sigma_sq=params.sigma_o_sq)
 
 
 def round_half_away(x):
@@ -148,7 +144,8 @@ def mapped_rows(frame: Frame, motion: np.ndarray, template: TemplatePatch) -> tu
     offsets, cols, valid = grid_rows(motion, template, (frame.height, frame.width))
     offsets[~valid] = cols[~valid] = 0  # invalid rows read pixel 0
     first, index = distinct_rows(offsets, cols)
-    return gather_rows(frame, offsets[first], cols[first], template), index, valid
+    grids = frame.pixels[offsets[first, :, None] + cols[first, None, :]]
+    return grids.reshape(first.size, template.n_pixels) - template.pixels, index, valid
 
 
 def distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
@@ -162,19 +159,6 @@ def distinct_rows(*arrays) -> tuple[np.ndarray, np.ndarray]:
     firsts = np.array([seen.setdefault(k.tobytes(), i) for i, k in enumerate(keys)], dtype=np.intp)
     first = np.flatnonzero(firsts == np.arange(firsts.size))
     return first, np.searchsorted(first, firsts)
-
-
-def gather_rows(
-    frame: Frame, offsets: np.ndarray, cols: np.ndarray, template: TemplatePatch
-) -> np.ndarray:
-    """Frame pixels minus the template at in-frame :func:`grid_rows` offsets and columns."""
-    mapped = np.empty((len(offsets), template.n_pixels))
-    for lo in range(0, len(offsets), ROW_BLOCK):  # a block of index rows at a time bounds memory
-        rows = slice(lo, lo + ROW_BLOCK)
-        indices = (offsets[rows, :, None] + cols[rows, None, :]).reshape(-1, template.n_pixels)
-        np.take(frame.pixels, indices, out=mapped[rows])
-    mapped -= template.pixels
-    return mapped
 
 
 def compute_roi(

@@ -316,8 +316,6 @@ def kkt_residual(problem: ModeTrackingProblem, lam, outlier=None) -> float:
 def _pattern_candidate(pattern, weights, gram_big, rhs, mask):
     """Exact solve of the smooth(+linear) system on the current sign pattern."""
     idx = np.flatnonzero(mask | (pattern != 0.0))
-    if idx.size == 0:
-        return np.zeros_like(pattern)
     sub = gram_big[np.ix_(idx, idx)]
     target = rhs[idx] - weights[idx] * np.sign(pattern[idx])
     try:
@@ -495,10 +493,11 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     """Solve each row's problem as :func:`solve` would, up to rounding.
 
     ``config.warm_start`` is ``(n, n_lambda)``, zeros when None. ``Phi' y``
-    is formed once per ROI (row of ``rows.y_residual_base``). The warm
-    starts' and the first sign-pattern candidates' certificates (from the
-    Gram matrix, as :func:`kkt_residual` forms them) and the ridge points
-    and candidates (:func:`_mask_systems`) run over the whole stack, and a
+    is formed once per ROI (row of ``rows.y_residual_base``); the likelihood
+    forms its own. The warm starts' and the first sign-pattern candidates'
+    certificates (from the Gram matrix, as :func:`kkt_residual` forms them)
+    run over the whole stack, as do the ridge points and then the candidates,
+    each one solve of every row's system (:func:`_mask_systems`), and a
     searched row does not certify its warm start again. A row
     whose candidate certifies is done in one round. A row is searched alone
     (:func:`_exact_search`) when its warm start certifies, its candidate
@@ -532,12 +531,7 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     systems = _mask_systems(rows.dictionary, c_data, c_prior, masks)
     ridge, solved = _solve_systems(systems, rhs)
     target = rhs - rows.gamma * ~masks * np.sign(ridge)
-    # where the sign term leaves the right-hand side's bits unchanged (a full
-    # support has no l1 term), the candidate is the ridge point
-    cand = ridge.copy()
-    redo = solved & ~np.all((target == rhs) & (rhs != 0.0), axis=1)
-    if redo.any():
-        cand[redo] = _solve_systems(systems, target)[0][redo]
+    cand = _solve_systems(systems, target)[0]
     stacked = solved & ~np.any(~masks & (ridge == 0.0), axis=1)  # rows with a stacked round 1
     traces = [None] * n if config.record_trace else None
     kkt_cand = _kkt_gram(rows, phity, prev, masks, cand)

@@ -255,6 +255,17 @@ class TestExperiment:
         echo = self.echo(out)
         assert echo["d"] == 3 and echo["params"]["n_lambda"] == 7
 
+    def test_d_option_overrides_the_config_n_lambda(self, tmp_path):
+        sim = str(tmp_path / "sim")
+        assert main(["simulate", "--out", sim, "--n-frames", "1"]) == 0
+        assert fileio.read_kv(os.path.join(sim, "config.cfg"))["n_lambda"] == "41"
+        out = str(tmp_path / "exp")
+        argv = ["experiment", "--config", os.path.join(sim, "config.cfg"), "--d", "3",
+                "--out", out, "--filters", "pf-gordon-3"]
+        assert main(argv + self.CHEAP) == 0
+        echo = self.echo(out)
+        assert echo["d"] == 3 and echo["params"]["n_lambda"] == 7
+
     def test_filters_option_keeps_config_overrides(self, tmp_path):
         path = tmp_path / "gamma.cfg"
         fileio.write_kv(path, {"pafimocs.gamma": 55.0})

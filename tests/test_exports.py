@@ -1,7 +1,10 @@
-"""Each library module's ``__all__`` lists exactly its public functions and classes."""
+"""Each library module's ``__all__`` lists exactly its public functions and
+classes, and every name it imports is used."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -26,3 +29,24 @@ def test_all_lists_public_functions_and_classes(name):
         if inspect.isfunction(getattr(module, attr)) or inspect.isclass(getattr(module, attr))
     }
     assert listed == defined
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    """Each name a module imports is read in it, listed in its ``__all__`` or
+    imported on a ``# noqa`` line; the line is the alias's own, so one
+    ``# noqa`` in a multi-line import covers only its line."""
+    module = importlib.import_module(f"pafimocs.{name}")
+    source = pathlib.Path(module.__file__).read_text()
+    lines, tree = source.splitlines(), ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = [
+        (alias.asname or alias.name.split(".")[0], alias.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    kept = read | set(module.__all__)
+    unused = [n for n, line in imported if n not in kept and "# noqa" not in lines[line - 1]]
+    assert unused == []

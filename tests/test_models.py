@@ -101,8 +101,6 @@ def test_params_validation():
         make_params(sigma_l_sq=math.nan)
     with pytest.raises(ValueError, match="sigma_u"):
         make_params(sigma_u=(1.0, math.nan, 1.0))
-    with pytest.raises(ValueError, match="pixel_max"):
-        make_params(pixel_max=math.nan)
     # an infinite scale renders non-finite frames, so it fails at load too
     for key in ("sigma_o_sq", "sigma_l_sq"):
         with pytest.raises(ValueError, match="variances must be nonnegative and finite"):
@@ -112,8 +110,6 @@ def test_params_validation():
         sigma_u[k] = math.inf
         with pytest.raises(ValueError, match="sigma_u must be three nonnegative finite"):
             make_params(sigma_u=tuple(sigma_u))
-    with pytest.raises(ValueError, match="pixel_max must be positive and finite"):
-        make_params(pixel_max=math.inf)
 
 
 def test_negative_zero_variances_walk_as_zero():

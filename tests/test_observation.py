@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import diag_gaussian_log_row, gaussian_log_density
@@ -347,9 +347,9 @@ def test_noise_model_for_params():
         sigma_l_sq=0.01,
         sigma_u=(0.5, 0.5, 0.0),
         sigma_o_sq=2.5,
-        pixel_max=100.0,
     )
-    assert NoiseModel.for_params(params) == NoiseModel(sigma_sq=2.5, pixel_max=100.0)
+    noise = NoiseModel.for_params(params)
+    assert noise == NoiseModel(sigma_sq=2.5) and noise.pixel_max == 255.0
 
 
 # -------------------------------------------- batched ROI and likelihood rows
@@ -456,8 +456,20 @@ IN_FRAME_OR_OFF = st.lists(
     max_size=6,
 )
 
+# 35 distinct in-frame grids, each used twice, among off-frame rows: more
+# grids than one draw of IN_FRAME_OR_OFF holds
+MANY_GRIDS = dict(
+    bases=[(i, j, 1.0) for i in range(-3, 4) for j in range(-2, 3)]
+    + [(30.0, 0.0, 1.0), (0.0, -30.0, 1.0), (0.0, 0.0, 9.0)],
+    picks=[*range(37), *range(34, -1, -1), 37],
+    nudges=[0.0] * 37 + [0.2] * 35 + [0.0],
+    seed=5,
+)
+
 
 @settings(max_examples=80, deadline=None)
+@example(**MANY_GRIDS, kind="pure-gaussian")
+@example(**MANY_GRIDS, kind="point-mass")
 @given(
     bases=IN_FRAME_OR_OFF,
     picks=st.lists(st.integers(0, 5), min_size=4, max_size=12),

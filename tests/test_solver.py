@@ -586,6 +586,34 @@ def test_stacked_solve_covers_every_path():
     assert stacked.converged.all()
 
 
+def test_full_mask_stack_returns_its_stacked_ridge_points():
+    """A stack of full-mask (``pf-mt``) rows on the 32 x 32 bumps template
+    with the d = 20 dictionary: without an l1 term the first candidate's
+    system is the ridge system, so every row returns its stacked ridge point
+    bit for bit, certified in one round."""
+    template = harness.make_template("bumps", 32, 32, seed=0)
+    dictionary = build_dictionary(template, 20)
+    params = harness.default_params()
+    rng = np.random.default_rng(3)
+    n, k = 16, dictionary.n_lambda
+    lam = rng.normal(0.0, 0.1, (n, k))
+    masks = np.ones((n, k), dtype=bool)
+    rows = ModeTrackingRows(
+        y_residual_base=lam @ dictionary.matrix.T + rng.normal(0.0, 1.0, (n, dictionary.n_pixels)),
+        dictionary=dictionary,
+        lambda_prev=lam + rng.normal(0.0, 0.1, (n, k)),
+        masks=masks,
+        sigma_o_sq=params.sigma_o_sq,
+        sigma_l_sq=params.sigma_l_sq,
+    )
+    c_data, c_prior = 1.0 / rows.sigma_o_sq, rows.beta / rows.sigma_l_sq
+    rhs = c_data * (rows.y_residual_base @ dictionary.matrix) + c_prior * (rows.lambda_prev * masks)
+    ridge = solver._solve_systems(solver._mask_systems(dictionary, c_data, c_prior, masks), rhs)[0]
+    result = solve_rows(rows)
+    assert result.lambda_opt.tobytes() == ridge.tobytes()
+    assert np.all(result.iterations == 1) and result.converged.all()
+
+
 @st.composite
 def mask_systems(draw, max_lambda=8, max_rows=12):
     """Full-column-rank dictionaries with a stack of masks and right-hand
