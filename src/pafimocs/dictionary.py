@@ -111,6 +111,8 @@ class TemplatePatch:
         pixels = _freeze(self.pixels)
         if pixels.shape != (n_l,):
             raise ValueError(f"pixels must have length height * width = {n_l}")
+        if not np.all(np.isfinite(pixels)):
+            raise ValueError("template pixels must be finite")
         object.__setattr__(self, "pixels", pixels)
 
     @classmethod

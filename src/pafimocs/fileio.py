@@ -58,7 +58,7 @@ def write_kv(path, mapping: dict) -> None:
 
 
 def read_kv(path) -> dict:
-    """Read a flat key-value config file into a str -> str dict."""
+    """Read a flat key-value config file into a str -> str dict; a key may appear once."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -71,6 +71,8 @@ def read_kv(path) -> dict:
             key = key.strip()
             if not key:
                 raise ValueError(f"{path}:{lineno}: empty key")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = value.strip()
     return out
 

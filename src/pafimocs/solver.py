@@ -31,10 +31,12 @@ The search prices each step from the row's system and its cost at zero, and
 every certificate without outliers (:func:`kkt_residual`) is formed from the
 cached Gram matrix and ``Phi' y`` (its rounding bound: :func:`_kkt_gram`).
 
-Every solve ends the same way: a start point that certifies is returned
-after 0 rounds; otherwise the round with the smallest KKT residual is
-returned, flagged ``converged`` only when that residual meets the
-tolerance; the trackers count the results without that flag.
+One search function (:func:`_exact_search`) ends every solve the same way:
+a start point that certifies is returned after 0 rounds; otherwise the round
+with the smallest KKT residual, flagged ``converged`` only when that residual
+meets the tolerance (the trackers count the results without it). The search
+and every certificate read the l1 term as one array of weights: ``gamma``
+off ``T``, ``gamma_outlier`` on ``o``, zero on the smooth coordinates.
 
 :func:`solve_with_outliers` runs the same search on the joint problem, a
 lasso over ``(lam, o)`` with dictionary ``[Phi I]`` (minimizing over ``o``
@@ -261,15 +263,15 @@ def _gram_cost(const, gram_big, rhs, weights, x) -> float:
     return float(const + x @ (0.5 * (gram_big @ x) - rhs) + weights @ np.abs(x))
 
 
-def _kkt_rows(grad: np.ndarray, x: np.ndarray, masks: np.ndarray, weight: float) -> np.ndarray:
-    """Max-norm subgradient residual of each row: the ``masks`` coordinates are
-    smooth, the others carry an l1 term of ``weight``."""
-    l1 = np.where(
+def _kkt_rows(grad: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Max-norm subgradient residual of each row under the l1 weights
+    ``weights``, zero on the smooth coordinates."""
+    residual = np.where(
         x == 0.0,
-        np.maximum(np.abs(grad) - weight, 0.0),
-        np.abs(grad + weight * np.sign(x)),
+        np.maximum(np.abs(grad) - weights, 0.0),
+        np.abs(grad + weights * np.sign(x)),
     )
-    return np.max(np.where(masks, np.abs(grad), l1), axis=1, initial=0.0)
+    return np.max(residual, axis=1, initial=0.0)
 
 
 def smooth_gradient(problem: ModeTrackingProblem, lam, outlier=None):
@@ -286,15 +288,16 @@ def smooth_gradient(problem: ModeTrackingProblem, lam, outlier=None):
     return g_lam, None if outlier is None else resid[0] / problem.sigma_o_sq
 
 
-def _kkt_gram(owner, phity, prev, masks, x) -> np.ndarray:
-    """KKT residual of each row of ``x`` with the weights and dictionary of
-    ``owner`` (a problem or a stack), from the cached Gram matrix ``G`` and
-    the rows ``phity`` of ``Phi' y``: the gradient is ``c_data (G x - Phi' y)
-    + c_prior (x - prev)`` on ``masks``. Its rounding error is about
-    ``eps c_data max_j (|Phi|' (|Phi| |x| + |y|))_j`` plus the prior term's."""
+def _kkt_gram(owner, phity, prev, masks, weights, x) -> np.ndarray:
+    """KKT residual of each row of ``x`` under the l1 ``weights``, with the
+    variances, ``beta`` and dictionary of ``owner`` (a problem or a stack), from
+    the cached Gram matrix ``G`` and the rows ``phity`` of ``Phi' y``: the
+    gradient is ``c_data (G x - Phi' y) + c_prior (x - prev)`` on ``masks``.
+    Its rounding error is about ``eps c_data max_j (|Phi|' (|Phi| |x| +
+    |y|))_j`` plus the prior term's."""
     c_data, c_prior = 1.0 / owner.sigma_o_sq, owner.beta / owner.sigma_l_sq
     grad = c_data * (x @ owner.dictionary.gram.T - phity) + c_prior * (masks * (x - prev))
-    return _kkt_rows(grad, x, masks, owner.gamma)
+    return _kkt_rows(grad, x, weights)
 
 
 def kkt_residual(problem: ModeTrackingProblem, lam, outlier=None) -> float:
@@ -302,15 +305,14 @@ def kkt_residual(problem: ModeTrackingProblem, lam, outlier=None) -> float:
     outlier vector it is computed in coefficient space (:func:`_kkt_gram`),
     with one on the full dictionary (:func:`smooth_gradient`)."""
     lam, outlier = _checked_point(problem, lam, outlier)
-    mask = problem.cond_support.mask()[None]
+    mask = problem.cond_support.mask()
+    weights = problem.gamma * ~mask
     if outlier is None:
         phity = problem.y_residual_base[None] @ problem.dictionary.matrix
-        return float(_kkt_gram(problem, phity, problem.lambda_prev[None], mask, lam[None])[0])
-    g_lam, g_out = smooth_gradient(problem, lam, outlier)
-    best = _kkt_rows(g_lam[None], lam[None], mask, problem.gamma)
-    free = np.zeros((1, outlier.size), dtype=bool)
-    best = np.maximum(best, _kkt_rows(g_out[None], outlier[None], free, problem.gamma_outlier))
-    return float(best[0])
+        return float(_kkt_gram(problem, phity, problem.lambda_prev, mask, weights, lam[None])[0])
+    grad = np.concatenate(smooth_gradient(problem, lam, outlier))
+    weights = np.concatenate([weights, np.full(outlier.size, problem.gamma_outlier)])
+    return float(_kkt_rows(grad[None], np.concatenate([lam, outlier])[None], weights)[0])
 
 
 def _pattern_candidate(pattern, weights, gram_big, rhs, mask):
@@ -359,14 +361,16 @@ def _null_descent(point, pattern, weights, gram_big, rhs, mask):
     return moved
 
 
-def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start, first=None):
-    """Feature-sign search: ``(candidate, kkt)`` of each round run.
+def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, tol, first=None):
+    """Feature-sign search (Lee, Battle, Raina & Ng 2007) and the exit policy
+    of every solve: ``(point, kkt residual, rounds, converged, path)``.
 
     The objective is ``x' gram_big x / 2 - rhs' x + sum(weights |x|)``
     with ``weights`` zero on ``mask``; the coordinates off ``mask`` are the
     l1 ones. ``cost`` evaluates it (up to a constant) from its definition and
-    ``certify`` returns the KKT residual of a point. Feature-sign search
-    (Lee, Battle, Raina & Ng 2007) runs from ``start`` (a ridge minimizer or
+    ``certify`` returns the KKT residual of a point. ``start``, a point and
+    the caller's certificate of it, is returned after 0 rounds if it
+    certifies; else the search runs from ``origin`` (a ridge minimizer or
     warm start from the caller), or from zero when round 1 fails
     and zero costs less. Each round solves the system on the current sign
     pattern and certifies the candidate (round 1 is ``first``, the caller's
@@ -380,13 +384,16 @@ def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start
     does not fall, the pattern's system is singular and the search moves
     along its null direction (:func:`_null_descent`). Stops at the first
     certified candidate, when no move lowers the cost, or after ``2 n + 3``
-    rounds for ``n`` unknowns.
+    rounds for ``n`` unknowns, and returns the round with the smallest KKT
+    residual. The path holds ``(point, kkt)`` of the start and of each
+    round's candidate, which a trace prices.
     """
     off = ~mask
-    point = pattern = start
+    magnitude = np.abs(gram_big)  # for the rounding level of each pattern's system
+    point = pattern = origin
     point_cost = None
     rounds = []
-    for _ in range(2 * rhs.size + 3):
+    for _ in range(0 if start[1] <= tol else 2 * rhs.size + 3):
         if first is None:
             cand = _pattern_candidate(pattern, weights, gram_big, rhs, mask)
             first = cand, certify(cand)
@@ -425,7 +432,7 @@ def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start
             k = int(np.argmax(violation))
             stationary = np.abs(grad + weights * np.sign(cand))
             # the pattern system is solved only to the rounding level of its terms
-            rounding = 64.0 * _EPS * (np.abs(gram_big) @ np.abs(cand) + np.abs(rhs) + weights)
+            rounding = 64.0 * _EPS * (magnitude @ np.abs(cand) + np.abs(rhs) + weights)
             if violation[k] > 0.0 and np.all((stationary <= np.maximum(tol, rounding))[~at_zero]):
                 pattern = cand.copy()
                 pattern[k] = -np.sign(grad[k])
@@ -439,15 +446,16 @@ def _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, start
             break
         point = pattern = moved
         point_cost = moved_cost
-    return rounds
+    point, kkt = min(rounds, key=lambda r: r[1], default=start)
+    return point, kkt, len(rounds), kkt <= tol, [start, *rounds]
 
 
-def _warm_start(config: SolverConfig, n_lambda: int) -> np.ndarray:
+def _warm_start(config: SolverConfig, shape: tuple) -> np.ndarray:
     if config.warm_start is None:
-        return np.zeros(n_lambda)
-    x = np.array(config.warm_start, dtype=float)
-    if x.shape != (n_lambda,):
-        raise ValueError("warm_start has wrong length")
+        return np.zeros(shape)
+    x = np.array(config.warm_start, dtype=float, order="C")
+    if x.shape != shape:
+        raise ValueError("warm_start has wrong shape")
     return x
 
 
@@ -475,7 +483,7 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
         beta=problem.beta,
         gamma=problem.gamma,
     )
-    warm = _warm_start(config, problem.dictionary.n_lambda)
+    warm = _warm_start(config, (problem.dictionary.n_lambda,))
     out = solve_rows(rows, replace(config, warm_start=warm[None]))
     x = out.lambda_opt[0]
     return SolverResult(
@@ -494,7 +502,9 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
 
     ``config.warm_start`` is ``(n, n_lambda)``, zeros when None. ``Phi' y``
     is formed once per ROI (row of ``rows.y_residual_base``); the likelihood
-    forms its own. The warm starts' and the first sign-pattern candidates'
+    forms its own. The l1 weights ``gamma`` off each mask are formed once,
+    and the candidates' target, both stacked certificates and each searched
+    row read them. The warm starts' and the first sign-pattern candidates'
     certificates (from the Gram matrix, as :func:`kkt_residual` forms them)
     run over the whole stack, as do the ridge points and then the candidates,
     each one solve of every row's system (:func:`_mask_systems`), and a
@@ -514,40 +524,37 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     """
     if config is None:
         config = SolverConfig()
-    n, k = rows.lambda_prev.shape
-    warm = np.zeros((n, k))
-    if config.warm_start is not None:
-        warm = np.array(config.warm_start, dtype=float, order="C")
-    if warm.shape != (n, k):
-        raise ValueError("warm_start has wrong shape")
+    warm = _warm_start(config, rows.lambda_prev.shape)
+    n = len(warm)
     tol, prev, masks = config.kkt_tolerance, rows.lambda_prev, rows.masks
+    weights = rows.gamma * ~masks
     c_data = 1.0 / rows.sigma_o_sq
     c_prior = rows.beta / rows.sigma_l_sq
     gram_data = c_data * rows.dictionary.gram
     rois = np.arange(n) if rows.rois is None else rows.rois
     phity = (rows.y_residual_base @ rows.dictionary.matrix)[rois]
     rhs = c_data * phity + c_prior * (prev * masks)
-    kkt_warm = _kkt_gram(rows, phity, prev, masks, warm)
+    kkt_warm = _kkt_gram(rows, phity, prev, masks, weights, warm)
     systems = _mask_systems(rows.dictionary, c_data, c_prior, masks)
     ridge, solved = _solve_systems(systems, rhs)
-    target = rhs - rows.gamma * ~masks * np.sign(ridge)
+    target = rhs - weights * np.sign(ridge)
     cand = _solve_systems(systems, target)[0]
     stacked = solved & ~np.any(~masks & (ridge == 0.0), axis=1)  # rows with a stacked round 1
     traces = [None] * n if config.record_trace else None
-    kkt_cand = _kkt_gram(rows, phity, prev, masks, cand)
+    kkt_cand = _kkt_gram(rows, phity, prev, masks, weights, cand)
     out = RowSolutions(cand, kkt_cand, np.ones(n, dtype=int), np.ones(n, dtype=bool), traces)
     searched = (kkt_warm <= tol) | ~stacked | ~(out.kkt_residual <= tol)
     for i in np.flatnonzero(searched | config.record_trace):
         one = slice(i, i + 1)
         path = [(warm[i], kkt_warm[i]), (cand[i].copy(), out.kkt_residual[i])]
         if searched[i]:
-            weights, gram_big = rows.gamma * ~masks[i], gram_data + np.diag(c_prior * masks[i])
+            w, gram_big = weights[i], gram_data + np.diag(c_prior * masks[i])
             y, on = rows.y_residual_base[rois[i]], prev[i, masks[i]]
             at_zero = 0.5 * (c_data * (y @ y) + c_prior * (on @ on))
-            cost = functools.partial(_gram_cost, at_zero, gram_big, rhs[i], weights)
+            cost = functools.partial(_gram_cost, at_zero, gram_big, rhs[i], w)
             lam, out.kkt_residual[i], out.iterations[i], out.converged[i], path = _exact_search(
-                path[0], ridge[i], weights, gram_big, rhs[i], masks[i], cost,
-                lambda x: float(_kkt_gram(rows, phity[one], prev[one], masks[one], x[None])[0]),
+                path[0], ridge[i], w, gram_big, rhs[i], masks[i], cost,
+                lambda x: float(_kkt_gram(rows, phity[one], prev[one], masks[one], w, x[None])[0]),
                 tol, path[1] if stacked[i] else None,
             )
             out.lambda_opt[i] = lam
@@ -615,20 +622,6 @@ def _solve_systems(systems, targets):
     return x, solved
 
 
-def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, tol, first=None):
-    """The one exit policy of every solve: the start point if it certifies
-    (0 rounds), else the round of :func:`_sign_pattern_rounds` from
-    ``origin`` and ``first`` with the smallest KKT residual. ``start`` is
-    ``(point, kkt)``, the caller's certificate of it. Returns ``(point, kkt
-    residual, rounds, converged, path)``; the path holds ``(point, kkt)`` of
-    the start and of each round's candidate, which a trace prices."""
-    rounds = []
-    if not start[1] <= tol:
-        rounds = _sign_pattern_rounds(weights, gram_big, rhs, mask, cost, certify, tol, origin, first)
-    point, kkt = min(rounds, key=lambda r: r[1], default=start)
-    return point, kkt, len(rounds), kkt <= tol, [start, *rounds]
-
-
 def solve_with_outliers(
     problem: ModeTrackingProblem, config: SolverConfig | None = None
 ) -> SolverResult:
@@ -662,7 +655,7 @@ def solve_with_outliers(
     rhs = c_data * np.concatenate([phi.T @ y, y])
     rhs[:n] += c_prior * (problem.lambda_prev * on)
     weights = np.concatenate([problem.gamma * ~on, np.full(m, problem.gamma_outlier)])
-    start = np.concatenate([_warm_start(config, n), np.zeros(m)])
+    start = np.concatenate([_warm_start(config, (n,)), np.zeros(m)])
 
     def cost(point):
         return evaluate_cost(problem, point[:n], point[n:])
@@ -709,25 +702,9 @@ def brute_force_ssc_oracle(
     y = problem.y_residual_base
     c_data = 1.0 / problem.sigma_o_sq
     c_prior = problem.beta / problem.sigma_l_sq
-    gram0 = problem.dictionary.gram
-    phity = phi.T @ y
-
-    def smooth_min(support_idx: np.ndarray) -> tuple[np.ndarray, float]:
-        lam = np.zeros(n)
-        if support_idx.size:
-            on_prev = mask_prev[support_idx].astype(float)
-            sub = c_data * gram0[np.ix_(support_idx, support_idx)] + np.diag(c_prior * on_prev)
-            rhs = c_data * phity[support_idx] + c_prior * on_prev * problem.lambda_prev[support_idx]
-            try:
-                v = np.linalg.solve(sub, rhs)
-            except np.linalg.LinAlgError:
-                v, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-            lam[support_idx] = v
-        r = y - phi @ lam
-        d_prev = (lam - problem.lambda_prev)[mask_prev]
-        value = 0.5 * c_data * float(r @ r) + 0.5 * c_prior * float(d_prev @ d_prev)
-        return lam, value
-
+    gram_big = c_data * problem.dictionary.gram + np.diag(c_prior * mask_prev)
+    rhs = c_data * (phi.T @ y) + c_prior * mask_prev * problem.lambda_prev
+    zero = np.zeros(n)
     add_odds = None if p_a == 0.0 else _log_odds(p_a)
     rem_odds = None if p_r == 0.0 else _log_odds(p_r)
 
@@ -740,8 +717,13 @@ def brute_force_ssc_oracle(
                 if n_rem > 0 and rem_odds is None:
                     break
                 for removed in itertools.combinations(prev_idx, n_rem):
-                    support = sorted((set(prev_idx) | set(added)) - set(removed))
-                    lam, value = smooth_min(np.array(support, dtype=np.intp))
+                    support = mask_prev.copy()
+                    support[list(added)] = True
+                    support[list(removed)] = False
+                    lam = _pattern_candidate(zero, zero, gram_big, rhs, support)
+                    r = y - phi @ lam
+                    d_prev = (lam - problem.lambda_prev)[mask_prev]
+                    value = 0.5 * c_data * float(r @ r) + 0.5 * c_prior * float(d_prev @ d_prev)
                     penalty = 0.0
                     if n_add:
                         penalty -= n_add * add_odds

@@ -176,6 +176,20 @@ class TestTrack:
         payload = json.loads(err_lines[0])
         assert payload == {"error": "frame pixels must be finite", "type": "ValueError"}
 
+    def test_non_finite_template_fails_cleanly(self, sim_dir, tmp_path, capsys):
+        path = os.path.join(sim_dir, "template.mat")
+        image, header = fileio.load_matrix(path)
+        image[2, 5] = np.nan
+        fileio.save_matrix(path, image, header)
+        capsys.readouterr()
+        rc = main(["track", "--sim", sim_dir, "--out", str(tmp_path / "trk")])
+        assert rc == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert payload == {"error": "template pixels must be finite", "type": "ValueError"}
+        assert not os.path.exists(tmp_path / "trk")
+
 
 class TestExperiment:
     def test_smoke(self, tmp_path, config_path, capsys):
@@ -334,6 +348,21 @@ class TestAnalyzeSupport:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["type"] == "ValueError"
 
+    def test_non_finite_template_fails_cleanly(self, tmp_path, capfd):
+        template = np.full((8, 8), 90.0)
+        template[4, 1] = np.nan
+        tpl_path = str(tmp_path / "template.mat")
+        fileio.save_matrix(tpl_path, template, (8, 8, 0))
+        in_path = str(tmp_path / "patches.mat")
+        fileio.save_matrix(in_path, np.full((2, 64), 95.0), (2, 64, 0))
+        argv = ["analyze-support", "--input", in_path, "--template", tpl_path, "--d", "1"]
+        rc = main(argv + ["--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        out, err = capfd.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1  # no LAPACK messages
+        payload = json.loads(err)
+        assert payload == {"error": "template pixels must be finite", "type": "ValueError"}
+
 
 class TestSolve:
     def _problem_dir(self, tmp_path, with_outliers=False):
@@ -481,6 +510,18 @@ class TestArgumentErrors:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["type"] == "ValueError"
         assert "bananas" in payload["error"]
+
+    def test_duplicate_config_key_reports_json_error(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("seed = 1\nn_pf = 4\nseed = 2\n")
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]
+        rc = main(argv + ["--n-frames", "1"])
+        assert rc == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert payload == {"error": f"{path}:3: duplicate key 'seed'", "type": "ValueError"}
+        assert not os.path.exists(tmp_path / "sim")
 
     def test_bad_filter_multiplier_reports_json_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

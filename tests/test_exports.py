@@ -50,3 +50,27 @@ def test_every_imported_name_is_used(name):
     kept = read | set(module.__all__)
     unused = [n for n, line in imported if n not in kept and "# noqa" not in lines[line - 1]]
     assert unused == []
+
+
+def test_every_private_module_name_is_read():
+    """Each module-level private function, class or assignment of the package
+    is read somewhere in it, so a fold of one helper into another leaves no
+    dead copy behind."""
+    package = pathlib.Path(importlib.import_module("pafimocs").__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    defined = set()
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(target.id for target in targets if isinstance(target, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    assert len(private) > 40
+    assert sorted(private - read) == []

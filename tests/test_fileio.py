@@ -33,6 +33,10 @@ def test_kv_comments_and_errors(tmp_path):
     path.write_text(" = 3\n")
     with pytest.raises(ValueError, match="empty key"):
         fileio.read_kv(path)
+    path.write_text("seed = 1\nn_pf = 4\nseed = 2\n")
+    with pytest.raises(ValueError) as exc:
+        fileio.read_kv(path)
+    assert str(exc.value) == f"{path}:3: duplicate key 'seed'"
 
 
 def test_write_csv_cells(tmp_path):

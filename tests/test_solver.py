@@ -351,8 +351,8 @@ def pixel_kkt(problem, lam):
     """The KKT residual from the gradient on the full dictionary,
     ``Phi' (Phi lam - y)``, as :func:`smooth_gradient` forms it."""
     grad, _ = smooth_gradient(problem, lam)
-    mask = problem.cond_support.mask()
-    return float(solver._kkt_rows(grad[None], lam[None], mask[None], problem.gamma)[0])
+    weights = problem.gamma * ~problem.cond_support.mask()
+    return float(solver._kkt_rows(grad[None], lam[None], weights)[0])
 
 
 def gram_rounding_bound(problem, lam, k=64.0):
@@ -1248,6 +1248,52 @@ def test_ssc_oracle_dominates_heuristics():
             value -= len(added) * math.log(p_a / (1 - p_a))
             value -= len(removed) * math.log(p_r / (1 - p_r))
             assert value >= result.objective - 1e-9
+
+
+def _lstsq_smooth_min(problem, support):
+    """The smooth part's minimizer on ``support`` as one least-squares fit of
+    the stacked data and prior rows; its objective is the minimum also when
+    the restricted system is singular."""
+    n, on = problem.dictionary.n_lambda, problem.cond_support.mask()
+    prior = [i for i in support if on[i]]
+    data, scale = 1.0 / math.sqrt(problem.sigma_o_sq), math.sqrt(problem.beta / problem.sigma_l_sq)
+    design = np.vstack(
+        [data * problem.dictionary.matrix[:, support], scale * np.eye(n)[np.ix_(prior, support)]]
+    )
+    target = np.concatenate([data * problem.y_residual_base, scale * problem.lambda_prev[prior]])
+    lam = np.zeros(n)
+    lam[support] = np.linalg.lstsq(design, target, rcond=None)[0]
+    return lam
+
+
+ODDS = st.sampled_from([0.0, 0.05, 0.3, 0.7])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_problems(max_lambda=5, deficiencies=("none", "repeated-column"), betas=(0.0, 1.0)),
+    ODDS,
+    ODDS,
+    st.integers(0, 5),
+)
+def test_ssc_oracle_matches_an_exhaustive_lstsq_search(problem, p_a, p_r, max_total_change):
+    """Every support within the change budget, solved by least squares: the
+    oracle's objective is their best, also when a repeated dictionary column
+    makes restricted systems singular."""
+    result = brute_force_ssc_oracle(problem, p_a, p_r, max_total_change)
+    inside = list(problem.cond_support.indices)
+    best = math.inf
+    for added in _all_subsets(problem.cond_support.complement().indices):
+        for removed in _all_subsets(inside):
+            n_add, n_rem = len(added), len(removed)
+            if n_add + n_rem > max_total_change or (n_add and not p_a) or (n_rem and not p_r):
+                continue
+            support = sorted((set(inside) | set(added)) - set(removed))
+            value = _smooth_value(problem, _lstsq_smooth_min(problem, support))
+            value -= n_add * math.log(p_a / (1 - p_a)) if n_add else 0.0
+            value -= n_rem * math.log(p_r / (1 - p_r)) if n_rem else 0.0
+            best = min(best, value)
+    assert result.objective == pytest.approx(best, rel=1e-8, abs=1e-12)
 
 
 def test_ssc_oracle_guard():
