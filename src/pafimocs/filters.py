@@ -34,8 +34,8 @@ ancestors, so on the default scene only about 15% of the slots of
 draws a support per slot, nearly all, but only about 16% of its ROIs).
 The move runs on one ROI stack: :func:`mapped_rows` returns ``(pixels,
 index, valid)``, each distinct grid gathered once (an off-frame slot adds
-one unused pixel-0 row), and the solver (``rois``) and ``log_likelihood``
-(``gathered``) both read it, and each of the two projects it (``Phi' y``).
+one unused pixel-0 row) and projected once (``ModeTrackingRows.phity``,
+``Phi' y``): the solver (``rois``) and ``log_likelihood`` (``gathered``) read both.
 Each distinct row is solved (one :func:`solve_rows` call), thresholded
 (:func:`threshold_rows`) and weighed (``log_likelihood``,
 ``stp_coeffs_rows``, ``stp_support_rows``) once, stacked, and the results
@@ -286,10 +286,10 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, noise):
 
     Slots with a valid ROI are keyed on their ROI grid, parent coefficients
     and conditioning mask. The ROI stack of :func:`mapped_rows` (each
-    distinct grid gathered once) feeds the solve and the likelihood; the
-    solve, threshold, likelihood and transition densities run stacked, once
-    per distinct key, and are scattered back to the slots. Returns the
-    proposed set and the number of slots whose solve is uncertified;
+    distinct grid gathered once) and its one ``Phi' y`` feed the solve and
+    the likelihood; the solve, threshold, likelihood and transition densities
+    run stacked, once per distinct key, and are scattered back to the slots.
+    Returns the proposed set and the number of slots whose solve is uncertified;
     off-frame slots get weight 0.
     """
     if cfg.variant == "pafimocs":
@@ -324,7 +324,7 @@ def _mode_track(moved, frame, template, dictionary, params, cfg, noise):
     coeffs = moved.coeffs.copy()
     coeffs[live] = lam[inverse]
     ll = np.full(moved.n_pf, NEG_INF)
-    gathered = (pixels, rows.rois, valid[slots])
+    gathered = (pixels, rows.phity, rows.rois, valid[slots])
     ll[live] = log_likelihood(
         frame, moved.motion[slots], lam, template, dictionary, noise, gathered
     )[inverse]

@@ -16,8 +16,8 @@ Hypotheses are evaluated in stacks, one per row (:func:`grid_rows`,
 one grid, so the pixels form one ROI stack: :func:`mapped_rows` returns
 ``(pixels, index, valid)``, each distinct grid gathered once
 (:func:`distinct_rows`), each row's grid index into it and each row's
-validity. :func:`log_likelihood` takes that triple, and the mode-tracking
-move hands the same stack to its solver (``filters``).
+validity. :func:`log_likelihood` reads that stack and its ``Phi' y``, formed
+once: the mode-tracking move hands it the one its solver read (``filters``).
 """
 
 from __future__ import annotations
@@ -226,8 +226,8 @@ def log_likelihood(
 
     ``motion`` is ``(n, 3)`` and ``coeffs`` ``(n, n_lambda)``. The clutter
     block contributes ``(m - n_l) * log(1 / pixel_max)``; invalid placements
-    score ``-inf``. ``gathered`` is :func:`mapped_rows` of these motions,
-    from a caller that already has it; it is read, not written.
+    score ``-inf``. ``gathered``, from a caller that has it, is :func:`mapped_rows`
+    of these motions with ``pixels @ Phi`` second; it is read, not written.
 
     With ``sigma_sq > 0`` the squared residual comes from sufficient
     statistics: ``||y||^2`` and ``Phi' y`` once per distinct grid (one matrix
@@ -237,7 +237,10 @@ def log_likelihood(
     relative to the residual. The point mass (``sigma_sq = 0``) tests the
     explicit residual pixel by pixel, as ``models`` does a zero variance.
     """
-    pixels, index, valid = mapped_rows(frame, motion, template) if gathered is None else gathered
+    if gathered is None:
+        pixels, index, valid = mapped_rows(frame, motion, template)
+        gathered = pixels, pixels @ dictionary.matrix, index, valid
+    pixels, phity, index, valid = gathered
     coeffs = np.asarray(coeffs, dtype=float)
     clutter = -(frame.n_pixels - template.n_pixels) * math.log(noise.pixel_max)
     if noise.sigma_sq == 0.0:  # point mass: every pixel's residual within ZERO_VAR_ATOL
@@ -245,7 +248,7 @@ def log_likelihood(
         out = np.where(np.any(np.abs(r) > ZERO_VAR_ATOL, axis=1), NEG_INF, 0.0) + clutter
     else:  # ||y - Phi c||^2 = ||y||^2 - 2 c'Phi'y + c'Gc, with y's terms once per grid
         norms = np.einsum("ij,ij->i", pixels, pixels)
-        cross = 2.0 * (pixels @ dictionary.matrix)
+        cross = 2.0 * phity
         sq = norms[index] + np.einsum("ij,ij->i", coeffs, coeffs @ dictionary.gram - cross[index])
         sq = np.maximum(sq, 0.0) / noise.sigma_sq
         out = -0.5 * (sq + template.n_pixels * math.log(2.0 * np.pi * noise.sigma_sq)) + clutter

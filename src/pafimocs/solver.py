@@ -26,7 +26,8 @@ runs stacked over the rows, from one cached eigendecomposition of the Gram
 matrix and a small system on each row's mask or its complement; the rest
 resume from it one row at a time, rows whose system is singular from zero,
 whatever the trace setting. With dependent dictionary columns the search may
-restart from zero, and it steps along null directions of singular systems.
+restart from zero, and it steps along null directions of singular systems
+or, where it cannot, takes their minimum-norm least-squares point.
 The search prices each step from the row's system and its cost at zero, and
 every certificate without outliers (:func:`kkt_residual`) is formed from the
 cached Gram matrix and ``Phi' y`` (its rounding bound: :func:`_kkt_gram`).
@@ -105,7 +106,7 @@ def _checked_rows(owner, y, prev, masks, rois=None) -> tuple:
         raise ValueError("sigma_o_sq and sigma_l_sq must be positive and finite")
     if not (0.0 <= owner.beta < math.inf and 0.0 <= owner.gamma < math.inf):
         raise ValueError("beta and gamma must be nonnegative and finite")
-    return y, prev, masks, None if rois is None else index
+    return y, prev, masks, index
 
 
 @dataclass(eq=False)
@@ -141,8 +142,8 @@ class ModeTrackingRows:
 
     Problem ``i`` (:meth:`problem`) is row ``i`` of ``lambda_prev`` and
     ``masks`` (the conditioning supports as boolean rows) with row
-    ``rois[i]`` of ``y_residual_base`` (row ``i`` when ``rois`` is None), so
-    problems on one ROI share its row. The data are validated once per stack.
+    ``rois[i]`` of ``y_residual_base`` (``rois`` given as None is ``arange(n)``),
+    so problems on one ROI share its row. The data are validated once per stack.
     """
 
     y_residual_base: np.ndarray  # (n_rois, n_pixels)
@@ -153,16 +154,21 @@ class ModeTrackingRows:
     sigma_l_sq: float
     beta: float = 1.0
     gamma: float = 0.7
-    rois: np.ndarray | None = None  # (n,) ints, or None for one row each
+    rois: np.ndarray | None = None  # (n,) ints; None is one row each
 
     def __post_init__(self):
         self.y_residual_base, self.lambda_prev, self.masks, self.rois = _checked_rows(
             self, self.y_residual_base, self.lambda_prev, self.masks, self.rois
         )
 
+    @functools.cached_property
+    def phity(self) -> np.ndarray:
+        """``Phi' y`` per ROI, formed once; the solve and the likelihood read it."""
+        return self.y_residual_base @ self.dictionary.matrix
+
     def problem(self, i: int) -> ModeTrackingProblem:
         return ModeTrackingProblem(
-            y_residual_base=self.y_residual_base[i if self.rois is None else self.rois[i]],
+            y_residual_base=self.y_residual_base[self.rois[i]],
             dictionary=self.dictionary,
             lambda_prev=self.lambda_prev[i],
             cond_support=SupportSet.from_mask(self.masks[i]),
@@ -329,19 +335,31 @@ def _pattern_candidate(pattern, weights, gram_big, rhs, mask):
     return cand
 
 
+def _range_solve(values, vectors, target):
+    """Minimum-norm least-squares solution of a symmetric system from its
+    ``eigh`` ``(values, vectors)``: the system on its range, spanned by the
+    eigenvalues above ``_SINGULAR_RATIO`` times the largest."""
+    keep = values > _SINGULAR_RATIO * values[-1]
+    return vectors[:, keep] @ ((target @ vectors[:, keep]) / values[keep])
+
+
 def _null_descent(point, pattern, weights, gram_big, rhs, mask):
-    """Where the cost, falling along a null direction of the pattern's
-    singular system, first zeroes an l1 coordinate of ``point``.
+    """``(moved, least_squares)`` of the pattern's singular system: where the
+    cost, falling along a null direction of the system, first zeroes an l1
+    coordinate of ``point``, and the system's minimum-norm least-squares point.
 
     Along such a direction the smooth part is flat and the l1 part linear,
-    so the cost falls until a sign changes. None when the system is regular
-    or the cost does not fall that way.
+    so the cost falls until a sign changes; ``moved`` is None when it does
+    not fall that way. Both are None when the system is regular.
     """
     off = ~mask
     idx = np.flatnonzero(mask | (pattern != 0.0))
     values, vectors = np.linalg.eigh(gram_big[np.ix_(idx, idx)])
     if values[0] > _SINGULAR_RATIO * values[-1]:
-        return None
+        return None, None
+    least_squares = np.zeros_like(point)
+    target = rhs[idx] - weights[idx] * np.sign(pattern[idx])
+    least_squares[idx] = _range_solve(values, vectors, target)
     direction = np.zeros_like(point)
     direction[idx] = vectors[:, 0]
     # directional derivative of the cost: the terms linear in the direction,
@@ -353,12 +371,12 @@ def _null_descent(point, pattern, weights, gram_big, rhs, mask):
     rate += float(np.sum(weights[at_zero] * np.abs(direction[at_zero])))
     hits = np.flatnonzero(off & (point * direction < 0.0))
     if not rate < 0.0 or hits.size == 0:
-        return None
+        return None, least_squares
     ratios = -point[hits] / direction[hits]
     j = int(np.argmin(ratios))
     moved = point + ratios[j] * direction
     moved[hits[j]] = 0.0
-    return moved
+    return moved, least_squares
 
 
 def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, tol, first=None):
@@ -382,11 +400,14 @@ def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, to
     is larger) is optimal there, so the zero l1 coordinate with the largest
     subgradient violation joins the next pattern. Otherwise, when the cost
     does not fall, the pattern's system is singular and the search moves
-    along its null direction (:func:`_null_descent`). Stops at the first
-    certified candidate, when no move lowers the cost, or after ``2 n + 3``
-    rounds for ``n`` unknowns, and returns the round with the smallest KKT
-    residual. The path holds ``(point, kkt)`` of the start and of each
-    round's candidate, which a trace prices.
+    along its null direction (:func:`_null_descent`); where no such move
+    lowers the cost, the search ends with one more round, the system's
+    minimum-norm least-squares point (the cost is flat along the null
+    space, so every solution of the system costs the same). Stops at the
+    first certified candidate, when no move lowers the cost, or after
+    ``2 n + 3`` rounds for ``n`` unknowns, and returns the round with the
+    smallest KKT residual. The path holds ``(point, kkt)`` of the start and
+    of each round's candidate, which a trace prices.
     """
     off = ~mask
     magnitude = np.abs(gram_big)  # for the rounding level of each pattern's system
@@ -440,9 +461,11 @@ def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, to
         # the cost did not fall, or the candidate is not stationary on its
         # pattern, or it is optimal yet uncertified: take the pattern's
         # system as singular
-        moved = _null_descent(point, pattern, weights, gram_big, rhs, mask)
+        moved, least_squares = _null_descent(point, pattern, weights, gram_big, rhs, mask)
         moved_cost = math.inf if moved is None else cost(moved)
         if not moved_cost < point_cost:
+            if least_squares is not None:  # a singular system the search cannot leave
+                rounds.append((least_squares, certify(least_squares)))
             break
         point = pattern = moved
         point_cost = moved_cost
@@ -500,27 +523,26 @@ def solve(problem: ModeTrackingProblem, config: SolverConfig | None = None) -> S
 def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> RowSolutions:
     """Solve each row's problem as :func:`solve` would, up to rounding.
 
-    ``config.warm_start`` is ``(n, n_lambda)``, zeros when None. ``Phi' y``
-    is formed once per ROI (row of ``rows.y_residual_base``); the likelihood
-    forms its own. The l1 weights ``gamma`` off each mask are formed once,
-    and the candidates' target, both stacked certificates and each searched
-    row read them. The warm starts' and the first sign-pattern candidates'
-    certificates (from the Gram matrix, as :func:`kkt_residual` forms them)
-    run over the whole stack, as do the ridge points and then the candidates,
-    each one solve of every row's system (:func:`_mask_systems`), and a
-    searched row does not certify its warm start again. A row
-    whose candidate certifies is done in one round. A row is searched alone
-    (:func:`_exact_search`) when its warm start certifies, its candidate
-    does not, or it has no stacked round 1, as its base or small system is
-    singular (then from zero) or its ridge point has an exact zero off the
-    support (a smaller first pattern); else it resumes from that round. The
-    search prices and certifies in coefficient space; only a trace reads
-    :func:`evaluate_cost`, so traces only record. ``Phi' y`` and the
-    products with the Gram matrix and the shared bases are matrix-matrix
-    products over the stack. So a row's bits can differ from its lone
-    solve's by rounding, and near a tie its search may take another round;
-    each result still carries its own KKT residual, and the same stack
-    gives the same bytes.
+    ``config.warm_start`` is ``(n, n_lambda)``, zeros when None. ``Phi' y`` is
+    ``rows.phity``, once per ROI, which the likelihood reads too. The l1
+    weights ``gamma`` off each mask are formed once, and the candidates'
+    target, both stacked certificates and each searched row read them. The warm
+    starts' and the first sign-pattern candidates' certificates (from the Gram
+    matrix, as :func:`kkt_residual` forms them) run over the whole stack, as do
+    the ridge points and then the candidates, each one solve of every row's
+    system (:func:`_mask_systems`), and a searched row does not certify its
+    warm start again. A row whose candidate certifies is done in one round. A
+    row is searched alone (:func:`_exact_search`) when its warm start
+    certifies, its candidate does not, or it has no stacked round 1, as its
+    base or small system is singular (then from zero) or its ridge point has an
+    exact zero off the support (a smaller first pattern); else it resumes from
+    that round. The search prices and certifies in coefficient space; only a
+    trace reads :func:`evaluate_cost`, so traces only record. ``Phi' y`` and
+    the products with the Gram matrix and the shared bases are matrix-matrix
+    products over the stack. So a row's bits can differ from its lone solve's
+    by rounding, and near a tie its search may take another round; each result
+    still carries its own KKT residual, and the same stack gives the same
+    bytes.
     """
     if config is None:
         config = SolverConfig()
@@ -531,8 +553,7 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     c_data = 1.0 / rows.sigma_o_sq
     c_prior = rows.beta / rows.sigma_l_sq
     gram_data = c_data * rows.dictionary.gram
-    rois = np.arange(n) if rows.rois is None else rows.rois
-    phity = (rows.y_residual_base @ rows.dictionary.matrix)[rois]
+    phity = rows.phity[rows.rois]
     rhs = c_data * phity + c_prior * (prev * masks)
     kkt_warm = _kkt_gram(rows, phity, prev, masks, weights, warm)
     systems = _mask_systems(rows.dictionary, c_data, c_prior, masks)
@@ -549,7 +570,7 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
         path = [(warm[i], kkt_warm[i]), (cand[i].copy(), out.kkt_residual[i])]
         if searched[i]:
             w, gram_big = weights[i], gram_data + np.diag(c_prior * masks[i])
-            y, on = rows.y_residual_base[rois[i]], prev[i, masks[i]]
+            y, on = rows.y_residual_base[rows.rois[i]], prev[i, masks[i]]
             at_zero = 0.5 * (c_data * (y @ y) + c_prior * (on @ on))
             cost = functools.partial(_gram_cost, at_zero, gram_big, rhs[i], w)
             lam, out.kkt_residual[i], out.iterations[i], out.converged[i], path = _exact_search(
@@ -683,7 +704,8 @@ def brute_force_ssc_oracle(
     Enumerates additions A (from off-support) and removals R (from support)
     with ``|A| + |R| <= max_total_change``; for each candidate support the
     smooth part is minimized exactly with off-support coordinates pinned at
-    zero, and the combinatorial penalty ``-|A| log(p_a / (1 - p_a))
+    zero (at the minimum-norm minimizer when the support's system is
+    singular, :func:`_range_solve`), and the combinatorial penalty ``-|A| log(p_a / (1 - p_a))
     - |R| log(p_r / (1 - p_r))`` is added. Refuses ambient sizes above 12.
     """
     n = problem.dictionary.n_lambda
@@ -704,7 +726,6 @@ def brute_force_ssc_oracle(
     c_prior = problem.beta / problem.sigma_l_sq
     gram_big = c_data * problem.dictionary.gram + np.diag(c_prior * mask_prev)
     rhs = c_data * (phi.T @ y) + c_prior * mask_prev * problem.lambda_prev
-    zero = np.zeros(n)
     add_odds = None if p_a == 0.0 else _log_odds(p_a)
     rem_odds = None if p_r == 0.0 else _log_odds(p_r)
 
@@ -720,7 +741,11 @@ def brute_force_ssc_oracle(
                     support = mask_prev.copy()
                     support[list(added)] = True
                     support[list(removed)] = False
-                    lam = _pattern_candidate(zero, zero, gram_big, rhs, support)
+                    idx = np.flatnonzero(support)
+                    lam = np.zeros(n)
+                    if idx.size:
+                        sub = np.linalg.eigh(gram_big[np.ix_(idx, idx)])
+                        lam[idx] = _range_solve(*sub, rhs[idx])
                     r = y - phi @ lam
                     d_prev = (lam - problem.lambda_prev)[mask_prev]
                     value = 0.5 * c_data * float(r @ r) + 0.5 * c_prior * float(d_prev @ d_prev)

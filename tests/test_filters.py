@@ -488,7 +488,7 @@ def step_recording(pset, frame, template, dictionary, params, cfg, every_row_dis
         return solve(rows, config)
 
     def recording_likelihood(frame, motion, *args):
-        pixels, index, _ = args[-1]  # the move passes its ROI stack
+        pixels, _, index, _ = args[-1]  # the move passes its ROI stack
         scored.append((motion, pixels[index]))
         return likelihood(frame, motion, *args)
 
@@ -566,6 +566,33 @@ def test_mode_track_per_distinct_row_matches_every_row(particles, variant, sigma
         np.testing.assert_allclose(getattr(stats, name), getattr(stats_ref, name), tol, tol)
     assert stats.support_sizes.tobytes() == stats_ref.support_sizes.tobytes()
     assert stats.unconverged_solves == stats_ref.unconverged_solves
+
+
+@pytest.mark.parametrize("variant", ["pafimocs", "pafimocs-ssc", "pf-mt"])
+def test_mode_track_projects_its_roi_stack_once(monkeypatch, variant):
+    """One mode-tracking step forms ``Phi' y`` of its ROI stack once: the
+    stack's ``phity`` is evaluated once, and the likelihood is handed that
+    same array."""
+    evaluated, handed = [], []
+    phity = solver.ModeTrackingRows.__dict__["phity"]
+
+    def counted(rows):
+        evaluated.append(rows)
+        return phity.func(rows)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(solver.ModeTrackingRows, "phity")
+    monkeypatch.setattr(solver.ModeTrackingRows, "phity", counting)
+    likelihood = filters.log_likelihood
+
+    def recording(*args):
+        handed.append(args[-1][1])  # the move passes (pixels, phity, index, valid)
+        return likelihood(*args)
+
+    monkeypatch.setattr(filters, "log_likelihood", recording)
+    run_one_step(variant)
+    assert len(evaluated) == 1 and len(handed) == 1
+    assert handed[0] is evaluated[0].phity
 
 
 def assert_close(a, b):

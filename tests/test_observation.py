@@ -190,7 +190,10 @@ def test_log_likelihood_from_gathered_pixels_is_bit_identical():
     )
     from_pixels = log_likelihood(
         frame, motion.as_array()[None], 0.9 * lam[None], template, dictionary, noise,
-        gathered=(mapped[None].copy(), np.array([0]), np.array([roi.valid])),
+        gathered=(
+            mapped[None].copy(), mapped[None] @ dictionary.matrix, np.array([0]),
+            np.array([roi.valid]),
+        ),
     )
     assert from_pixels[0] == direct[0]
 
@@ -204,7 +207,8 @@ def test_log_likelihood_leaves_gathered_unmodified():
     frame = Frame(pixels=rng.uniform(0.0, 255.0, 24 * 24), height=24, width=24)
     motion = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [30.0, 0.0, 1.0], [-2.0, 1.0, 1.0]])
     coeffs = rng.normal(0.0, 0.5, (len(motion), 3))
-    gathered = mapped_rows(frame, motion, template)
+    pixels, index, valid = mapped_rows(frame, motion, template)
+    gathered = (pixels, pixels @ dictionary.matrix, index, valid)
     before = [a.copy() for a in gathered]
     noise = pure_noise(2.0)
     values = log_likelihood(frame, motion, coeffs, template, dictionary, noise, gathered)
@@ -212,6 +216,35 @@ def test_log_likelihood_leaves_gathered_unmodified():
         assert kept.tobytes() == now.tobytes()
     direct = log_likelihood(frame, motion, coeffs, template, dictionary, noise)
     assert values.tobytes() == direct.tobytes()
+
+
+def test_log_likelihood_scores_from_the_projection_it_is_handed():
+    """Handed a stack, the Gaussian branch forms no ``Phi' y`` of its own:
+    adding 1 to every entry of the ``phity`` it reads lowers each valid
+    row's squared residual by ``2 sum(c)``."""
+    template = small_template()
+    dictionary = build_dictionary(template, 1)
+    rng = np.random.default_rng(7)
+    frame = Frame(pixels=rng.uniform(0.0, 255.0, 24 * 24), height=24, width=24)
+    motion = np.array([[1.0, 0.0, 1.0], [2.0, -1.0, 1.0], [30.0, 0.0, 1.0]])
+    coeffs = rng.normal(0.0, 0.5, (len(motion), 3))
+    pixels, index, valid = mapped_rows(frame, motion, template)
+    phity = pixels @ dictionary.matrix
+    noise = pure_noise(2.0)
+    exact = log_likelihood(
+        frame, motion, coeffs, template, dictionary, noise, (pixels, phity, index, valid)
+    )
+    assert exact.tobytes() == log_likelihood(
+        frame, motion, coeffs, template, dictionary, noise
+    ).tobytes()
+    shifted = log_likelihood(
+        frame, motion, coeffs, template, dictionary, noise, (pixels, phity + 1.0, index, valid)
+    )
+    assert valid.tolist() == [True, True, False]
+    np.testing.assert_allclose(
+        shifted[valid] - exact[valid], coeffs[valid].sum(axis=1) / noise.sigma_sq, atol=1e-6
+    )
+    assert shifted[2] == NEG_INF
 
 
 def test_log_likelihood_clutter_term_cancels_in_differences():

@@ -539,6 +539,7 @@ def test_stack_of_repeated_rows_matches_each_lone_solve(stack, data):
         y_residual_base=base.y_residual_base[picks],
         lambda_prev=base.lambda_prev[picks],
         masks=base.masks[picks],
+        rois=None,  # one row each, not the base's
     )
     assert_rows_agree_with_lone_solves(rows, warm[picks])
 
@@ -765,6 +766,22 @@ def test_degenerate_solves_are_flagged_never_hidden(problem, warm):
     result = solve(problem, config)
     assert result.kkt_residual == kkt_residual(problem, result.lambda_opt)
     assert result.converged == (result.kkt_residual <= config.kkt_tolerance)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_singular_system_the_search_cannot_leave_ends_at_its_least_squares_point(warm):
+    """On the full support with ``beta = 0`` and a repeated column the cost
+    is a singular least-squares fit with no l1 coordinate to move along: the
+    search certifies the minimum-norm least-squares point of that system."""
+    problem = repeated_column_problem(18)
+    assert problem.cond_support.mask().all()
+    config = SolverConfig(warm_start=problem.lambda_prev if warm else None)
+    result = solve(problem, config)
+    assert result.converged
+    assert result.kkt_residual == kkt_residual(problem, result.lambda_opt)
+    phi, y = problem.dictionary.matrix, problem.y_residual_base
+    fit = np.linalg.lstsq(phi, y, rcond=None)[0]
+    np.testing.assert_allclose(result.lambda_opt, fit, rtol=1e-9, atol=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1276,6 +1293,8 @@ ODDS = st.sampled_from([0.0, 0.05, 0.3, 0.7])
     ODDS,
     st.integers(0, 5),
 )
+@example(repeated_column_problem(18), 0.0, 0.0, 0)  # a singular system on the full support
+@example(repeated_column_problem(678), 0.0, 0.0, 0)  # and on five of six coordinates
 def test_ssc_oracle_matches_an_exhaustive_lstsq_search(problem, p_a, p_r, max_total_change):
     """Every support within the change budget, solved by least squares: the
     oracle's objective is their best, also when a repeated dictionary column
