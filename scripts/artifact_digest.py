@@ -45,7 +45,7 @@ process) and, for each file whose bytes differ, prints the largest absolute
 and relative difference over its numeric tokens. It exits 1 when a file
 differs in anything other than numbers (text, token count, a binary file,
 a file present in one tree only), so a change within rounding is one
-command::
+command. It also prints the line count of each tree's ``pafimocs/*.py``::
 
     python scripts/artifact_digest.py --compare ../other-checkout/src
 """
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import hashlib
 import io
 import math
@@ -236,6 +237,15 @@ def check_trace_invariant(out: str) -> int:
     return int(bool(bad))
 
 
+def package_lines(src: str) -> int:
+    """Lines of the package modules ``<src>/pafimocs/*.py``, as ``wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "pafimocs", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def write_tree(src: str, out: str, inputs: str) -> None:
     """Write the artifacts of the package tree ``src``; run in a fresh process."""
     sys.path.insert(0, os.path.abspath(src))
@@ -274,6 +284,8 @@ def compare(src: str, other_src: str) -> int:
                 print(f"{rel}  max abs {max_abs:.3g}  max rel {max_rel:.3g}"
                       f"  ({changed} of {count} numbers)")
         print(f"{differ} of {len(files[0] | files[1])} files differ")
+        print(f"pafimocs/*.py: {package_lines(src)} lines in {src}, "
+              f"{package_lines(other_src)} in {other_src}")
         return status | check_trace_invariant(outs[0])
 
 

@@ -90,7 +90,6 @@ __all__ = [
     "systematic_resample",
     "filter_step",
     "run_tracker",
-    "replace_params_ambient",
 ]
 
 VARIANTS = ("pf-gordon", "aux-pf", "pf-mt", "pafimocs", "pafimocs-ssc")
@@ -349,19 +348,6 @@ class TrackResult:
     unconverged_solves: int = 0  # mode-tracking solves used without a KKT certificate
 
 
-def _coerce_state(state: FullState, n_lambda: int) -> FullState:
-    """Project a state onto a tracker's own coefficient length."""
-    if state.support.ambient_size == n_lambda:
-        return state
-    coeffs = np.zeros(n_lambda)
-    keep = min(n_lambda, state.coeffs.size)
-    coeffs[:keep] = state.coeffs[:keep]
-    support = SupportSet.from_indices(
-        [i for i in state.support.indices if i < n_lambda], n_lambda
-    )
-    return FullState(state.motion, support, coeffs)
-
-
 def run_tracker(
     frames: list,
     template: TemplatePatch,
@@ -376,9 +362,9 @@ def run_tracker(
     remaining frames and reports the step in ``lost_at``.
     """
     dictionary = build_dictionary(template, cfg.d)
-    init = _coerce_state(init_state, dictionary.n_lambda)
+    init = init_state.on_axis(dictionary.n_lambda)
     pset = ParticleSet.initialize(init, cfg.n_pf, seed)
-    tracker_params = replace_params_ambient(params, dictionary.n_lambda)
+    tracker_params = params.on_axis(dictionary.n_lambda)
 
     sizes = np.full(cfg.n_pf, len(init.support))
     steps = [StepStats(float(cfg.n_pf), 0.0, init.motion.as_array(), init.coeffs, sizes)]  # row 0
@@ -402,7 +388,3 @@ def run_tracker(
         unconverged_solves=sum(s.unconverged_solves for s in steps),
     )
 
-
-def replace_params_ambient(params: ModelParams, n_lambda: int) -> ModelParams:
-    """Same model constants over a different coefficient axis length."""
-    return replace(params, n_lambda=n_lambda, s_expected=min(params.s_expected, n_lambda))

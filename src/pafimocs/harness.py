@@ -41,6 +41,7 @@ from .models import (
     ModelParams,
     MotionState,
     SupportSet,
+    coeffs_on_axis,
     sample_coeff_transition,
     sample_motion_transition,
     sample_support_transition,
@@ -279,21 +280,12 @@ def _truth_arrays(truth: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
     return motion, coeffs
 
 
-def _pad_coeffs(est: np.ndarray, n_lambda: int) -> np.ndarray:
-    if est.shape[1] == n_lambda:
-        return est
-    out = np.zeros((est.shape[0], n_lambda))
-    keep = min(n_lambda, est.shape[1])
-    out[:, :keep] = est[:, :keep]
-    return out
-
-
 def nmse_components(
     truth: GroundTruth, motion_est: np.ndarray, coeff_est: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame squared error and squared reference mass of one run."""
     t_motion, t_coeffs = _truth_arrays(truth)
-    coeff_est = _pad_coeffs(np.asarray(coeff_est, dtype=float), t_coeffs.shape[1])
+    coeff_est = coeffs_on_axis(coeff_est, t_coeffs.shape[1])
     motion_est = np.asarray(motion_est, dtype=float)
     if motion_est.shape != t_motion.shape or coeff_est.shape != t_coeffs.shape:
         raise ValueError("estimate arrays do not match the truth length")
@@ -343,7 +335,7 @@ class FilterRun:
     """One tracker's run over a ground-truth sequence, scored against it."""
 
     result: TrackResult
-    coeffs: np.ndarray      # (n_frames + 1, n_lambda), zero-padded to the truth's width
+    coeffs: np.ndarray      # (n_frames + 1, n_lambda), cut or zero-padded to the truth's width
     err_sq: np.ndarray      # per frame, as nmse_components
     ref_sq: np.ndarray
     le: np.ndarray          # per-frame location error
@@ -365,7 +357,7 @@ def track_truth(cfg: SimConfig, truth: GroundTruth, seeds) -> dict:
         result = run_tracker(
             truth.frames, truth.template, cfg.params, fcfg, truth.states[0], seed
         )
-        coeffs = _pad_coeffs(result.coeffs, cfg.params.n_lambda)
+        coeffs = coeffs_on_axis(result.coeffs, cfg.params.n_lambda)
         err, ref = nmse_components(truth, result.motion, coeffs)
         runs[spec.label] = FilterRun(
             result, coeffs, err, ref, location_error(t_motion, result.motion)
@@ -515,19 +507,22 @@ def analyze_support(
     ``source`` rows are either aligned patches (length matching the
     dictionary rows; a template is then required and each frame is fitted by
     least squares) or ready coefficient vectors (length matching the
-    dictionary columns).
+    dictionary columns). A dictionary with as many columns as pixels is
+    refused: its rows read both ways, and no fit of such a Legendre dictionary
+    (rank at most h + w - 1) succeeds.
     """
     source = np.atleast_2d(np.asarray(source, dtype=float))
-    if source.shape[1] == dictionary.n_lambda:
-        coeffs = source
-    elif source.shape[1] == dictionary.n_pixels:
+    patches = source.shape[1] == dictionary.n_pixels
+    if patches == (source.shape[1] == dictionary.n_lambda):
+        raise ValueError(
+            "source rows must match exactly one of the dictionary rows (patches) "
+            "and columns (coefficients)"
+        )
+    coeffs = source
+    if patches:
         if template is None:
             raise ValueError("fitting patches requires the template")
         coeffs = np.stack([ml_coeff_fit(row, template, dictionary) for row in source])
-    else:
-        raise ValueError(
-            "source rows must match the dictionary rows (patches) or columns (coefficients)"
-        )
     return support_trace(coeffs, fraction)
 
 
@@ -598,8 +593,7 @@ def sim_config_from_kv(kv: dict) -> SimConfig:
     initial_size = min(_SCALAR_FIELDS["initial_support_size"].default, n_lambda)
     scalars.setdefault("initial_support_size", initial_size)
     param_kv = {key: kv.pop(key) for key in _PARAM_KEYS if key in kv}
-    defaults = default_params().to_config()
-    defaults.update(n_lambda=n_lambda, s_expected=min(defaults["s_expected"], n_lambda))
+    defaults = default_params().on_axis(n_lambda).to_config()
     params = ModelParams.from_config({**defaults, **param_kv})
     cfg = SimConfig(params=params, **scalars)  # the filter labels need its d
     specs = []

@@ -21,7 +21,7 @@ and ``-inf`` otherwise, which keeps noise-free configurations usable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "MotionState",
     "FullState",
     "ModelParams",
+    "coeffs_on_axis",
     "derive_pr_stationary",
     "sample_support_transition",
     "sample_support_rows",
@@ -139,6 +140,13 @@ class FullState:
             )
         object.__setattr__(self, "coeffs", coeffs)
 
+    def on_axis(self, n_lambda: int) -> "FullState":
+        """This state over ``n_lambda`` coefficients (:func:`coeffs_on_axis`);
+        support indices past a cut are dropped."""
+        kept = tuple(i for i in self.support.indices if i < n_lambda)
+        coeffs = coeffs_on_axis(self.coeffs, n_lambda)
+        return FullState(self.motion, SupportSet(kept, n_lambda), coeffs)
+
 
 # Config file keys and their types; the diagonal motion covariance is
 # flattened to three keys.
@@ -202,6 +210,20 @@ class ModelParams:
             raise ValueError(f"config missing keys: {', '.join(missing)}")
         values = [kind(mapping[key]) for key, kind in _PARAM_KEYS.items()]
         return cls(*values[:5], sigma_u=tuple(values[5:8]), sigma_o_sq=values[8])
+
+    def on_axis(self, n_lambda: int) -> "ModelParams":
+        """The same constants over ``n_lambda`` coefficients, ``s_expected`` capped at it."""
+        return replace(self, n_lambda=n_lambda, s_expected=min(self.s_expected, n_lambda))
+
+
+def coeffs_on_axis(coeffs, n_lambda: int) -> np.ndarray:
+    """``coeffs`` cut or zero-padded on its last axis to ``n_lambda`` entries: a
+    lower-order Legendre axis is a prefix of a higher-order one."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    out = np.zeros((*coeffs.shape[:-1], n_lambda))
+    keep = min(n_lambda, coeffs.shape[-1])
+    out[..., :keep] = coeffs[..., :keep]
+    return out
 
 
 def derive_pr_stationary(p_a: float, s: int, n_lambda: int) -> float:

@@ -6,7 +6,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts"))
 
-from artifact_digest import check_trace_invariant, numeric_difference  # noqa: E402
+from artifact_digest import (  # noqa: E402
+    check_trace_invariant,
+    numeric_difference,
+    package_lines,
+)
 
 
 def test_files_differing_only_in_numbers_report_their_largest_differences():
@@ -36,3 +40,14 @@ def test_a_traced_solve_may_only_add_its_trace(tmp_path, capsys):
     assert check_trace_invariant(str(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err == "solve-outliers-trace/result.json differs from the untraced solve's\n"
+
+
+def test_package_lines_count_the_package_modules_only(tmp_path):
+    package = tmp_path / "pafimocs"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("import os\n\nx = 1\n")
+    (package / "b.py").write_text("y = 2\nz = 3")  # no newline at the end, as wc -l counts
+    (package / "notes.txt").write_text("not\ncode\n")
+    (package / "sub" / "c.py").write_text("w = 4\n")
+    (tmp_path / "d.py").write_text("v = 5\n")
+    assert package_lines(str(tmp_path)) == 4

@@ -190,6 +190,16 @@ class TestTrack:
         assert payload == {"error": "template pixels must be finite", "type": "ValueError"}
         assert not os.path.exists(tmp_path / "trk")
 
+    def test_bad_states_header_fails_cleanly(self, sim_dir, tmp_path, capsys):
+        path = os.path.join(sim_dir, "states.csv")
+        lines = open(path).read().splitlines(keepends=True)
+        with open(path, "w") as fh:
+            fh.writelines([lines[0].replace("u_x,u_y", "u_y,u_x"), *lines[1:]])
+        capsys.readouterr()
+        assert main(["track", "--sim", sim_dir, "--out", str(tmp_path / "trk")]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": f"{path}: unexpected states header", "type": "ValueError"}
+
 
 class TestExperiment:
     def test_smoke(self, tmp_path, config_path, capsys):
@@ -347,6 +357,17 @@ class TestAnalyzeSupport:
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["type"] == "ValueError"
+
+    def test_as_many_columns_as_pixels_fails_cleanly(self, tmp_path, capsys):
+        tpl_path, in_path = str(tmp_path / "template.mat"), str(tmp_path / "patches.mat")
+        fileio.save_matrix(tpl_path, 90.0 + np.arange(25.0).reshape(5, 5), (5, 5, 0))
+        fileio.save_matrix(in_path, np.full((2, 25), 95.0), (2, 25, 0))
+        argv = ["analyze-support", "--input", in_path, "--template", tpl_path, "--d", "12"]
+        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["type"] == "ValueError"
+        assert "rows (patches) and columns (coefficients)" in payload["error"]
+        assert not os.path.exists(tmp_path / "t.csv")
 
     def test_non_finite_template_fails_cleanly(self, tmp_path, capfd):
         template = np.full((8, 8), 90.0)

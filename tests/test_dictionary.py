@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from helpers import support_trace_reference
 from pafimocs import dictionary as dictionary_module
-from pafimocs import harness
+from pafimocs import fileio, harness
 from pafimocs.dictionary import (
+    Dictionary,
     TemplatePatch,
     build_basis_image,
     build_dictionary,
@@ -99,6 +100,29 @@ def test_basis_image_layout():
 
     with pytest.raises(ValueError, match="at least"):
         build_basis_image(0, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_basis_image(-1, 3, 3), "basis index must be nonnegative"),
+        (lambda: TemplatePatch(np.ones(5), 2, 3), r"pixels must have length height \* width = 6"),
+        (lambda: TemplatePatch.from_image(np.ones(4)), "template image must be 2-D"),
+        (lambda: Dictionary(np.ones(3), 1), "dictionary matrix must be 2-D"),
+        (lambda: Dictionary(np.ones((4, 2)), 1), r"must have 2 \* order \+ 1 columns"),
+        (
+            lambda: ml_coeff_fit(
+                np.ones(15), bumps_template(4, 4), build_dictionary(bumps_template(4, 4), 1)
+            ),
+            "patch must be a flat vector matching the template size",
+        ),
+    ],
+    ids=["basis-index", "template-length", "template-1d", "dictionary-1d", "legendre-columns",
+         "patch-length"],
+)
+def test_bad_inputs_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_build_dictionary_shapes_and_columns():
@@ -396,3 +420,6 @@ def test_dictionary_save_load_round_trip(tmp_path):
     assert back.kind == "legendre"
     assert back.order == 3
     assert np.array_equal(back.matrix, dictionary.matrix)
+    fileio.save_matrix(path, dictionary.matrix, (dictionary.n_pixels, 9, 4))
+    with pytest.raises(ValueError, match=r"dictionary header \(64, 9\) does not match"):
+        load_dictionary(path)

@@ -106,6 +106,15 @@ def test_matrix_ragged_rejected(tmp_path):
         fileio.load_matrix(path)
 
 
+def test_malformed_matrices_rejected(tmp_path):
+    path = tmp_path / "m.mat"
+    with pytest.raises(ValueError, match="save_matrix expects a 2-D array"):
+        fileio.save_matrix(path, np.zeros((2, 2, 2)), (2, 2, 0))
+    path.write_text("2 2\n1.0 2.0\n3.0 4.0\n")
+    with pytest.raises(ValueError, match="expected a 3-integer header line"):
+        fileio.load_matrix(path)
+
+
 def test_pgm_bytes(tmp_path):
     # header "P5\n<w> <h>\n255\n", then one byte per pixel, row-major,
     # clamped to 0..255 and rounded half to even

@@ -20,7 +20,6 @@ from pafimocs.filters import (
     TrackerLostError,
     _finish_step,
     filter_step,
-    replace_params_ambient,
     run_tracker,
     systematic_resample,
     threshold_rows,
@@ -808,14 +807,6 @@ def test_non_finite_frame_is_rejected(label):
 
 
 class TestAmbientCoercion:
-    def test_replace_params_ambient_caps_support_size(self):
-        params = make_params(n_lambda=7, s_expected=5, p_r=0.012)
-        smaller = replace_params_ambient(params, 3)
-        assert smaller.n_lambda == 3
-        assert smaller.s_expected == 3
-        assert smaller.p_a == params.p_a
-        assert smaller.sigma_u == params.sigma_u
-
     def test_tracker_projects_wider_truth_state(self):
         params = make_params(n_lambda=7, s_expected=3, p_r=0.04)
         template, dictionary, frame, truth = make_scene(
@@ -826,6 +817,17 @@ class TestAmbientCoercion:
         assert result.coeffs.shape == (3, 3)
         assert np.array_equal(result.coeffs[0], truth.coeffs[:3])
         assert np.array_equal(result.motion[0], truth.motion.as_array())
+
+    def test_tracker_pads_narrower_truth_state(self):
+        params = make_params(n_lambda=3, s_expected=2)
+        template, dictionary, frame, truth = make_scene(
+            params, support=(0, 2), coeff_values=(20.0, -10.0)
+        )
+        cfg = FilterConfig(variant="pafimocs-ssc", n_pf=4, d=3)
+        result = run_tracker([frame, frame], template, params, cfg, truth, 0)
+        assert result.coeffs.shape == (2, 7)
+        assert result.coeffs[0].tobytes() == np.array([20.0, 0.0, -10.0, 0, 0, 0, 0]).tobytes()
+        assert np.array_equal(result.support_sizes[0], [2, 2, 2, 2])  # both indices kept
 
 
 class TestConfigValidation:

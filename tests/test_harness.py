@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pafimocs import fileio
-from pafimocs.dictionary import build_dictionary
+from pafimocs.dictionary import TemplatePatch, build_dictionary
 from pafimocs.filters import FilterConfig
 from pafimocs.harness import (
     FilterSpec,
@@ -33,6 +33,7 @@ from pafimocs.harness import (
     select_filters,
     sim_config_from_kv,
     sim_config_to_kv,
+    track_truth,
     write_membership_csv,
 )
 from pafimocs.harness import _config_echo, _run_one, _spawn_run_seeds, _truth_arrays
@@ -231,6 +232,15 @@ class TestNmse:
         assert err[0] == 9.0  # missing tail counts as a full miss
         assert ref[0] == 11.0
 
+    def test_wider_tracker_estimates_are_cut_to_the_truth(self):
+        cfg = small_config(filters=(FilterSpec("pf-gordon-3", "pf-gordon", 3),))
+        truth = generate_sequence(cfg, np.random.default_rng(5))
+        run = track_truth(cfg, truth, [0])["pf-gordon-3"]
+        assert run.result.coeffs.shape == (5, 7) and run.coeffs.shape == (5, 3)
+        assert run.coeffs.tobytes() == run.result.coeffs[:, :3].copy().tobytes()
+        err, ref = nmse_components(truth, run.result.motion, run.result.coeffs)
+        assert err.tobytes() == run.err_sq.tobytes() and ref.tobytes() == run.ref_sq.tobytes()
+
     def test_length_mismatch_rejected(self):
         truth = hand_truth([(0.0, 0.0, 1.0)], [(1.0, 0.0, 0.0)])
         with pytest.raises(ValueError, match="length"):
@@ -325,6 +335,13 @@ class TestAnalyzeSupport:
         _, dic = self._dictionary()
         with pytest.raises(ValueError, match="rows must match"):
             analyze_support(np.zeros((2, 9)), dic)
+
+    def test_as_many_columns_as_pixels_rejected(self):
+        # d = 12 gives 25 columns on a 5 x 5 template, whose Legendre rank is at most 9
+        tpl = TemplatePatch.from_image(np.arange(25.0).reshape(5, 5) + 90.0)
+        dic = build_dictionary(tpl, 12)
+        with pytest.raises(ValueError, match=r"rows \(patches\) and columns \(coefficients\)"):
+            analyze_support(np.tile(tpl.pixels, (3, 1)), dic, template=tpl)
 
     def test_single_frame_has_no_change_columns(self):
         _, dic = self._dictionary()

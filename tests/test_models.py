@@ -19,6 +19,7 @@ from pafimocs.models import (
     ModelParams,
     MotionState,
     SupportSet,
+    coeffs_on_axis,
     derive_pr_stationary,
     sample_coeff_transition,
     sample_motion_transition,
@@ -75,6 +76,8 @@ def test_support_set_validation():
         SupportSet((1, 1), 4)
     with pytest.raises(ValueError, match="outside"):
         SupportSet((4,), 4)
+    with pytest.raises(ValueError, match="ambient_size must be >= 1"):
+        SupportSet((), 0)
 
 
 def test_full_state_checks_length():
@@ -86,6 +89,8 @@ def test_full_state_checks_length():
 
 
 def test_params_validation():
+    with pytest.raises(ValueError, match="n_lambda must be >= 1"):
+        make_params(n_lambda=0)
     with pytest.raises(ValueError, match="p_a"):
         make_params(p_a=0.5)
     with pytest.raises(ValueError, match="p_r"):
@@ -133,6 +138,38 @@ def test_params_config_round_trip(tmp_path):
     assert ModelParams.from_config(fileio.read_kv(path)) == params
     with pytest.raises(ValueError, match="missing keys"):
         ModelParams.from_config({"n_lambda": 5})
+
+
+# ------------------------------------------------------ coefficient axis
+
+
+def test_coeffs_on_axis_cuts_or_pads_the_last_axis():
+    rows = np.array([[1.0, -0.0, 3.0], [4.0, 5.0, -6.0]])
+    assert coeffs_on_axis(rows, 2).tobytes() == rows[:, :2].copy().tobytes()
+    padded = coeffs_on_axis(rows, 5)
+    assert padded.tobytes() == np.hstack([rows, np.zeros((2, 2))]).tobytes()  # -0.0 kept
+    assert coeffs_on_axis(rows, 3).tobytes() == rows.tobytes()
+    assert coeffs_on_axis([2.0], 3).tolist() == [2.0, 0.0, 0.0]
+
+
+def test_state_on_axis_keeps_the_prefix_of_its_support():
+    state = FullState(MotionState(1.0, 2.0, 1.1), SupportSet((0, 2), 3), [7.0, 0.0, -8.0])
+    wide = state.on_axis(7)
+    assert wide.support == SupportSet((0, 2), 7) and wide.motion == state.motion
+    assert wide.coeffs.tolist() == [7.0, 0.0, -8.0, 0.0, 0.0, 0.0, 0.0]
+    narrow = state.on_axis(1)
+    assert narrow.support == SupportSet((0,), 1) and narrow.coeffs.tolist() == [7.0]
+    assert wide.on_axis(3).coeffs.tobytes() == state.coeffs.tobytes()
+
+
+def test_params_on_axis_caps_s_expected():
+    params = make_params(n_lambda=7, s_expected=5, p_r=0.012)
+    smaller = params.on_axis(3)
+    assert (smaller.n_lambda, smaller.s_expected) == (3, 3)
+    assert smaller == make_params(n_lambda=3, s_expected=3, p_r=0.012)
+    wider = smaller.on_axis(41)
+    assert (wider.n_lambda, wider.s_expected) == (41, 3)  # a cap is not undone
+    assert params.on_axis(7) == params
 
 
 # ---------------------------------------------------- stationary removal rate
@@ -207,6 +244,15 @@ def test_stp_support_hand_values():
     assert stp_support_log(both, one, params) == pytest.approx(math.log(0.14), abs=1e-14)
 
 
+def test_stp_support_checks_the_mask_shapes():
+    params = make_params()
+    five, four = np.zeros((2, 5), dtype=bool), np.zeros((2, 4), dtype=bool)
+    with pytest.raises(ValueError, match="support sets live in different ambient sizes"):
+        stp_support_rows(five, four, params)
+    with pytest.raises(ValueError, match="support ambient size does not match params.n_lambda"):
+        stp_support_rows(four, four, params)
+
+
 def test_stp_support_zero_probability_sentinel():
     params = make_params(p_a=0.0, p_r=0.0)
     prev = SupportSet.from_indices([1], 5)
@@ -260,6 +306,14 @@ def test_sample_coeff_restriction_and_zeros():
         np.array([1.0, 2.0, 3.0]), empty, params, np.random.default_rng(0)
     )
     assert np.array_equal(out, np.zeros(3))
+
+
+def test_sample_coeff_checks_its_lengths():
+    params, rng = make_params(), np.random.default_rng(0)
+    with pytest.raises(ValueError, match="prev coefficient vector has wrong length"):
+        sample_coeff_transition(np.zeros(4), SupportSet((4,), 5), params, rng)
+    with pytest.raises(ValueError, match="support ambient size does not match params.n_lambda"):
+        sample_coeff_transition(np.zeros(5), SupportSet((0,), 3), params, rng)
 
 
 def test_sample_coeff_bitwise_zero_off_support():

@@ -16,6 +16,7 @@ from pafimocs.observation import (
     InvalidRoiError,
     NoiseModel,
     compute_roi,
+    distinct_rows,
     grid_rows,
     log_likelihood,
     mapped_rows,
@@ -369,6 +370,40 @@ def test_frame_rejects_non_finite_pixels(bad):
     image[1, 2] = bad
     with pytest.raises(ValueError, match="frame pixels must be finite"):
         Frame.from_image(image)
+
+
+ROW_VALUES = st.tuples(
+    st.sampled_from([0.0, -0.0, 1.5, math.nan]),
+    st.sampled_from([0.0, 2.0]),
+    st.integers(-1, 1),
+    st.booleans(),
+)
+
+
+@given(st.lists(ROW_VALUES, max_size=24))
+@example([])
+@settings(max_examples=200, deadline=None)
+def test_distinct_rows_names_each_first_occurrence(values):
+    n = len(values)
+    floats = np.asfortranarray(np.array([v[:2] for v in values], dtype=float).reshape(n, 2))
+    ints = np.array([v[2] for v in values], dtype=np.int64).reshape(n, 1)
+    flags = np.array([v[3] for v in values], dtype=bool).reshape(n, 1)
+    arrays = (floats, ints, flags)  # side by side, one of them not C-contiguous
+    first, inverse = distinct_rows(*arrays)
+    keys = [b"".join(a[i].tobytes() for a in arrays) for i in range(n)]  # -0.0 is not 0.0
+    assert np.all(np.diff(first) > 0)
+    assert [keys.index(keys[i]) for i in first] == first.tolist()
+    representatives = [keys[i] for i in first]
+    assert len(set(representatives)) == len(first) and set(representatives) == set(keys)
+    for a in arrays:
+        assert a[first[inverse]].tobytes() == a.tobytes()
+
+
+def test_frame_rejects_bad_shapes():
+    with pytest.raises(ValueError, match=r"pixels must have length height \* width"):
+        Frame(np.zeros(11), 3, 4)
+    with pytest.raises(ValueError, match="frame image must be 2-D"):
+        Frame.from_image(np.zeros(12))
 
 
 def test_noise_model_for_params():

@@ -1171,6 +1171,8 @@ def test_outlier_warm_start_length_is_checked():
     problem = random_problem(rng, n_lambda=4, gamma_outlier=1.0)
     with pytest.raises(ValueError, match="warm_start"):
         solve_with_outliers(problem, SolverConfig(warm_start=np.zeros(5)))
+    with pytest.raises(ValueError, match="solve_with_outliers requires gamma_outlier"):
+        solve_with_outliers(dataclasses.replace(problem, gamma_outlier=None))
 
 
 def test_joint_cost_midpoint_convexity():
@@ -1320,3 +1322,9 @@ def test_ssc_oracle_guard():
     problem = random_problem(rng, n_lambda=13, n_pixels=40, support_size=2)
     with pytest.raises(ValueError, match="n_lambda"):
         brute_force_ssc_oracle(problem, 0.1, 0.1, max_total_change=1)
+    small = random_problem(rng, n_lambda=4, support_size=2)
+    for p_a, p_r in ((1.0, 0.1), (0.1, 1.0), (-0.1, 0.1), (0.1, math.nan)):
+        with pytest.raises(ValueError, match=r"p_a and p_r must lie in \[0, 1\)"):
+            brute_force_ssc_oracle(small, p_a, p_r, max_total_change=1)
+    with pytest.raises(ValueError, match="max_total_change must be nonnegative"):
+        brute_force_ssc_oracle(small, 0.1, 0.1, max_total_change=-1)
