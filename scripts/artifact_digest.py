@@ -15,7 +15,8 @@ artifacts. The runs are:
   default eight filters on that simulated directory, with the config seed
   and with ``--seed 7``;
 - ``simulate-config`` and ``experiment-config``: a config file that sets
-  ``regime = real-video``, ``pafimocs.gamma`` and ``pf-mt-3.beta``, read by
+  ``pafimocs.beta = 1.0`` and ``pafimocs-ssc.beta = 1.0`` (the multipliers
+  of real video), ``pafimocs.gamma`` and ``pf-mt-3.beta``, read by
   ``pafimocs simulate --config ... --n-frames 2`` (only the ``config.cfg``
   it writes) and by ``pafimocs experiment --config ... --n-runs 1
   --n-frames 2 --n-pf 10`` (only ``summary.json``, which echoes the config);
@@ -170,7 +171,9 @@ def write_support_runs(cli, fileio, out: str, inputs: str) -> None:
 def write_config_runs(cli, fileio, out: str, inputs: str) -> None:
     """Digest what ``simulate`` and ``experiment`` echo of a non-default config."""
     config = os.path.join(inputs, "config.cfg")
-    fileio.write_kv(config, {"regime": "real-video", "pafimocs.gamma": 0.55, "pf-mt-3.beta": 0.25})
+    fileio.write_kv(config, {
+        "pafimocs.beta": 1.0, "pafimocs-ssc.beta": 1.0, "pafimocs.gamma": 0.55, "pf-mt-3.beta": 0.25,
+    })
     runs = (
         ("simulate", "config.cfg", ["--n-frames", "2"]),
         ("experiment", "summary.json", ["--n-runs", "1", "--n-frames", "2", "--n-pf", "10"]),

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import fileio
 from .dictionary import TemplatePatch, build_dictionary, load_dictionary
+from .fileio import _read_value
 from .harness import (
     GroundTruth,
     SimConfig,
@@ -242,9 +243,11 @@ def _load_problem_dir(problem_dir):
         dictionary=dictionary,
         lambda_prev=lam_prev.ravel(),
         cond_support=support,
-        **{key: float(kv[key]) for key in _PROBLEM_KEYS if key in kv},
+        **{key: _read_value(key, kv[key], float) for key in _PROBLEM_KEYS if key in kv},
     )
-    config = SolverConfig(**{key: float(kv[key]) for key in _SOLVER_KEYS if key in kv})
+    config = SolverConfig(
+        **{key: _read_value(key, kv[key], float) for key in _SOLVER_KEYS if key in kv}
+    )
     return problem, config
 
 

@@ -57,6 +57,14 @@ def write_kv(path, mapping: dict) -> None:
         fh.writelines(f"{key} = {_cell(mapping[key])}\n" for key in sorted(mapping))
 
 
+def _read_value(key: str, value, kind):
+    """``kind(value)`` for config ``key``; a value that does not convert is an error naming it."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{key}: cannot read '{value}' as {kind.__name__}") from None
+
+
 def read_kv(path) -> dict:
     """Read a flat key-value config file into a str -> str dict; a key may appear once."""
     out = {}

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,9 +33,9 @@ from .dictionary import (
     ml_coeff_fit,
     support_trace,
 )
+from .fileio import _read_value
 from .filters import VARIANTS, FilterConfig, TrackResult, run_tracker
 from .models import (
-    _PARAM_KEYS,
     FullState,
     ModelParams,
     MotionState,
@@ -76,17 +75,16 @@ __all__ = [
 
 CSV_SCHEMA = "pafimocs-csv-v1"
 
-# (gamma, beta) defaults per regime for the sparse mode-tracking variants
-_REGIME_MULTIPLIERS = {
-    ("simulation", "pafimocs"): (0.7, 0.4),
-    ("simulation", "pafimocs-ssc"): (0.5, 0.4),
-    ("real-video", "pafimocs"): (0.7, 1.0),
-    ("real-video", "pafimocs-ssc"): (0.5, 1.0),
+# the simulation protocol's (gamma, beta) for the sparse mode-tracking variants;
+# every other variant takes FilterConfig's defaults
+_VARIANT_MULTIPLIERS = {
+    "pafimocs": {"gamma": 0.7, "beta": 0.4},
+    "pafimocs-ssc": {"gamma": 0.5, "beta": 0.4},
 }
 
 
 def default_params() -> ModelParams:
-    """Simulation-regime model constants."""
+    """The simulation protocol's model constants."""
     return ModelParams(
         n_lambda=41,
         s_expected=5,
@@ -100,7 +98,7 @@ def default_params() -> ModelParams:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One tracker entry of an experiment; None multipliers take regime defaults."""
+    """One tracker entry of an experiment; None multipliers take the variant's defaults."""
 
     label: str
     variant: str
@@ -136,7 +134,6 @@ class SimConfig:
     frame_width: int = 96
     template_height: int = 32
     template_width: int = 32
-    template_pattern: str = "bumps"
     template_seed: int = 0
     d: int = 20
     n_pf: int = 100
@@ -145,8 +142,7 @@ class SimConfig:
     initial_support_size: int = 5
     filters: tuple = field(default_factory=default_filters)
     n_monte_carlo: int = 20
-    regime: str = "simulation"
-    n_jobs: int = field(default=1, metadata={"echo": False})  # outputs do not depend on it
+    n_jobs: int = 1  # outputs do not depend on it
 
     def __post_init__(self):
         if self.n_frames < 1:
@@ -162,8 +158,6 @@ class SimConfig:
             raise ValueError("template must fit inside the frame")
         if self.params.n_lambda != 2 * self.d + 1:
             raise ValueError("params.n_lambda must equal 2 * d + 1")
-        if self.regime not in ("simulation", "real-video"):
-            raise ValueError(f"unknown regime {self.regime!r}")
         if self.n_monte_carlo < 1 or self.n_jobs < 1:
             raise ValueError("n_monte_carlo and n_jobs must be >= 1")
         if not self.filters:
@@ -174,16 +168,11 @@ class SimConfig:
             raise ValueError(f"duplicate filter labels: {', '.join(duplicated)}")
         for spec in self.filters:  # a bad multiplier fails here, not at a run's first solve
             resolve_filter_config(spec, self)
-        if self.template_pattern == "constant" and self.d > 0:
-            warnings.warn(
-                "constant template with d > 0 risks an ill-conditioned dictionary",
-                RuntimeWarning,
-            )
 
 
-# SimConfig's int and str settings; each default also gives the setting's type.
-# ``params`` and ``filters`` come from factories and are written their own way.
-_SCALAR_FIELDS = {f.name: f for f in fields(SimConfig) if f.default is not MISSING}
+# SimConfig's int settings and their defaults; ``params`` and ``filters`` come
+# from factories and are written their own way.
+_INT_FIELDS = {f.name: f.default for f in fields(SimConfig) if f.default is not MISSING}
 
 
 @dataclass(eq=False)
@@ -196,14 +185,11 @@ class GroundTruth:
 def make_template(pattern: str, height: int, width: int, seed: int) -> TemplatePatch:
     """Deterministic synthetic template at origin (0, 0).
 
-    ``bumps`` (the default pattern) is two off-center Gaussian bumps plus a
-    linear ramp, rescaled to the pixel range [40, 220]; ``constant`` is a
-    flat mid-gray patch.
+    ``bumps``, the one pattern, is two off-center Gaussian bumps plus a
+    linear ramp, rescaled to the pixel range [40, 220].
     """
     if height < 4 or width < 4:
         raise ValueError("template must be at least 4 x 4")
-    if pattern == "constant":
-        return TemplatePatch.from_image(np.full((height, width), 128.0))
     if pattern != "bumps":
         raise ValueError(f"unknown template pattern {pattern!r}")
     rng = np.random.default_rng(seed)
@@ -228,9 +214,7 @@ def make_template(pattern: str, height: int, width: int, seed: int) -> TemplateP
 
 
 def _anchored_template(cfg: SimConfig) -> TemplatePatch:
-    base = make_template(
-        cfg.template_pattern, cfg.template_height, cfg.template_width, cfg.template_seed
-    )
+    base = make_template("bumps", cfg.template_height, cfg.template_width, cfg.template_seed)
     origin_i = (cfg.frame_height - cfg.template_height) // 2
     origin_j = (cfg.frame_width - cfg.template_width) // 2
     return base.with_origin(origin_i, origin_j)
@@ -319,15 +303,13 @@ def location_error(truth_motion, est_motion) -> np.ndarray:
 
 
 def resolve_filter_config(spec: FilterSpec, cfg: SimConfig) -> FilterConfig:
-    """Fill a tracker's multipliers from the regime defaults where unset."""
-    gamma, beta = _REGIME_MULTIPLIERS.get((cfg.regime, spec.variant), (0.7, 1.0))
+    """Fill a tracker's multipliers from its variant's defaults where unset."""
+    multipliers = dict(_VARIANT_MULTIPLIERS.get(spec.variant, {}))
     if spec.gamma is not None:
-        gamma = spec.gamma
+        multipliers["gamma"] = spec.gamma
     if spec.beta is not None:
-        beta = spec.beta
-    return FilterConfig(
-        variant=spec.variant, n_pf=cfg.n_pf, d=spec.d, gamma=gamma, beta=beta
-    )
+        multipliers["beta"] = spec.beta
+    return FilterConfig(variant=spec.variant, n_pf=cfg.n_pf, d=spec.d, **multipliers)
 
 
 @dataclass
@@ -470,20 +452,11 @@ def _write_aggregate_csv(path, cfg: SimConfig, metrics) -> None:
     ])
 
 
-def _config_echo(cfg: SimConfig) -> dict:
-    echo = {
-        name: getattr(cfg, name)
-        for name, f in _SCALAR_FIELDS.items()
-        if f.metadata.get("echo", True)
-    }
-    echo.update(params=cfg.params.to_config(), filters=[asdict(spec) for spec in cfg.filters])
-    return echo
-
-
 def _write_summary_json(path, cfg: SimConfig, metrics) -> None:
     summary = {
         "schema": f"{CSV_SCHEMA} summary",
-        "config": _config_echo(cfg),
+        # the config.cfg form, less n_jobs, which changes no output
+        "config": {k: v for k, v in sim_config_to_kv(cfg).items() if k != "n_jobs"},
         "filters": {
             label: {
                 "final_nmse": float(series.nmse[-1]),
@@ -566,7 +539,7 @@ def select_filters(cfg: SimConfig, text: str | None) -> SimConfig:
 def sim_config_to_kv(cfg: SimConfig) -> dict:
     """Flatten a simulation config for the key-value file format."""
     kv = dict(cfg.params.to_config())
-    kv.update({name: getattr(cfg, name) for name in _SCALAR_FIELDS})
+    kv.update({name: getattr(cfg, name) for name in _INT_FIELDS})
     kv["filters"] = ",".join(spec.label for spec in cfg.filters)
     for spec in cfg.filters:
         if spec.gamma is not None:
@@ -586,27 +559,21 @@ def sim_config_from_kv(kv: dict) -> SimConfig:
     overrides) are an error.
     """
     kv = dict(kv)
-    scalars = {
-        name: type(f.default)(kv.pop(name)) for name, f in _SCALAR_FIELDS.items() if name in kv
-    }
-    n_lambda = 2 * scalars.get("d", _SCALAR_FIELDS["d"].default) + 1
-    initial_size = min(_SCALAR_FIELDS["initial_support_size"].default, n_lambda)
+    scalars = {name: _read_value(name, kv.pop(name), int) for name in _INT_FIELDS if name in kv}
+    n_lambda = 2 * scalars.get("d", _INT_FIELDS["d"]) + 1
+    initial_size = min(_INT_FIELDS["initial_support_size"], n_lambda)
     scalars.setdefault("initial_support_size", initial_size)
-    param_kv = {key: kv.pop(key) for key in _PARAM_KEYS if key in kv}
     defaults = default_params().on_axis(n_lambda).to_config()
-    params = ModelParams.from_config({**defaults, **param_kv})
+    params = ModelParams.from_config({key: kv.pop(key, value) for key, value in defaults.items()})
     cfg = SimConfig(params=params, **scalars)  # the filter labels need its d
     specs = []
     for spec in parse_filter_labels(str(kv.pop("filters", "")), cfg.d) or default_filters(cfg.d):
-        gamma = kv.pop(f"{spec.label}.gamma", None)
-        beta = kv.pop(f"{spec.label}.beta", None)
-        specs.append(
-            replace(
-                spec,
-                gamma=None if gamma is None else float(gamma),
-                beta=None if beta is None else float(beta),
-            )
-        )
+        overrides = {
+            name: _read_value(key, kv.pop(key), float)
+            for name in ("gamma", "beta")
+            if (key := f"{spec.label}.{name}") in kv
+        }
+        specs.append(replace(spec, **overrides))
     if kv:
         raise ValueError(f"unknown config keys: {sorted(kv)}")
     return replace(cfg, filters=tuple(specs))

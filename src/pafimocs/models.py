@@ -26,6 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .fileio import _read_value
+
 __all__ = [
     "NEG_INF",
     "ZERO_VAR_ATOL",
@@ -208,7 +210,7 @@ class ModelParams:
         missing = [k for k in _PARAM_KEYS if k not in mapping]
         if missing:
             raise ValueError(f"config missing keys: {', '.join(missing)}")
-        values = [kind(mapping[key]) for key, kind in _PARAM_KEYS.items()]
+        values = [_read_value(key, mapping[key], kind) for key, kind in _PARAM_KEYS.items()]
         return cls(*values[:5], sigma_u=tuple(values[5:8]), sigma_o_sq=values[8])
 
     def on_axis(self, n_lambda: int) -> "ModelParams":

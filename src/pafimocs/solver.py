@@ -321,15 +321,19 @@ def kkt_residual(problem: ModeTrackingProblem, lam, outlier=None) -> float:
     return float(_kkt_rows(grad[None], np.concatenate([lam, outlier])[None], weights)[0])
 
 
-def _pattern_candidate(pattern, weights, gram_big, rhs, mask):
-    """Exact solve of the smooth(+linear) system on the current sign pattern."""
+def _pattern_candidate(pattern, weights, gram_big, rhs, mask, singular=False):
+    """Exact solve of the smooth(+linear) system on the current sign pattern;
+    with ``singular``, its minimum-norm least-squares point."""
     idx = np.flatnonzero(mask | (pattern != 0.0))
     sub = gram_big[np.ix_(idx, idx)]
     target = rhs[idx] - weights[idx] * np.sign(pattern[idx])
-    try:
-        v = np.linalg.solve(sub, target)
-    except np.linalg.LinAlgError:
-        v, *_ = np.linalg.lstsq(sub, target, rcond=None)
+    if singular and idx.size:
+        v = _range_solve(*np.linalg.eigh(sub), target)
+    else:
+        try:
+            v = np.linalg.solve(sub, target)
+        except np.linalg.LinAlgError:
+            v, *_ = np.linalg.lstsq(sub, target, rcond=None)
     cand = np.zeros_like(pattern)
     cand[idx] = v
     return cand
@@ -379,7 +383,9 @@ def _null_descent(point, pattern, weights, gram_big, rhs, mask):
     return moved, least_squares
 
 
-def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, tol, first=None):
+def _exact_search(
+    start, origin, weights, gram_big, rhs, mask, cost, certify, tol, singular=False, first=None
+):
     """Feature-sign search (Lee, Battle, Raina & Ng 2007) and the exit policy
     of every solve: ``(point, kkt residual, rounds, converged, path)``.
 
@@ -391,7 +397,10 @@ def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, to
     certifies; else the search runs from ``origin`` (a ridge minimizer or
     warm start from the caller), or from zero when round 1 fails
     and zero costs less. Each round solves the system on the current sign
-    pattern and certifies the candidate (round 1 is ``first``, the caller's
+    pattern (by its minimum-norm least-squares point when ``singular``, as
+    ``gram_big`` may then have singular principal blocks, where
+    ``np.linalg.solve`` can return a point of size 1e15) and certifies the
+    candidate (round 1 is ``first``, the caller's
     ``(candidate, kkt)`` on that pattern, when given). The search moves to the
     cheapest of the candidate and the points on the way to it where an l1
     coordinate changes sign (that coordinate set to zero). A candidate whose
@@ -416,7 +425,7 @@ def _exact_search(start, origin, weights, gram_big, rhs, mask, cost, certify, to
     rounds = []
     for _ in range(0 if start[1] <= tol else 2 * rhs.size + 3):
         if first is None:
-            cand = _pattern_candidate(pattern, weights, gram_big, rhs, mask)
+            cand = _pattern_candidate(pattern, weights, gram_big, rhs, mask, singular)
             first = cand, certify(cand)
         rounds.append(first)
         (cand, kkt), first = first, None
@@ -536,8 +545,10 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     certifies, its candidate does not, or it has no stacked round 1, as its
     base or small system is singular (then from zero) or its ridge point has an
     exact zero off the support (a smaller first pattern); else it resumes from
-    that round. The search prices and certifies in coefficient space; only a
-    trace reads :func:`evaluate_cost`, so traces only record. ``Phi' y`` and
+    that round. With a singular Gram matrix a searched row solves each sign
+    pattern by its minimum-norm least-squares point. The search prices and
+    certifies in coefficient space; only a trace reads :func:`evaluate_cost`,
+    so traces only record. ``Phi' y`` and
     the products with the Gram matrix and the shared bases are matrix-matrix
     products over the stack. So a row's bits can differ from its lone solve's
     by rounding, and near a tie its search may take another round; each result
@@ -557,6 +568,8 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
     rhs = c_data * phity + c_prior * (prev * masks)
     kkt_warm = _kkt_gram(rows, phity, prev, masks, weights, warm)
     systems = _mask_systems(rows.dictionary, c_data, c_prior, masks)
+    values = rows.dictionary.gram_eigh[0]  # a singular G can make a row's patterns singular
+    singular = not values[0] > _SINGULAR_RATIO * values[-1]
     ridge, solved = _solve_systems(systems, rhs)
     target = rhs - weights * np.sign(ridge)
     cand = _solve_systems(systems, target)[0]
@@ -576,7 +589,7 @@ def solve_rows(rows: ModeTrackingRows, config: SolverConfig | None = None) -> Ro
             lam, out.kkt_residual[i], out.iterations[i], out.converged[i], path = _exact_search(
                 path[0], ridge[i], w, gram_big, rhs[i], masks[i], cost,
                 lambda x: float(_kkt_gram(rows, phity[one], prev[one], masks[one], w, x[None])[0]),
-                tol, path[1] if stacked[i] else None,
+                tol, singular, path[1] if stacked[i] else None,
             )
             out.lambda_opt[i] = lam
         if out.traces is not None:

@@ -258,7 +258,7 @@ class TestExperiment:
         argv = ["experiment", "--out", out, "--d", "3", "--filters", "pf-gordon-3"]
         assert main(argv + self.CHEAP) == 0
         echo = self.echo(out)
-        assert echo["d"] == 3 and echo["params"]["n_lambda"] == 7
+        assert echo["d"] == 3 and echo["n_lambda"] == 7
 
     @pytest.mark.parametrize("d", [0, 1])
     def test_low_order_d_caps_support_sizes(self, tmp_path, d):
@@ -267,7 +267,7 @@ class TestExperiment:
         assert main(argv + self.CHEAP) == 0
         echo = self.echo(out)
         n_lambda = 2 * d + 1
-        assert echo["params"]["n_lambda"] == echo["params"]["s_expected"] == n_lambda
+        assert echo["n_lambda"] == echo["s_expected"] == n_lambda
         assert echo["initial_support_size"] == n_lambda
 
     def test_config_with_only_d(self, tmp_path):
@@ -277,7 +277,7 @@ class TestExperiment:
         argv = ["experiment", "--config", str(path), "--out", out, "--filters", "pf-gordon-3"]
         assert main(argv + self.CHEAP) == 0
         echo = self.echo(out)
-        assert echo["d"] == 3 and echo["params"]["n_lambda"] == 7
+        assert echo["d"] == 3 and echo["n_lambda"] == 7
 
     def test_d_option_overrides_the_config_n_lambda(self, tmp_path):
         sim = str(tmp_path / "sim")
@@ -288,7 +288,7 @@ class TestExperiment:
                 "--out", out, "--filters", "pf-gordon-3"]
         assert main(argv + self.CHEAP) == 0
         echo = self.echo(out)
-        assert echo["d"] == 3 and echo["params"]["n_lambda"] == 7
+        assert echo["d"] == 3 and echo["n_lambda"] == 7
 
     def test_filters_option_keeps_config_overrides(self, tmp_path):
         path = tmp_path / "gamma.cfg"
@@ -296,9 +296,20 @@ class TestExperiment:
         out = str(tmp_path / "exp")
         argv = ["experiment", "--config", str(path), "--out", out, "--filters", "pafimocs,pf-mt-3"]
         assert main(argv + self.CHEAP) == 0
-        specs = {spec["label"]: spec for spec in self.echo(out)["filters"]}
-        assert specs["pafimocs"]["gamma"] == 55.0
-        assert specs["pf-mt-3"]["gamma"] is None
+        echo = self.echo(out)
+        assert echo["filters"] == "pafimocs,pf-mt-3" and echo["pafimocs.gamma"] == 55.0
+        assert "pf-mt-3.gamma" not in echo
+
+    def test_echo_is_a_config_that_reruns_the_experiment(self, tmp_path):
+        path = tmp_path / "gamma.cfg"
+        fileio.write_kv(path, {"pafimocs.gamma": 0.55})
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = ["experiment", "--config", str(path), "--d", "3", "--filters", "pafimocs,pf-mt-3"]
+        assert main(argv + self.CHEAP + ["--out", str(first)]) == 0
+        fileio.write_kv(path, self.echo(first))
+        assert main(["experiment", "--config", str(path), "--out", str(second)]) == 0
+        for name in ("runs.csv", "aggregate.csv", "summary.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 class TestAnalyzeSupport:
@@ -553,6 +564,34 @@ class TestArgumentErrors:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["type"] == "ValueError"
         assert "gamma, beta and alpha must be nonnegative" in payload["error"]
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize(
+        "command, key, value, kind",
+        [
+            ("simulate", "seed", "1.5", "int"),
+            ("experiment", "seed", "1.5", "int"),
+            ("experiment", "sigma_o_sq", "abc", "float"),
+            ("experiment", "pafimocs.gamma", "x", "float"),
+            ("solve", "sigma_o_sq", "abc", "float"),
+            ("solve", "gamma", "x", "float"),
+            ("solve", "kkt_tolerance", "x", "float"),
+        ],
+    )
+    def test_unreadable_value_names_its_key(self, tmp_path, capsys, command, key, value, kind):
+        if command == "solve":
+            pdir = str(tmp_path / "problem")
+            path = os.path.join(pdir, "problem.cfg")
+            fileio.write_kv(path, {**write_problem(pdir), key: value})
+            argv = ["solve", "--problem", pdir]
+        else:
+            path = str(tmp_path / "bad.cfg")
+            fileio.write_kv(path, {key: value})
+            argv = [command, "--config", path]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        message = f"{key}: cannot read '{value}' as {kind}"
+        assert payload == {"error": message, "type": "ValueError"}
         assert not os.path.exists(tmp_path / "o")
 
     def test_duplicate_filter_labels_report_json_error(self, tmp_path, capsys):

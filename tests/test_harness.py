@@ -3,8 +3,7 @@ flat config format."""
 
 import json
 import math
-import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from pafimocs.harness import (
     track_truth,
     write_membership_csv,
 )
-from pafimocs.harness import _config_echo, _run_one, _spawn_run_seeds, _truth_arrays
+from pafimocs.harness import _run_one, _spawn_run_seeds, _truth_arrays
 from pafimocs.models import FullState, ModelParams, MotionState, SupportSet
 
 
@@ -85,15 +84,6 @@ class TestMakeTemplate:
         assert math.isclose(float(np.min(tpl.pixels)), 40.0)
         assert math.isclose(float(np.max(tpl.pixels)), 220.0)
 
-    def test_constant_pattern(self):
-        tpl = make_template("constant", 6, 6, seed=0)
-        assert np.all(tpl.pixels == 128.0)
-
-    def test_constant_with_order_zero_is_valid(self):
-        dic = build_dictionary(make_template("constant", 6, 6, 0), 0)
-        assert dic.matrix.shape == (36, 1)
-        assert np.all(dic.matrix[:, 0] == 128.0)
-
     def test_small_templates_rejected(self):
         with pytest.raises(ValueError, match="at least"):
             make_template("bumps", 3, 10, seed=0)
@@ -117,7 +107,7 @@ class TestSimConfigValidation:
             (dict(support_change_period=0), "support_change_period"),
             (dict(initial_support_size=9), "initial_support_size"),
             (dict(d=2), "n_lambda"),
-            (dict(regime="lab"), "regime"),
+            (dict(n_jobs=0), "n_jobs"),
             (dict(n_monte_carlo=0), "n_monte_carlo"),
             (dict(template_height=40), "fit inside"),
         ],
@@ -141,10 +131,6 @@ class TestSimConfigValidation:
         # which reads back as the default trackers
         with pytest.raises(ValueError, match="at least one tracker"):
             SimConfig(filters=())
-
-    def test_constant_pattern_with_positive_order_warns(self):
-        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-            small_config(template_pattern="constant")
 
 
 class TestGenerateSequence:
@@ -277,13 +263,6 @@ class TestResolveFilterConfig:
         resolved = resolve_filter_config(FilterSpec("pf-mt-1", "pf-mt", 1), cfg)
         assert (resolved.gamma, resolved.beta) == (0.7, 1.0)
 
-    def test_real_video_regime_defaults(self):
-        cfg = small_config(regime="real-video")
-        resolved = resolve_filter_config(FilterSpec("pafimocs", "pafimocs", 1), cfg)
-        assert (resolved.gamma, resolved.beta) == (0.7, 1.0)
-        resolved = resolve_filter_config(FilterSpec("ssc", "pafimocs-ssc", 1), cfg)
-        assert (resolved.gamma, resolved.beta) == (0.5, 1.0)
-
     def test_explicit_multipliers_win(self):
         cfg = small_config()
         spec = FilterSpec("pafimocs", "pafimocs", 1, gamma=0.9, beta=0.2)
@@ -394,7 +373,7 @@ class TestRunExperiment:
 
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["schema"] == "pafimocs-csv-v1 summary"
-        assert summary["config"]["seed"] == cfg.seed
+        assert summary["config"] == {k: v for k, v in sim_config_to_kv(cfg).items() if k != "n_jobs"}
         assert set(summary["filters"]) == {"pafimocs", "pf-gordon-1"}
         for entry in summary["filters"].values():
             assert isinstance(entry["final_nmse"], float)
@@ -459,7 +438,6 @@ class TestConfigFormat:
                 FilterSpec("pf-mt-1", "pf-mt", 1, beta=0.25),
             ),
             n_monte_carlo=3,
-            regime="real-video",
         )
         path = tmp_path / "config.cfg"
         fileio.write_kv(path, sim_config_to_kv(cfg))
@@ -472,6 +450,12 @@ class TestConfigFormat:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             sim_config_from_kv({"bananas": "1"})
+
+    @pytest.mark.parametrize("key, value", [("regime", "real-video"), ("template_pattern", "bumps")])
+    def test_retired_settings_are_unknown_keys(self, key, value):
+        # a config.cfg of an older simulate that still sets either is refused by name
+        with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+            sim_config_from_kv({key: value})
 
     @pytest.mark.parametrize(
         "key", ["p_a", "p_r", "sigma_l_sq", "sigma_u_xx", "sigma_u_yy", "sigma_u_ss", "sigma_o_sq"]
@@ -593,8 +577,8 @@ MULTIPLIER = st.none() | st.floats(min_value=0.0, allow_infinity=False)  # the r
 
 @st.composite
 def sim_configs(draw):
-    """Valid configs that vary every scalar setting, the model constants, both
-    regimes, and a subset of the default trackers with multiplier overrides."""
+    """Valid configs that vary every scalar setting, the model constants, and a
+    subset of the default trackers with multiplier overrides."""
     d = draw(st.integers(0, 6))
     n_lambda = 2 * d + 1
     frame_height, frame_width = draw(st.integers(4, 128)), draw(st.integers(4, 128))
@@ -621,7 +605,6 @@ def sim_configs(draw):
         frame_width=frame_width,
         template_height=draw(st.integers(4, frame_height)),
         template_width=draw(st.integers(4, frame_width)),
-        template_pattern=draw(st.sampled_from(["bumps", "constant"])),
         template_seed=draw(st.integers(0, 2**32 - 1)),
         d=d,
         n_pf=draw(st.integers(1, 10_000)),
@@ -630,7 +613,6 @@ def sim_configs(draw):
         initial_support_size=draw(st.integers(0, n_lambda)),
         filters=specs,
         n_monte_carlo=draw(st.integers(1, 1000)),
-        regime=draw(st.sampled_from(["simulation", "real-video"])),
         n_jobs=draw(st.integers(1, 64)),
     )
 
@@ -638,10 +620,11 @@ def sim_configs(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_config_round_trips_through_the_kv_file(tmp_path_factory, data):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # constant template with d > 0
-        cfg = data.draw(sim_configs())
-        path = tmp_path_factory.mktemp("kv") / "config.cfg"
-        fileio.write_kv(path, sim_config_to_kv(cfg))
-        assert sim_config_from_kv(fileio.read_kv(path)) == cfg
-    assert set(_config_echo(cfg)) == {f.name for f in fields(SimConfig)} - {"n_jobs"}
+    cfg = data.draw(sim_configs())
+    path = tmp_path_factory.mktemp("kv") / "config.cfg"
+    kv = sim_config_to_kv(cfg)
+    fileio.write_kv(path, kv)
+    assert sim_config_from_kv(fileio.read_kv(path)) == cfg
+    # summary.json's echo is this form less n_jobs, so it loads as cfg at the default n_jobs
+    del kv["n_jobs"]
+    assert sim_config_from_kv(kv) == replace(cfg, n_jobs=1)

@@ -759,9 +759,8 @@ def repeated_column_problem(seed):
 @example(repeated_column_problem(678), True)  # five of six coordinates on the support
 def test_degenerate_solves_are_flagged_never_hidden(problem, warm):
     """With ``beta = 0`` and a repeated column the cost is flat along a null
-    direction on the support, and some solves end uncertified (both pinned
-    examples do): each result must say so, and carry exactly the residual
-    of the point it returns."""
+    direction on the support, and a solve may end uncertified: each result
+    must say so, and carry exactly the residual of the point it returns."""
     config = SolverConfig(warm_start=problem.lambda_prev if warm else None)
     result = solve(problem, config)
     assert result.kkt_residual == kkt_residual(problem, result.lambda_opt)
@@ -782,6 +781,19 @@ def test_a_singular_system_the_search_cannot_leave_ends_at_its_least_squares_poi
     phi, y = problem.dictionary.matrix, problem.y_residual_base
     fit = np.linalg.lstsq(phi, y, rcond=None)[0]
     np.testing.assert_allclose(result.lambda_opt, fit, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [678, 931, 1259, 2390, 2535, 2972, 3011, 3235, 3967])
+@pytest.mark.parametrize("warm", [False, True])
+def test_singular_pattern_systems_are_solved_by_least_squares(seed, warm):
+    """A repeated column makes the Gram matrix singular, and so some sign
+    patterns' systems; an LU solve of one returns a point of size 1e15 and
+    the search ended uncertified on these draws. Each pattern's
+    minimum-norm least-squares point certifies them."""
+    problem = repeated_column_problem(seed)
+    result = solve(problem, SolverConfig(warm_start=problem.lambda_prev if warm else None))
+    assert result.converged
+    assert result.kkt_residual == kkt_residual(problem, result.lambda_opt)
 
 
 @settings(max_examples=200, deadline=None)
