@@ -84,9 +84,8 @@ def _write_template_dir(out_dir, template: TemplatePatch) -> None:
 def _read_template_dir(sim_dir) -> TemplatePatch:
     meta = fileio.read_kv(os.path.join(sim_dir, "template.cfg"))
     image, _ = fileio.load_matrix(os.path.join(sim_dir, "template.mat"))
-    return TemplatePatch.from_image(
-        image, origin=(int(meta["origin_i"]), int(meta["origin_j"]))
-    )
+    origin = tuple(_read_value(key, meta[key], int) for key in ("origin_i", "origin_j"))
+    return TemplatePatch.from_image(image, origin=origin)
 
 
 def _lam_columns(cfg: SimConfig) -> list:
@@ -97,8 +96,8 @@ def _support_field(support: SupportSet) -> str:
     return "|".join(str(i) for i in support.indices)
 
 
-def _parse_support_field(text: str, n_lambda: int) -> SupportSet:
-    indices = [int(tok) for tok in text.split("|") if tok]
+def _parse_support_field(key: str, text: str, n_lambda: int) -> SupportSet:
+    indices = [_read_value(key, tok, int) for tok in text.split("|") if tok]
     return SupportSet.from_indices(indices, n_lambda)
 
 
@@ -138,7 +137,7 @@ def _read_states_csv(path, n_lambda: int) -> list:
         for line in fh:
             parts = line.rstrip("\n").split(",")
             motion = MotionState(float(parts[1]), float(parts[2]), float(parts[3]))
-            support = _parse_support_field(parts[4], n_lambda)
+            support = _parse_support_field("support", parts[4], n_lambda)
             coeffs = np.array([float(v) for v in parts[5 : 5 + n_lambda]])
             states.append(FullState(motion, support, coeffs))
     return states
@@ -237,7 +236,7 @@ def _load_problem_dir(problem_dir):
     y, _ = fileio.load_matrix(os.path.join(problem_dir, "y.mat"))
     lam_prev, _ = fileio.load_matrix(os.path.join(problem_dir, "lambda_prev.mat"))
     dictionary = load_dictionary(os.path.join(problem_dir, "phi.mat"))
-    support = _parse_support_field(kv.get("cond_support", ""), dictionary.n_lambda)
+    support = _parse_support_field("cond_support", kv.get("cond_support", ""), dictionary.n_lambda)
     problem = ModeTrackingProblem(
         y_residual_base=y.ravel(),
         dictionary=dictionary,

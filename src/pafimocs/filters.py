@@ -43,9 +43,11 @@ are copied to every slot that shares it. ``pafimocs`` draws every slot's
 support at once (:func:`sample_support_rows`), each row from its slot's
 stream.
 
-RNG stream rule: ``ParticleSet.initialize`` spawns ``n_pf + 1`` child streams
-from one seed; child ``i`` is pinned to particle slot ``i`` for the whole run
-(streams follow slots, not ancestry) and the last child drives resampling.
+RNG stream rule: ``ParticleSet.initialize`` seeds ``n_pf + 1`` streams from
+one seed in one pass, bit for bit the ``default_rng`` of each child of
+``seed.spawn(n_pf + 1)``, without spawning from or advancing the seed; child
+``i`` is pinned to particle slot ``i`` for the whole run (streams follow
+slots, not ancestry) and the last child drives resampling.
 Each slot's stream draws its motion, then its move, each draw one call that
 fills the slot's row of a stacked array (the prior move walks ``[motion |
 coeffs]`` in one call): a generator draws in sequence, so batching changes no
@@ -62,6 +64,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .dictionary import Dictionary, TemplatePatch, build_dictionary, energy_rows
 from .models import (
@@ -112,6 +115,84 @@ class StepStats:
     unconverged_solves: int = 0
 
 
+# numpy's SeedSequence hash constants (``numpy/random/bit_generator.pyx``)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, start: int, count: int) -> tuple:
+    """The xor and multiplier ``uint32`` constants of SeedSequence hashes
+    ``start`` to ``start + count - 1``: hash ``k`` xors ``init·multᵏ`` and
+    multiplies by ``init·multᵏ⁺¹`` (mod 2³²), whatever words it hashes."""
+    consts = [init * pow(mult, k, 2**32) & _MASK32 for k in range(start, start + count + 1)]
+    consts = np.array(consts, dtype=np.uint32)
+    return consts[:-1], consts[1:]
+
+
+def _hash(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ value >> 16
+
+
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 8)
+
+
+def _uint32_words(value) -> list:
+    """SeedSequence's 32-bit words of an entropy or spawn key value: an int
+    least significant word first (0 is one word), a sequence its items' words."""
+    if isinstance(value, (int, np.integer)) and value >= 0:
+        value = int(value)
+        return [value >> shift & _MASK32 for shift in range(0, value.bit_length() or 1, 32)]
+    if isinstance(value, (list, tuple, range, np.ndarray)):
+        return [word for item in value for word in _uint32_words(item)]
+    raise TypeError(f"cannot read seed entropy {value!r} as integer words")
+
+
+def _spawn_seed_words(ss: np.random.SeedSequence, n: int) -> np.ndarray:
+    """``(n, 4)`` uint64 rows: row ``i`` is ``ss.spawn(n)[i].generate_state(4,
+    np.uint64)``, computed without spawning (``ss`` is not advanced).
+
+    Child ``i`` mixes the run entropy, zero-padded to ``pool_size``, then
+    ``spawn_key``, then its own key ``n_children_spawned + i``, the last
+    word. So every child's pool is the pool of a ``SeedSequence`` of the
+    shared words, mixed once, with the key then hashed into each pool word
+    by constants fixed by position: one ``(n, pool_size)`` step. A key past
+    one word would assemble differently, and is refused.
+    """
+    first, pool_size = ss.n_children_spawned, ss.pool_size
+    if first + n > 2**32:
+        raise ValueError(f"child spawn key {first + n - 1} passes 2**32 - 1: one pass seeds one-word keys")
+    run = _uint32_words(ss.entropy)
+    words = run + [0] * (pool_size - len(run)) + _uint32_words(ss.spawn_key)
+    shared = np.random.SeedSequence(words, pool_size=pool_size).pool
+    keys = np.arange(first, first + n, dtype=np.uint32)[:, None]
+    # mixing the pool takes pool_size hashes per word
+    key_consts = _hash_consts(_INIT_A, _MULT_A, pool_size * len(words), pool_size)
+    pools = _mix(shared, _hash(keys, *key_consts))
+    # generate_state(4, np.uint64): 8 words hashed from the pool cycled
+    state = _hash(pools[:, np.arange(8) % pool_size], *_STATE_CONSTS)
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """A child's seed words, handed to ``PCG64``, which seeds from them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds the 4 uint64 words of a PCG64 seed only")
+        return self.words
+
+
 @dataclass(eq=False)
 class ParticleSet:
     """Particle slots as arrays: row ``i`` of each array belongs to slot ``i``."""
@@ -128,20 +209,26 @@ class ParticleSet:
     def initialize(cls, state: FullState, n_pf: int, seed) -> "ParticleSet":
         """All particles at ``state`` with equal weights.
 
-        ``seed`` is an int or ``numpy.random.SeedSequence``; it spawns
-        ``n_pf + 1`` children, one per particle slot plus one for resampling.
+        ``seed`` is an int or ``numpy.random.SeedSequence``. Slot ``i``'s
+        stream, and the resampling stream after the last slot, are bit for
+        bit ``default_rng(c)`` of the children ``c`` of ``seed.spawn(n_pf +
+        1)``, but ``seed`` is not spawned from: its ``n_children_spawned`` is
+        not advanced, so the same sequence gives the same streams again. A
+        stream's ``bit_generator.seed_seq`` holds its child's PCG64 seed
+        words (:func:`_spawn_seed_words`), not a ``SeedSequence``.
         """
         if n_pf < 1:
             raise ValueError("n_pf must be >= 1")
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = ss.spawn(n_pf + 1)
+        words = _spawn_seed_words(ss, n_pf + 1)
+        streams = [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
         return cls(
             motion=np.tile(state.motion.as_array(), (n_pf, 1)),
             coeffs=np.tile(state.coeffs, (n_pf, 1)),
             supports=np.tile(state.support.mask(), (n_pf, 1)),
             log_weights=np.full(n_pf, -math.log(n_pf)),
-            streams=[np.random.default_rng(c) for c in children[:n_pf]],
-            resample_rng=np.random.default_rng(children[n_pf]),
+            streams=streams[:n_pf],
+            resample_rng=streams[n_pf],
         )
 
     @property

@@ -200,6 +200,29 @@ class TestTrack:
         payload = json.loads(capsys.readouterr().err)
         assert payload == {"error": f"{path}: unexpected states header", "type": "ValueError"}
 
+    def test_bad_support_index_names_its_column(self, sim_dir, tmp_path, capsys):
+        path = os.path.join(sim_dir, "states.csv")
+        lines = open(path).read().splitlines(keepends=True)
+        parts = lines[1].split(",")
+        parts[4] += "|x"
+        with open(path, "w") as fh:
+            fh.writelines([lines[0], ",".join(parts), *lines[2:]])
+        capsys.readouterr()
+        assert main(["track", "--sim", sim_dir, "--out", str(tmp_path / "trk")]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "support: cannot read 'x' as int", "type": "ValueError"}
+        assert not os.path.exists(tmp_path / "trk")
+
+    @pytest.mark.parametrize("key", ["origin_i", "origin_j"])
+    def test_bad_template_origin_names_its_key(self, sim_dir, tmp_path, capsys, key):
+        path = os.path.join(sim_dir, "template.cfg")
+        fileio.write_kv(path, {**fileio.read_kv(path), key: "7.5"})
+        capsys.readouterr()
+        assert main(["track", "--sim", sim_dir, "--out", str(tmp_path / "trk")]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": f"{key}: cannot read '7.5' as int", "type": "ValueError"}
+        assert not os.path.exists(tmp_path / "trk")
+
 
 class TestExperiment:
     def test_smoke(self, tmp_path, config_path, capsys):
@@ -576,6 +599,7 @@ class TestArgumentErrors:
             ("solve", "sigma_o_sq", "abc", "float"),
             ("solve", "gamma", "x", "float"),
             ("solve", "kkt_tolerance", "x", "float"),
+            ("solve", "cond_support", "x", "int"),
         ],
     )
     def test_unreadable_value_names_its_key(self, tmp_path, capsys, command, key, value, kind):

@@ -598,6 +598,53 @@ def assert_close(a, b):
     np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
 
 
+def stream_states(pset):
+    """The bit generator state of every slot's stream, then the resampling one."""
+    return [rng.bit_generator.state for rng in (*pset.streams, pset.resample_rng)]
+
+
+def spawned_states(ss, n):
+    """The reference streams: ``default_rng`` of each of ``ss.spawn(n)``."""
+    return [np.random.default_rng(child).bit_generator.state for child in ss.spawn(n)]
+
+
+def twin(ss):
+    """A fresh copy of ``ss``, spawned from in its place."""
+    return np.random.SeedSequence(
+        ss.entropy,
+        spawn_key=ss.spawn_key,
+        pool_size=ss.pool_size,
+        n_children_spawned=ss.n_children_spawned,
+    )
+
+
+ORIGIN_STATE = FullState(MotionState(0.0, 0.0, 1.0), SupportSet.from_indices([0], 3), np.zeros(3))
+
+
+@st.composite
+def seed_sequences(draw):
+    """Sequences as callers hold them: an int or list entropy, a pool of 4 or
+    8 words, a spawn key (words past 2**32 too), nested harness-style spawns
+    and children already spawned."""
+    entropy = draw(
+        st.one_of(
+            st.integers(0, 2**200),
+            st.lists(st.integers(0, 2**70), max_size=6),
+        )
+    )
+    ss = np.random.SeedSequence(
+        entropy,
+        spawn_key=draw(st.lists(st.integers(0, 2**41), max_size=3)),
+        pool_size=draw(st.sampled_from([4, 8])),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        ss = ss.spawn(draw(st.integers(1, 5)))[-1]
+    advanced = draw(st.integers(0, 40))
+    if advanced:
+        ss.spawn(advanced)
+    return ss
+
+
 class TestDeterminism:
     def _track(self, seed, variant="pafimocs"):
         return track_six_frames(FilterConfig(variant=variant, n_pf=6, d=1), seed)
@@ -617,14 +664,11 @@ class TestDeterminism:
         assert not np.array_equal(a.motion, b.motion)
 
     def test_int_seed_matches_seed_sequence(self):
-        state = FullState(
-            MotionState(0.0, 0.0, 1.0), SupportSet.from_indices([0], 3), np.zeros(3)
-        )
-        a = ParticleSet.initialize(state, 3, 11)
-        b = ParticleSet.initialize(state, 3, np.random.SeedSequence(11))
-        for ra, rb in zip(a.streams, b.streams):
-            assert ra.random() == rb.random()
-        assert a.resample_rng.random() == b.resample_rng.random()
+        a = ParticleSet.initialize(ORIGIN_STATE, 3, 11)
+        b = ParticleSet.initialize(ORIGIN_STATE, 3, np.random.SeedSequence(11))
+        expected = spawned_states(np.random.SeedSequence(11), 4)
+        assert stream_states(a) == expected
+        assert stream_states(b) == expected
 
     def test_initial_weights_uniform(self):
         state = FullState(
@@ -639,6 +683,59 @@ class TestDeterminism:
         )
         with pytest.raises(ValueError, match="n_pf"):
             ParticleSet.initialize(state, 0, 0)
+
+
+class TestStreamSeeding:
+    """``initialize`` seeds the streams ``SeedSequence.spawn`` would, bit for
+    bit, without spawning."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(st.integers(0, 2**130), seed_sequences()),
+        st.integers(1, 300),
+    )
+    @example(0, 1)
+    @example(2**130 + 3, 9)
+    @example(np.random.SeedSequence([3, 0, 2**40]), 100)
+    @example(np.random.SeedSequence(5, pool_size=8), 100)
+    @example(np.random.SeedSequence(9, spawn_key=(2**40, 3), n_children_spawned=17), 100)
+    def test_streams_equal_the_spawned_children(self, seed, n_pf):
+        reference = np.random.SeedSequence(seed) if isinstance(seed, int) else twin(seed)
+        pset = ParticleSet.initialize(ORIGIN_STATE, n_pf, seed)
+        assert stream_states(pset) == spawned_states(reference, n_pf + 1)
+
+    def test_never_spawns(self):
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("spawn called")
+
+        pset = ParticleSet.initialize(ORIGIN_STATE, 4, NoSpawn(21))
+        assert stream_states(pset) == spawned_states(np.random.SeedSequence(21), 5)
+
+    def test_seed_is_not_advanced(self):
+        ss = np.random.SeedSequence(21, n_children_spawned=3)
+        first = stream_states(ParticleSet.initialize(ORIGIN_STATE, 4, ss))
+        assert ss.n_children_spawned == 3
+        assert stream_states(ParticleSet.initialize(ORIGIN_STATE, 4, ss)) == first
+
+    def test_last_one_word_key_is_seeded(self):
+        ss = np.random.SeedSequence(7, n_children_spawned=2**32 - 3)
+        pset = ParticleSet.initialize(ORIGIN_STATE, 2, ss)
+        children = [
+            np.random.SeedSequence(7, spawn_key=(key,)) for key in range(2**32 - 3, 2**32)
+        ]
+        assert stream_states(pset) == [
+            np.random.default_rng(child).bit_generator.state for child in children
+        ]
+
+    def test_keys_past_one_word_are_refused(self):
+        ss = np.random.SeedSequence(0, n_children_spawned=2**32 - 1)
+        with pytest.raises(ValueError, match=r"child spawn key 4294967296 passes 2\*\*32 - 1"):
+            ParticleSet.initialize(ORIGIN_STATE, 1, ss)
+
+    def test_entropy_it_cannot_assemble_is_refused(self):
+        with pytest.raises(TypeError, match="cannot read seed entropy '12'"):
+            ParticleSet.initialize(ORIGIN_STATE, 1, np.random.SeedSequence(["12"]))
 
 
 class TestDegenerateExactness:
